@@ -19,9 +19,10 @@ from .core import (
     REAL,
     MatrixSubspace,
     Tolerances,
+    _gaussian_coefficients,
     as_square_matrix,
     check_same_space,
-    is_invertible,
+    matrix_rank,
     rank_from_singular_values,
     vec,
 )
@@ -41,10 +42,10 @@ from .geometry import linearization
 class BilinearModel:
     """Structure constants of a subspace product in fixed bases.
 
-    ``M[r][s, t]`` is the coefficient of the r-th linearization basis matrix
-    in the product of the s-th first-factor and t-th second-factor basis
-    matrices, so every product reconstructs as
-    ``sum_r (z^T M_r w) lin_basis[r]``.
+    ``M`` is an ``(l, j, kmj)`` array: ``M[r, s, t]`` (also ``M[r][s, t]``)
+    is the coefficient of the r-th linearization basis matrix in the product
+    of the s-th first-factor and t-th second-factor basis matrices, so every
+    product reconstructs as ``sum_r (z^T M[r] w) lin_basis[r]``.
     """
 
     n: int
@@ -52,7 +53,7 @@ class BilinearModel:
     j: int
     kmj: int
     l: int
-    M: tuple
+    M: np.ndarray
     basis1: tuple
     basis2: tuple
     lin_basis: tuple
@@ -62,7 +63,7 @@ class BilinearModel:
         z = np.asarray(z).reshape(-1)
         if z.size != self.j:
             raise SizeMismatch(f"z has length {z.size}, expected {self.j}")
-        return np.vstack([z @ Mr for Mr in self.M])
+        return np.tensordot(z, self.M, axes=(0, 1))
 
     def apply(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Evaluate M(z) w, the coordinates of the product in the linearization."""
@@ -93,6 +94,11 @@ class SolveReport:
     restarts_used: int
 
 
+def _vec_columns(mats: Sequence, n: int) -> np.ndarray:
+    """The vectorizations of n-by-n matrices as the columns of one array."""
+    return np.reshape(np.array(mats), (len(mats), n * n), order="F").T
+
+
 def model_from_bases(
     basis1: Sequence,
     basis2: Sequence,
@@ -117,26 +123,21 @@ def model_from_bases(
         for i, B in enumerate(mats):
             if B.shape[0] != n:
                 raise SizeMismatch(f"{name}[{i}] has side {B.shape[0]}, expected {n}")
-    W = np.column_stack([vec(B) for B in lb])
     j, kmj, l = len(b1), len(b2), len(lb)
-    M = [np.zeros((j, kmj), dtype=np.complex128) for _ in range(l)]
-    for s in range(j):
-        for t in range(kmj):
-            p = vec(b1[s] @ b2[t])
-            coef, *_ = np.linalg.lstsq(W, p, rcond=None)
-            resid = np.linalg.norm(W @ coef - p)
-            if resid > tols.rel_rank_tol * max(1.0, np.linalg.norm(p)):
-                raise NotMember(
-                    f"product of basis1[{s}] and basis2[{t}] lies outside the "
-                    f"given linearization basis (residual {resid:.3e})"
-                )
-            for r in range(l):
-                M[r][s, t] = coef[r]
-    if field == REAL:
-        M = [Mr.real.astype(np.float64) for Mr in M]
+    W = _vec_columns(lb, n)
+    P = _vec_columns([B @ C for B in b1 for C in b2], n)
+    coef, *_ = np.linalg.lstsq(W, P, rcond=None)
+    resid = np.linalg.norm(W @ coef - P, axis=0)
+    bad = np.flatnonzero(resid > tols.rel_rank_tol * np.maximum(1.0, np.linalg.norm(P, axis=0)))
+    if bad.size:
+        s, t = divmod(int(bad[0]), kmj)
+        raise NotMember(
+            f"product of basis1[{s}] and basis2[{t}] lies outside the "
+            f"given linearization basis (residual {resid[bad[0]]:.3e})"
+        )
     return BilinearModel(
         n=n, field=field, j=j, kmj=kmj, l=l,
-        M=tuple(M), basis1=tuple(b1), basis2=tuple(b2), lin_basis=tuple(lb),
+        M=coef.reshape(l, j, kmj), basis1=tuple(b1), basis2=tuple(b2), lin_basis=tuple(lb),
     )
 
 
@@ -145,25 +146,20 @@ def extract_bilinear(S1: MatrixSubspace, S2: MatrixSubspace) -> BilinearModel:
 
     The linearization basis is orthonormal, so each coefficient is a plain
     Frobenius inner product of a basis product with a linearization basis
-    matrix.
+    matrix: all of them come from one product ``Q^H P`` of the orthonormal
+    linearization basis ``Q`` with the basis products ``P`` that
+    :func:`linearization` spans (first-factor index major).
     """
     check_same_space(S1, S2)
     lin = linearization(S1, S2)
-    b1 = S1.basis_matrices()
-    b2 = S2.basis_matrices()
     j, kmj, l = S1.dim, S2.dim, lin.dim
-    Q = lin.ortho_basis  # (n^2, l), orthonormal columns
-    M = [np.zeros((j, kmj), dtype=np.complex128) for _ in range(l)]
-    for s in range(j):
-        for t in range(kmj):
-            coef = Q.conj().T @ vec(b1[s] @ b2[t])
-            for r in range(l):
-                M[r][s, t] = coef[r]
-    if S1.field == REAL:
-        M = [Mr.real.astype(np.float64) for Mr in M]
+    # With a zero factor the linearization spans one placeholder zero matrix.
+    P = _vec_columns(lin.raw_basis[: j * kmj], S1.n)
+    M = (lin.ortho_basis.conj().T @ P).reshape(l, j, kmj)
     return BilinearModel(
-        n=S1.n, field=S1.field, j=j, kmj=kmj, l=l,
-        M=tuple(M), basis1=tuple(b1), basis2=tuple(b2), lin_basis=tuple(lin.basis_matrices()),
+        n=S1.n, field=S1.field, j=j, kmj=kmj, l=l, M=M,
+        basis1=tuple(S1.basis_matrices()), basis2=tuple(S2.basis_matrices()),
+        lin_basis=tuple(lin.basis_matrices()),
     )
 
 
@@ -196,23 +192,19 @@ def solve_bilinear(
             z=np.zeros(model.j, dtype=zdt), w=np.zeros(model.kmj, dtype=zdt),
             residual=0.0, iterations=0, restarts_used=0,
         )
-    Ms = [np.asarray(Mr) for Mr in model.M]
+    M = np.asarray(model.M)
     j, kmj = model.j, model.kmj
 
     def residual_vec(z, w):
-        return np.array([z @ Mr @ w for Mr in Ms]) - b
+        return (M @ w) @ z - b
 
     best = None
     restarts_used = 0
     for rs in range(restarts):
         restarts_used = rs + 1
         rng = np.random.default_rng(seed + rs)
-        if real:
-            z = rng.standard_normal(j)
-            w = rng.standard_normal(kmj)
-        else:
-            z = rng.standard_normal(j) + 1j * rng.standard_normal(j)
-            w = rng.standard_normal(kmj) + 1j * rng.standard_normal(kmj)
+        z = _gaussian_coefficients(rng, j, model.field)
+        w = _gaussian_coefficients(rng, kmj, model.field)
         z = z / np.linalg.norm(z)
         lam = 1e-3
         r = residual_vec(z, w)
@@ -220,9 +212,8 @@ def solve_bilinear(
         iters = 0
         for it in range(max_iter):
             iters = it + 1
-            Jz = np.column_stack([np.array([(Mr @ w)[s] for Mr in Ms]) for s in range(j)])
-            Jw = model.matrix_at(z)
-            J = np.hstack([Jz, Jw])
+            # Partial derivatives of M(z) w: M w in z, M(z) in w.
+            J = np.hstack([M @ w, np.tensordot(z, M, axes=(0, 1))])
             g = J.conj().T @ r
             H = J.conj().T @ J + lam * np.eye(j + kmj, dtype=J.dtype)
             try:
@@ -285,27 +276,18 @@ def factor_via_inverse_closed(
         raise NoFactorization("no nonzero Y in S2 maps A into S1")
     N = Vh[rank:].conj().T  # (dim2, null_dim)
 
-    def element(c):
-        Y = np.zeros((S1.n, S1.n), dtype=np.complex128)
-        for ci, C in zip(N @ c, mats2):
-            Y = Y + ci * C
-        return Y.real if S1.field == REAL else Y
-
-    real = S1.field == REAL
-    cands = [element(np.eye(null_dim)[:, i]) for i in range(null_dim)]
+    cands = [S2.element(N[:, i]) for i in range(null_dim)]
     rng = np.random.default_rng(seed)
     for _ in range(max(0, candidates - null_dim)):
-        c = rng.standard_normal(null_dim)
-        if not real:
-            c = c + 1j * rng.standard_normal(null_dim)
-        cands.append(element(c / np.linalg.norm(c)))
+        c = _gaussian_coefficients(rng, null_dim, S1.field)
+        cands.append(S2.element(N @ (c / np.linalg.norm(c))))
 
     def inv_quality(Y):
         sv = np.linalg.svd(Y, compute_uv=False)
         return sv[-1] / sv[0] if sv[0] > 0 else 0.0
 
     Y = max(cands, key=inv_quality)
-    if not is_invertible(Y, S1.tols):
+    if matrix_rank(Y, S1.tols) < S1.n:
         raise SingularWitness(
             "all sampled nullspace members are numerically singular"
         )

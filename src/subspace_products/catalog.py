@@ -25,26 +25,6 @@ from .core import (
 )
 from .errors import BadParameters
 
-KINDS = (
-    "diagonal",
-    "circulant",
-    "lower_triangular",
-    "upper_triangular",
-    "unit_upper_constant_diagonal",
-    "unit_lower_constant_diagonal",
-    "band_lower",
-    "band_upper",
-    "toeplitz_upper_triangular",
-    "toeplitz_lower_triangular",
-    "symmetric",
-    "persymmetric_constant_antidiagonal",
-    "rank_cols",
-    "rank_rows",
-    "hurwitz_radon_2",
-    "krylov",
-)
-
-
 @dataclass(frozen=True)
 class CatalogSpec:
     """A named structured subspace with its parameters.
@@ -168,6 +148,73 @@ def _hurwitz_radon_2(dtype):
     return [np.eye(2, dtype=dtype), rot]
 
 
+def _in_range(attr: str, lo: int, hi: int):
+    """Parameter check: ``lo <= spec.<attr> <= n + hi``."""
+    hi_text = f"n{hi}" if hi else "n"
+
+    def check(kind: str, spec: CatalogSpec) -> None:
+        v = getattr(spec, attr)
+        if v is None or not lo <= v <= spec.n + hi:
+            raise BadParameters(f"{kind} needs {lo} <= {attr} <= {hi_text}, got {v}")
+
+    return check
+
+
+def _real_2x2(kind: str, spec: CatalogSpec) -> None:
+    if spec.n != 2 or spec.field != REAL:
+        raise BadParameters(f"{kind} is defined for n=2 over the real field")
+
+
+# kind -> (builder(spec, dtype), inverse_closed: bool or rule(spec), parameter check or None).
+# A band is inverse-closed only as the diagonal or the full triangle.
+_KINDS = {
+    "diagonal": (lambda s, dt: _diagonal(s.n, dt), True, None),
+    "circulant": (lambda s, dt: _circulant(s.n, dt), True, None),
+    "lower_triangular": (lambda s, dt: _lower_triangular(s.n, dt), True, None),
+    "upper_triangular": (lambda s, dt: _upper_triangular(s.n, dt), True, None),
+    "unit_upper_constant_diagonal": (
+        lambda s, dt: _unit_upper_constant_diagonal(s.n, dt), True, None),
+    "unit_lower_constant_diagonal": (
+        lambda s, dt: _unit_lower_constant_diagonal(s.n, dt), True, None),
+    "band_lower": (lambda s, dt: _band_lower(s.n, s.p, dt), lambda s: s.p in (0, s.n - 1),
+                   _in_range("p", 0, -1)),
+    "band_upper": (lambda s, dt: _band_upper(s.n, s.q, dt), lambda s: s.q in (0, s.n - 1),
+                   _in_range("q", 0, -1)),
+    "toeplitz_upper_triangular": (lambda s, dt: _toeplitz_upper_triangular(s.n, dt), True, None),
+    "toeplitz_lower_triangular": (lambda s, dt: _toeplitz_lower_triangular(s.n, dt), True, None),
+    "symmetric": (lambda s, dt: _symmetric(s.n, dt), True, None),
+    "persymmetric_constant_antidiagonal": (
+        lambda s, dt: _sym_constant_antidiagonal(s.n, dt), False, None),
+    "rank_cols": (lambda s, dt: _rank_cols(s.n, s.k, dt), False, _in_range("k", 1, 0)),
+    "rank_rows": (lambda s, dt: _rank_rows(s.n, s.k, dt), False, _in_range("k", 1, 0)),
+    "hurwitz_radon_2": (lambda s, dt: _hurwitz_radon_2(dt), True, _real_2x2),
+}
+KINDS = tuple(_KINDS) + ("krylov",)
+
+
+def _krylov(spec: CatalogSpec, dtype, tols: Tolerances) -> Tuple[list, bool]:
+    """Powers I, A, A^2, ... of the generator up to ``max_power`` or until
+    they saturate; the span is an algebra (hence inverse-closed) only when
+    the powers saturated before the cap."""
+    if spec.matrix is None:
+        raise BadParameters("krylov needs a generator matrix")
+    if spec.max_power is None or spec.max_power < 1:
+        raise BadParameters(f"krylov needs max_power >= 1, got {spec.max_power}")
+    n = spec.n
+    A = as_square_matrix(spec.matrix, field=spec.field, name="matrix")
+    if A.shape[0] != n:
+        raise BadParameters(f"generator side {A.shape[0]} does not match n={n}")
+    basis = [np.eye(n, dtype=dtype)]
+    power = np.eye(n, dtype=dtype)
+    for _ in range(spec.max_power):
+        power = power @ A
+        span_so_far = subspace_from_matrices(basis, field=spec.field, tols=tols)
+        if membership(span_so_far, power).inside:
+            return basis, True
+        basis.append(power.copy())
+    return basis, False
+
+
 def make_subspace(
     spec: CatalogSpec, tols: Optional[Tolerances] = None
 ) -> Tuple[MatrixSubspace, dict]:
@@ -183,74 +230,16 @@ def make_subspace(
     if n < 1:
         raise BadParameters(f"n must be positive, got {n}")
     dtype = dtype_for(spec.field)
-    kind = spec.kind
-    inverse_closed: bool
-
-    if kind == "diagonal":
-        basis, inverse_closed = _diagonal(n, dtype), True
-    elif kind == "circulant":
-        basis, inverse_closed = _circulant(n, dtype), True
-    elif kind == "lower_triangular":
-        basis, inverse_closed = _lower_triangular(n, dtype), True
-    elif kind == "upper_triangular":
-        basis, inverse_closed = _upper_triangular(n, dtype), True
-    elif kind == "unit_upper_constant_diagonal":
-        basis, inverse_closed = _unit_upper_constant_diagonal(n, dtype), True
-    elif kind == "unit_lower_constant_diagonal":
-        basis, inverse_closed = _unit_lower_constant_diagonal(n, dtype), True
-    elif kind == "band_lower":
-        if spec.p is None or not 0 <= spec.p <= n - 1:
-            raise BadParameters(f"band_lower needs 0 <= p <= n-1, got {spec.p}")
-        basis = _band_lower(n, spec.p, dtype)
-        inverse_closed = spec.p in (0, n - 1)  # diagonal or full lower triangular
-    elif kind == "band_upper":
-        if spec.q is None or not 0 <= spec.q <= n - 1:
-            raise BadParameters(f"band_upper needs 0 <= q <= n-1, got {spec.q}")
-        basis = _band_upper(n, spec.q, dtype)
-        inverse_closed = spec.q in (0, n - 1)
-    elif kind == "toeplitz_upper_triangular":
-        basis, inverse_closed = _toeplitz_upper_triangular(n, dtype), True
-    elif kind == "toeplitz_lower_triangular":
-        basis, inverse_closed = _toeplitz_lower_triangular(n, dtype), True
-    elif kind == "symmetric":
-        basis, inverse_closed = _symmetric(n, dtype), True
-    elif kind == "persymmetric_constant_antidiagonal":
-        basis, inverse_closed = _sym_constant_antidiagonal(n, dtype), False
-    elif kind == "rank_cols":
-        if spec.k is None or not 1 <= spec.k <= n:
-            raise BadParameters(f"rank_cols needs 1 <= k <= n, got {spec.k}")
-        basis, inverse_closed = _rank_cols(n, spec.k, dtype), False
-    elif kind == "rank_rows":
-        if spec.k is None or not 1 <= spec.k <= n:
-            raise BadParameters(f"rank_rows needs 1 <= k <= n, got {spec.k}")
-        basis, inverse_closed = _rank_rows(n, spec.k, dtype), False
-    elif kind == "hurwitz_radon_2":
-        if n != 2 or spec.field != REAL:
-            raise BadParameters("hurwitz_radon_2 is defined for n=2 over the real field")
-        basis, inverse_closed = _hurwitz_radon_2(dtype), True
-    elif kind == "krylov":
-        if spec.matrix is None:
-            raise BadParameters("krylov needs a generator matrix")
-        if spec.max_power is None or spec.max_power < 1:
-            raise BadParameters(f"krylov needs max_power >= 1, got {spec.max_power}")
-        A = as_square_matrix(spec.matrix, field=spec.field, name="matrix")
-        if A.shape[0] != n:
-            raise BadParameters(f"generator side {A.shape[0]} does not match n={n}")
-        basis = [np.eye(n, dtype=dtype)]
-        power = np.eye(n, dtype=dtype)
-        saturated = False
-        for _ in range(spec.max_power):
-            power = power @ A
-            span_so_far = subspace_from_matrices(basis, field=spec.field, tols=tols)
-            if membership(span_so_far, power).inside:
-                saturated = True
-                break
-            basis.append(power.copy())
-        # The span is an algebra (hence inverse-closed) only when the powers
-        # saturated before the cap.
-        inverse_closed = saturated
+    if spec.kind == "krylov":
+        basis, inverse_closed = _krylov(spec, dtype, tols)
+    elif spec.kind in _KINDS:
+        build, closed, check = _KINDS[spec.kind]
+        if check is not None:
+            check(spec.kind, spec)
+        basis = build(spec, dtype)
+        inverse_closed = closed(spec) if callable(closed) else closed
     else:
-        raise BadParameters(f"unknown catalog kind {kind!r}")
+        raise BadParameters(f"unknown catalog kind {spec.kind!r}")
 
     S = subspace_from_matrices(basis, field=spec.field, tols=tols)
     flags = {

@@ -170,20 +170,28 @@ def _render_text(value, indent: str = "") -> list:
     return lines
 
 
-def _emit(args, tols: Tolerances, result: dict) -> None:
-    report = {
+def _header(args, tols: Tolerances) -> dict:
+    """The keys every report carries: tool, version and run configuration."""
+    return {
         "tool": "subspace-products",
         "version": __version__,
         "command": args.command,
         "seed": args.seed,
         "trials": args.trials,
         "tolerances": {"rel_rank_tol": tols.rel_rank_tol, "abs_floor": tols.abs_floor},
-        "result": result,
     }
+
+
+def _emit(args, tols: Tolerances, result: dict) -> None:
+    _write(args, {**_header(args, tols), "result": result})
+
+
+def _write(args, obj: dict) -> None:
+    """Render ``obj`` as ``--format`` asks and write it to ``--output`` or stdout."""
     if args.format == "json":
-        text = dumps_canonical(report)
+        text = dumps_canonical(obj)
     else:
-        text = "\n".join(_render_text(report)) + "\n"
+        text = "\n".join(_render_text(obj)) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -331,27 +339,10 @@ def _cmd_catalog(args, tols) -> int:
     S, flags = make_subspace(spec, tols=tols)
     # Emitted as a subspace file (loadable by the other commands directly),
     # with the report metadata carried in extra keys readers ignore.
-    obj = subspace_to_obj(S)
-    obj.update({
-        "dim": S.dim,
-        "flags": flags,
-        "kind": args.kind,
-        "tool": "subspace-products",
-        "version": __version__,
-        "command": args.command,
-        "seed": args.seed,
-        "trials": args.trials,
-        "tolerances": {"rel_rank_tol": tols.rel_rank_tol, "abs_floor": tols.abs_floor},
+    _write(args, {
+        **subspace_to_obj(S), **_header(args, tols),
+        "dim": S.dim, "flags": flags, "kind": args.kind,
     })
-    if args.format == "json":
-        text = dumps_canonical(obj)
-    else:
-        text = "\n".join(_render_text(obj)) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -102,10 +102,10 @@ def rank_from_singular_values(s: np.ndarray, tols: Tolerances) -> int:
     return int(np.sum(s > tols.rel_rank_tol * s[0]))
 
 
-def frobenius_inner(A: np.ndarray, B: np.ndarray, field: str = COMPLEX):
-    """Trace inner product (B, A) -> tr(B* A); real part over the reals."""
-    val = np.vdot(vec(B), vec(A))
-    return val.real if field == REAL else val
+def matrix_rank(M, tols: Optional[Tolerances] = None) -> int:
+    """Numerical rank of a matrix: its singular values judged by ``tols``."""
+    s = np.linalg.svd(np.asarray(M), compute_uv=False)
+    return rank_from_singular_values(s, tols or Tolerances())
 
 
 class Membership(NamedTuple):
@@ -150,6 +150,10 @@ class MatrixSubspace:
     def basis_matrices(self) -> list:
         """Orthonormal basis as matrices (columns of ``ortho_basis`` unstacked)."""
         return [unvec(self.ortho_basis[:, i], self.n) for i in range(self.dim)]
+
+    def element(self, coeffs: np.ndarray) -> np.ndarray:
+        """The member with the given coefficients against the orthonormal basis."""
+        return unvec(self.ortho_basis @ coeffs, self.n)
 
     def coefficients(self, A: np.ndarray) -> np.ndarray:
         """Expansion coefficients of the orthogonal projection of A."""
@@ -223,7 +227,6 @@ def require_member(S: MatrixSubspace, A, name: str = "matrix") -> np.ndarray:
 
 def numerical_rank(vectors: Sequence, tols: Optional[Tolerances] = None) -> int:
     """Numerical rank of a set of equal-length vectors."""
-    tols = tols or Tolerances()
     if len(vectors) == 0:
         raise EmptyInput("need at least one vector")
     arrs = [np.asarray(v).reshape(-1) for v in vectors]
@@ -235,17 +238,7 @@ def numerical_rank(vectors: Sequence, tols: Optional[Tolerances] = None) -> int:
             np.iscomplexobj(v) and not np.all(np.isfinite(v.imag))
         ):
             raise NonFiniteInput(f"vectors[{i}] contains NaN or Inf")
-    s = np.linalg.svd(np.column_stack(arrs), compute_uv=False)
-    return rank_from_singular_values(s, tols)
-
-
-def is_invertible(A: np.ndarray, tols: Optional[Tolerances] = None) -> bool:
-    """Numerical invertibility: smallest singular value above the rank cutoff."""
-    tols = tols or Tolerances()
-    s = np.linalg.svd(np.asarray(A), compute_uv=False)
-    if s.size == 0 or s[0] < tols.abs_floor:
-        return False
-    return bool(s[-1] > tols.rel_rank_tol * s[0])
+    return matrix_rank(np.column_stack(arrs), tols)
 
 
 def equivalence_transform(S: MatrixSubspace, X, Y) -> MatrixSubspace:
@@ -259,11 +252,18 @@ def equivalence_transform(S: MatrixSubspace, X, Y) -> MatrixSubspace:
     if Xa.shape[0] != S.n or Ya.shape[0] != S.n:
         raise SizeMismatch("transform matrices must match the subspace side")
     for name, M in (("X", Xa), ("Y", Ya)):
-        if not is_invertible(M, S.tols):
+        if matrix_rank(M, S.tols) < S.n:
             raise SingularTransform(f"{name} is numerically singular")
     # X B Y^{-1} computed by a solve against Y^T to avoid forming the inverse
     new_basis = [np.linalg.solve(Ya.T, (Xa @ B).T).T for B in S.raw_basis]
     return subspace_from_matrices(new_basis, field=S.field, tols=S.tols)
+
+
+def _gaussian_coefficients(rng: np.random.Generator, size: int, field: str) -> np.ndarray:
+    """I.i.d. standard normal coefficients; over the complex field the real
+    parts are drawn first, then the imaginary parts."""
+    c = rng.standard_normal(size)
+    return c if field == REAL else c + 1j * rng.standard_normal(size)
 
 
 def random_element(S: MatrixSubspace, seed: int) -> np.ndarray:
@@ -276,12 +276,7 @@ def random_element(S: MatrixSubspace, seed: int) -> np.ndarray:
     """
     if S.dim == 0:
         raise ZeroSubspace("cannot sample from the zero subspace")
-    rng = np.random.default_rng(seed)
-    if S.field == REAL:
-        c = rng.standard_normal(S.dim)
-    else:
-        c = rng.standard_normal(S.dim) + 1j * rng.standard_normal(S.dim)
-    return unvec(S.ortho_basis @ c, S.n)
+    return S.element(_gaussian_coefficients(np.random.default_rng(seed), S.dim, S.field))
 
 
 def random_unit_element(S: MatrixSubspace, seed: int) -> np.ndarray:
@@ -312,7 +307,3 @@ def subspaces_equal(S1: MatrixSubspace, S2: MatrixSubspace) -> bool:
     return all(membership(S2, B).inside for B in S1.basis_matrices()) and all(
         membership(S1, C).inside for C in S2.basis_matrices()
     )
-
-
-def identity(n: int, field: str = COMPLEX) -> np.ndarray:
-    return np.eye(n, dtype=dtype_for(field))

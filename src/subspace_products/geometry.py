@@ -87,7 +87,8 @@ def linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
     """Smallest subspace containing every product V1 V2.
 
     Computed as the span of all pairwise products of the orthonormal basis
-    matrices of the factors.
+    matrices of the factors; ``raw_basis[s * S2.dim + t]`` is the product of
+    the s-th and t-th of them.
     """
     check_same_space(S1, S2)
     prods = [B @ C for B in S1.basis_matrices() for C in S2.basis_matrices()]

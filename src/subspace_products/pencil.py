@@ -20,12 +20,12 @@ from .core import (
     REAL,
     MatrixSubspace,
     Tolerances,
+    _gaussian_coefficients,
     as_square_matrix,
     check_same_space,
-    is_invertible,
+    matrix_rank,
     rank_from_singular_values,
     random_unit_element,
-    unvec,
     vec,
 )
 from .errors import (
@@ -88,17 +88,21 @@ class ClosednessCertificate:
     details: dict
 
 
+def _candidates(S: MatrixSubspace, samples: int, seed: int):
+    """Members to try in turn: the raw basis, the orthonormal basis, then
+    ``samples`` seeded unit Gaussian members (seeds ``seed``, ``seed + 1``, ...)."""
+    for B in S.raw_basis:
+        yield B.astype(S.ortho_basis.dtype)
+    yield from S.basis_matrices()
+    for t in range(samples):
+        yield random_unit_element(S, seed + t)
+
+
 def _find_invertible_element(
     S: MatrixSubspace, max_tries: int = 50, seed: int = 0
 ) -> np.ndarray:
-    """Raw basis candidates first, then seeded Gaussian samples."""
-    candidates = list(S.raw_basis) + S.basis_matrices()
-    for cand in candidates:
-        if is_invertible(cand, S.tols):
-            return cand.astype(S.ortho_basis.dtype)
-    for t in range(max_tries):
-        cand = random_unit_element(S, seed + t)
-        if is_invertible(cand, S.tols):
+    for cand in _candidates(S, max_tries, seed):
+        if matrix_rank(cand, S.tols) == S.n:
             return cand
     raise NoInvertibleElementFound(
         f"no invertible element found in {max_tries} samples; "
@@ -112,6 +116,17 @@ def _deflate_identity(C: np.ndarray) -> np.ndarray:
     return C - (np.trace(C) / n) * np.eye(n, dtype=C.dtype)
 
 
+def _normal_form(
+    S: MatrixSubspace, left: bool, max_tries: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(W, Y) with Y an invertible element of S and Y^{-1} S (``left``) or
+    S Y^{-1} equal to span{I, W}."""
+    Y = _find_invertible_element(S, max_tries=max_tries, seed=seed)
+    Yi = np.linalg.inv(Y)
+    cands = [_deflate_identity(Yi @ B if left else B @ Yi) for B in S.basis_matrices()]
+    return max(cands, key=np.linalg.norm), Y
+
+
 def normalize_pencil(
     S: MatrixSubspace, max_tries: int = 50, seed: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -121,11 +136,7 @@ def normalize_pencil(
     """
     if S.dim != 2:
         raise WrongDimension(f"pencil normalization needs dim 2, got {S.dim}")
-    Y = _find_invertible_element(S, max_tries=max_tries, seed=seed)
-    Yi = np.linalg.inv(Y)
-    cands = [_deflate_identity(B @ Yi) for B in S.basis_matrices()]
-    W1 = max(cands, key=lambda M: np.linalg.norm(M))
-    return W1, Y
+    return _normal_form(S, left=False, max_tries=max_tries, seed=seed)
 
 
 def normalize_pair(
@@ -139,10 +150,7 @@ def normalize_pair(
     check_same_space(S1, S2)
     if S1.dim != 2:
         raise WrongDimension(f"pair normalization needs dim 2, got {S1.dim} on side 1")
-    A1 = _find_invertible_element(S1, max_tries=max_tries, seed=seed)
-    A1i = np.linalg.inv(A1)
-    cands = [_deflate_identity(A1i @ B) for B in S1.basis_matrices()]
-    X1 = max(cands, key=lambda M: np.linalg.norm(M))
+    X1, _ = _normal_form(S1, left=True, max_tries=max_tries, seed=seed)
     X2, _ = normalize_pencil(S2, max_tries=max_tries, seed=seed)
     return X1, X2
 
@@ -211,21 +219,14 @@ def craig_sakamoto_check(
     )
     As = A / na if na > 0 else A
     Bs = B / nb if nb > 0 else B
-    n = A.shape[0]
-    I = np.eye(n)
-    det_identity = True
-    pts = np.linspace(-1.0, 1.0, grid)
-    det_a = {t: np.linalg.det(I - t * As) for t in pts}
-    det_b = {s: np.linalg.det(I - s * Bs) for s in pts}
-    for t in pts:
-        for s in pts:
-            lhs = np.linalg.det(I - t * As - s * Bs)
-            rhs = det_a[t] * det_b[s]
-            if abs(lhs - rhs) > 1e-8 * max(1.0, abs(lhs), abs(rhs)):
-                det_identity = False
-                break
-        if not det_identity:
-            break
+    I = np.eye(A.shape[0])
+    pts = np.linspace(-1.0, 1.0, grid)[:, None, None]
+    det_a = np.linalg.det(I - pts * As)
+    det_b = np.linalg.det(I - pts * Bs)
+    lhs = np.linalg.det(I - pts[:, None] * As - pts[None, :] * Bs)  # [t, s]
+    rhs = det_a[:, None] * det_b[None, :]
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    det_identity = not np.any(np.abs(lhs - rhs) > 1e-8 * scale)
     return zero_product, det_identity
 
 
@@ -245,11 +246,6 @@ def _cluster_eigenvalues(ev: np.ndarray) -> list:
     return [np.mean(cl) for cl in clusters]
 
 
-def _rank_of(M: np.ndarray, tols: Tolerances) -> int:
-    s = np.linalg.svd(M, compute_uv=False)
-    return rank_from_singular_values(s, tols)
-
-
 def _minrank_dim2_eigen(S: MatrixSubspace, max_tries: int, seed: int) -> MinrankReport:
     n = S.n
     W1, Y = normalize_pencil(S, max_tries=max_tries, seed=seed)
@@ -261,7 +257,7 @@ def _minrank_dim2_eigen(S: MatrixSubspace, max_tries: int, seed: int) -> Minrank
         if S.field == REAL and abs(lam.imag) > _EIG_CLUSTER_RTOL * scale:
             continue  # complex eigenvalues are unreachable with real coefficients
         lam_eff = lam.real if S.field == REAL else lam
-        gm = n - _rank_of(W1 - lam_eff * np.eye(n, dtype=W1.dtype), S.tols)
+        gm = n - matrix_rank(W1 - lam_eff * np.eye(n, dtype=W1.dtype), S.tols)
         if gm > best_gm:
             best_gm, best_lam = gm, lam_eff
     if best_gm == 0:
@@ -283,30 +279,35 @@ def _sigma_k(M: np.ndarray, k: int) -> float:
 def _minrank_sampled(
     S: MatrixSubspace, samples: int, restarts: int, seed: int
 ) -> MinrankReport:
-    """Uncertified upper bound by sampling plus local descent on sigma_{r+1}."""
+    """Uncertified upper bound by sampling plus local descent on sigma_{r+1}.
+
+    The basis members are tried before the samples, so a rank-one basis
+    member bounds the result by one.  The witness has unit norm.
+    """
     best_rank = S.n + 1
     best_witness = None
-    for t in range(samples):
-        V = random_unit_element(S, seed + t)
-        r = _rank_of(V, S.tols)
+    for V in _candidates(S, samples, seed):
+        r = matrix_rank(V, S.tols)
         if 0 < r < best_rank:
-            best_rank, best_witness = r, V
+            best_rank, best_witness = r, V / np.linalg.norm(V)
     d = S.dim
     real = S.field == REAL
     npar = d if real else 2 * d
 
-    def element(theta: np.ndarray) -> np.ndarray:
+    def unit_member(theta: np.ndarray) -> np.ndarray:
+        """The unit-norm member for real parameters theta (real and
+        imaginary coefficient parts over the complex field), or None near 0."""
         c = theta if real else theta[:d] + 1j * theta[d:]
         nc = np.linalg.norm(c)
         if nc < 1e-12:
             return None
-        return unvec(S.ortho_basis @ (c / nc), S.n)
+        return S.element(c / nc)
 
     while best_rank > 1:
         target = best_rank - 1
 
         def objective(theta: np.ndarray) -> float:
-            V = element(theta)
+            V = unit_member(theta)
             if V is None:
                 return 1e6
             return _sigma_k(V, target + 1)
@@ -319,10 +320,10 @@ def _minrank_sampled(
                 objective, theta0, method="Nelder-Mead",
                 options={"maxiter": 400, "fatol": 1e-14, "xatol": 1e-10},
             )
-            V = element(res.x)
+            V = unit_member(res.x)
             if V is None:
                 continue
-            r = _rank_of(V, S.tols)
+            r = matrix_rank(V, S.tols)
             if 0 < r < best_rank:
                 best_rank, best_witness = r, V
                 improved = True
@@ -353,7 +354,7 @@ def minrank(
     if S.dim == 1:
         B = S.basis_matrices()[0]
         return MinrankReport(
-            value=_rank_of(B, S.tols), certified=True, witness=B, method="dim1_exact"
+            value=matrix_rank(B, S.tols), certified=True, witness=B, method="dim1_exact"
         )
     if S.dim == 2:
         try:
@@ -383,29 +384,19 @@ def zero_product_probe(
         raise ZeroSubspace("probe needs nonzero subspaces")
     mats1 = S1.basis_matrices()
     mats2 = S2.basis_matrices()
-    real = S1.field == REAL
-
-    def combine(mats, c):
-        out = c[0] * mats[0]
-        for ci, M in zip(c[1:], mats[1:]):
-            out = out + ci * M
-        return out
 
     best_val = np.inf
     best_pair = None
     for start in range(budget):
-        rng = np.random.default_rng(seed + start)
-        c1 = rng.standard_normal(S1.dim)
-        if not real:
-            c1 = c1 + 1j * rng.standard_normal(S1.dim)
+        c1 = _gaussian_coefficients(np.random.default_rng(seed + start), S1.dim, S1.field)
         c1 = c1 / np.linalg.norm(c1)
         prev = np.inf
         for _ in range(max_alternations):
-            V1 = combine(mats1, c1)
+            V1 = S1.element(c1)
             L2 = np.column_stack([vec(V1 @ M) for M in mats2])
             _, s2, Vh2 = np.linalg.svd(L2, full_matrices=False)
             c2 = Vh2[-1].conj()
-            V2 = combine(mats2, c2)
+            V2 = S2.element(c2)
             L1 = np.column_stack([vec(M @ V2) for M in mats1])
             _, s1, Vh1 = np.linalg.svd(L1, full_matrices=False)
             c1 = Vh1[-1].conj()
@@ -413,7 +404,7 @@ def zero_product_probe(
             if prev - val < 1e-15:
                 break
             prev = val
-        V1 = combine(mats1, c1)
+        V1 = S1.element(c1)
         if val < best_val:
             best_val = val
             best_pair = (V1, V2)

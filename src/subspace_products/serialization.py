@@ -173,10 +173,9 @@ def model_from_obj(obj, path: str = "model"):
         _require(isinstance(val, int) and val >= 0, f"{path}.{name}", "expected a nonnegative integer")
     raw = obj["M"]
     _require(isinstance(raw, list) and len(raw) == l, f"{path}.M", f"expected {l} matrices")
-    M = []
+    M = np.zeros((l, j, kmj), dtype=np.complex128)
     for r, rows in enumerate(raw):
         _require(isinstance(rows, list) and len(rows) == j, f"{path}.M[{r}]", f"expected {j} rows")
-        Mr = np.zeros((j, kmj), dtype=np.complex128)
         for s, row in enumerate(rows):
             _require(
                 isinstance(row, list) and len(row) == kmj,
@@ -184,8 +183,9 @@ def model_from_obj(obj, path: str = "model"):
                 f"expected {kmj} entries",
             )
             for t, val in enumerate(row):
-                Mr[s, t] = _pair_to_scalar(val, f"{path}.M[{r}][{s}][{t}]")
-        M.append(Mr.real if field == REAL and not np.any(Mr.imag != 0) else Mr)
+                M[r, s, t] = _pair_to_scalar(val, f"{path}.M[{r}][{s}][{t}]")
+    if field == REAL and not np.any(M.imag != 0):
+        M = M.real.copy()
 
     def extract(key):
         sub = obj[key]
@@ -196,7 +196,7 @@ def model_from_obj(obj, path: str = "model"):
         )
 
     return BilinearModel(
-        n=n, field=field, j=j, kmj=kmj, l=l, M=tuple(M),
+        n=n, field=field, j=j, kmj=kmj, l=l, M=M,
         basis1=extract("basis1"), basis2=extract("basis2"), lin_basis=extract("lin_basis"),
     )
 

@@ -14,6 +14,7 @@ from subspace_products import (
     nullstellensatz_degree_bound,
     solve_bilinear,
     subspace_from_matrices,
+    vec,
 )
 from helpers import catalog, cell, crout_lu, random_complex, strongly_nonsingular
 
@@ -51,6 +52,34 @@ class TestExtractBilinear:
                         [Mr[s, t] for Mr in model.M]
                     )
                     assert np.linalg.norm(prod - recon) < 1e-12
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_constants_are_one_array_matching_inner_products(self, field):
+        S1 = catalog("lower_triangular", 3, field=field)
+        S2 = catalog("symmetric", 3, field=field)
+        model = extract_bilinear(S1, S2)
+        assert isinstance(model.M, np.ndarray)
+        assert model.M.shape == (model.l, model.j, model.kmj) == (9, 6, 6)
+        assert model.M.dtype == (np.float64 if field == "real" else np.complex128)
+        # Reference: one Frobenius inner product per coefficient.
+        for s, B in enumerate(model.basis1):
+            for t, C in enumerate(model.basis2):
+                for r, W in enumerate(model.lin_basis):
+                    assert abs(model.M[r, s, t] - np.vdot(vec(W), vec(B @ C))) < 1e-13
+        z = np.linspace(-1.0, 1.0, model.j)
+        np.testing.assert_allclose(
+            model.matrix_at(z), np.vstack([z @ Mr for Mr in model.M]), atol=1e-14
+        )
+
+    def test_zero_factor_gives_empty_model(self):
+        Z = subspace_from_matrices([np.zeros((2, 2))])
+        D = catalog("diagonal", 2)
+        for S1, S2, dims in ((Z, D, (0, 2, 0)), (D, Z, (2, 0, 0))):
+            model = extract_bilinear(S1, S2)
+            assert (model.j, model.kmj, model.l) == dims
+            assert model.M.shape == (0, model.j, model.kmj) and len(model.M) == 0
+            assert model.lin_basis == ()
+            assert len(model.basis1) == model.j and len(model.basis2) == model.kmj
 
     def test_model_matches_product_map(self):
         rng = np.random.default_rng(1)
@@ -94,6 +123,15 @@ class TestModelFromBases:
 
         with pytest.raises(NotMember):
             model_from_bases([cell(2, 0, 0)], [cell(2, 0, 1)], [np.eye(2)])
+
+    def test_first_product_outside_span_is_named(self):
+        from subspace_products import NotMember
+
+        # Products E01, E11, E11, 0: (0, 1) and (1, 0) both leave span{E01}.
+        with pytest.raises(NotMember, match=r"basis1\[0\] and basis2\[1\]"):
+            model_from_bases(
+                [np.eye(2), cell(2, 1, 0)], [cell(2, 0, 1), cell(2, 1, 1)], [cell(2, 0, 1)]
+            )
 
 
 class TestMatrixAt:

@@ -20,6 +20,7 @@ from subspace_products import (
     subspace_sum,
     subspaces_equal,
 )
+from subspace_products.core import matrix_rank
 from helpers import brute_span_rank, catalog, cell, exact_rank_fraction
 
 
@@ -141,6 +142,18 @@ class TestNumericalRank:
             assert got == exact_rank_fraction(A)
 
 
+class TestMatrixRank:
+    def test_ranks(self):
+        assert matrix_rank(np.zeros((3, 3))) == 0
+        assert matrix_rank(np.diag([1.0, 1e-3, 1e-10])) == 2
+        assert matrix_rank(np.diag([1.0, 1e-3, 1e-10]), Tolerances(rel_rank_tol=1e-12)) == 3
+        assert matrix_rank(cell(3, 0, 2)) == 1
+        assert matrix_rank(np.eye(4)) == 4
+
+    def test_below_absolute_floor_is_zero(self):
+        assert matrix_rank(1e-13 * np.eye(2)) == 0
+
+
 class TestEquivalenceTransform:
     def test_identity_transform_preserves_span(self):
         S = subspace_from_matrices([np.eye(2), cell(2, 0, 1)])
@@ -198,6 +211,22 @@ class TestRandomElement:
             A = random_element(full, seed)
             s = np.linalg.svd(A, compute_uv=False)
             assert s[-1] > 1e-8 * s[0]
+
+
+class TestElement:
+    def test_unit_coefficients_give_basis_matrices(self):
+        S = catalog("circulant", 3)
+        for i, B in enumerate(S.basis_matrices()):
+            np.testing.assert_array_equal(S.element(np.eye(S.dim)[:, i]), B)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_random_element_draws_real_then_imaginary_parts(self, field):
+        S = catalog("symmetric", 3, field=field)
+        rng = np.random.default_rng(11)
+        c = rng.standard_normal(S.dim)
+        if field == "complex":
+            c = c + 1j * rng.standard_normal(S.dim)
+        np.testing.assert_array_equal(random_element(S, 11), S.element(c))
 
 
 class TestSubspaceSum:

@@ -190,6 +190,25 @@ class TestCraigSakamoto:
             zp, di = craig_sakamoto_check(A, B)
             assert zp == di
 
+    def test_determinants_match_pointwise_reference(self):
+        rng = np.random.default_rng(3)
+        pts = np.linspace(-1.0, 1.0, 9)
+        for trial in range(6):
+            A, B = rng.standard_normal((2, 4, 4))
+            A, B = A + A.T, B + B.T
+            if trial % 2 == 0:  # zero product: the identity holds
+                Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+                A, B = Q[:, :2] @ Q[:, :2].T, 3.0 * Q[:, 2:] @ Q[:, 2:].T
+            As, Bs = A / np.linalg.norm(A), B / np.linalg.norm(B)
+            I = np.eye(4)
+            expected = all(
+                abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
+                for t in pts for s in pts
+                for lhs, rhs in [(np.linalg.det(I - t * As - s * Bs),
+                                  np.linalg.det(I - t * As) * np.linalg.det(I - s * Bs))]
+            )
+            assert craig_sakamoto_check(A, B)[1] == expected == (trial % 2 == 0)
+
 
 class TestMinrank:
     def test_dim1_exact(self):
@@ -227,6 +246,14 @@ class TestMinrank:
         rep = minrank(S, seed=0)
         assert rep.method == "sampled_upper_bound" and not rep.certified
         assert rep.value == 1
+        assert np.linalg.matrix_rank(rep.witness, tol=1e-6) == 1
+
+    def test_sampled_tries_basis_members(self):
+        # The last raw basis member, E_{0,n-1}, has rank one.
+        S = catalog("toeplitz_upper_triangular", 6, field="real")
+        rep = minrank(S)
+        assert rep.method == "sampled_upper_bound" and rep.value == 1
+        assert abs(np.linalg.norm(rep.witness) - 1.0) < 1e-12
         assert np.linalg.matrix_rank(rep.witness, tol=1e-6) == 1
 
     def test_singular_dim2_falls_back(self):

@@ -84,6 +84,16 @@ class TestModelFile:
         second = solve_bilinear(back, b, restarts=5, seed=0)
         assert first.residual == second.residual
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_constants_array_round_trip(self, field):
+        model = extract_bilinear(catalog("lower_triangular", 3, field=field),
+                                 catalog("unit_upper_constant_diagonal", 3, field=field))
+        back = model_from_obj(json.loads(dumps_canonical(model_to_obj(model))))
+        assert isinstance(back.M, np.ndarray)
+        assert back.M.shape == (model.l, model.j, model.kmj) == (9, 6, 4)
+        assert back.M.dtype == model.M.dtype
+        np.testing.assert_array_equal(back.M, model.M)
+
     def test_schema_fields(self):
         model = extract_bilinear(catalog("diagonal", 2), catalog("diagonal", 2))
         obj = model_to_obj(model)
