@@ -20,6 +20,8 @@ from .core import (
     MatrixSubspace,
     Tolerances,
     _gaussian_coefficients,
+    _products,
+    _vec_columns,
     as_square_matrix,
     check_same_space,
     matrix_rank,
@@ -35,7 +37,7 @@ from .errors import (
     SizeMismatch,
     UnsupportedDegree,
 )
-from .geometry import linearization
+from .geometry import _linearization
 
 
 @dataclass(frozen=True)
@@ -94,11 +96,6 @@ class SolveReport:
     restarts_used: int
 
 
-def _vec_columns(mats: Sequence, n: int) -> np.ndarray:
-    """The vectorizations of n-by-n matrices as the columns of one array."""
-    return np.reshape(np.array(mats), (len(mats), n * n), order="F").T
-
-
 def model_from_bases(
     basis1: Sequence,
     basis2: Sequence,
@@ -124,8 +121,8 @@ def model_from_bases(
             if B.shape[0] != n:
                 raise SizeMismatch(f"{name}[{i}] has side {B.shape[0]}, expected {n}")
     j, kmj, l = len(b1), len(b2), len(lb)
-    W = _vec_columns(lb, n)
-    P = _vec_columns([B @ C for B in b1 for C in b2], n)
+    W = _vec_columns(lb)
+    P = _vec_columns(_products(np.array(b1)[:, None], np.array(b2)[None]))
     coef, *_ = np.linalg.lstsq(W, P, rcond=None)
     resid = np.linalg.norm(W @ coef - P, axis=0)
     bad = np.flatnonzero(resid > tols.rel_rank_tol * np.maximum(1.0, np.linalg.norm(P, axis=0)))
@@ -151,11 +148,10 @@ def extract_bilinear(S1: MatrixSubspace, S2: MatrixSubspace) -> BilinearModel:
     :func:`linearization` spans (first-factor index major).
     """
     check_same_space(S1, S2)
-    lin = linearization(S1, S2)
+    lin, P = _linearization(S1, S2)
     j, kmj, l = S1.dim, S2.dim, lin.dim
     # With a zero factor the linearization spans one placeholder zero matrix.
-    P = _vec_columns(lin.raw_basis[: j * kmj], S1.n)
-    M = (lin.ortho_basis.conj().T @ P).reshape(l, j, kmj)
+    M = (lin.ortho_basis.conj().T @ P[:, : j * kmj]).reshape(l, j, kmj)
     return BilinearModel(
         n=S1.n, field=S1.field, j=j, kmj=kmj, l=l, M=M,
         basis1=tuple(S1.basis_matrices()), basis2=tuple(S2.basis_matrices()),

@@ -149,7 +149,7 @@ class MatrixSubspace:
 
     def basis_matrices(self) -> list:
         """Orthonormal basis as matrices (columns of ``ortho_basis`` unstacked)."""
-        return [unvec(self.ortho_basis[:, i], self.n) for i in range(self.dim)]
+        return list(_basis_array(self))
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
         """The member with the given coefficients against the orthonormal basis."""
@@ -167,6 +167,60 @@ class MatrixSubspace:
     def project_out(self, A: np.ndarray) -> np.ndarray:
         """Component of A orthogonal to the subspace."""
         return np.asarray(A, dtype=self.ortho_basis.dtype) - self.project(A)
+
+
+def _basis_array(S: MatrixSubspace) -> np.ndarray:
+    """The orthonormal basis of S as a (dim, n, n) array of matrices."""
+    return np.moveaxis(S.ortho_basis.reshape(S.n, S.n, S.dim, order="F"), -1, 0)
+
+
+def _vec_columns(mats) -> np.ndarray:
+    """The vectorizations of n-by-n matrices as the columns of one array."""
+    mats = np.asarray(mats)
+    return np.reshape(mats, (len(mats), mats.shape[-1] ** 2), order="F").T
+
+
+def _products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """All products ``np.matmul(A, B)``, broadcast over the leading axes and
+    flattened to a (count, n, n) array in C order of those axes.
+
+    The factors are validated, so the products are not validated again; only
+    an overflow is caught, so that it raises NonFiniteInput as it would for an
+    input.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.matmul(A, B)
+    if not np.all(np.isfinite(P)):
+        raise NonFiniteInput("a matrix product overflowed to Inf or NaN")
+    return P.reshape((-1,) + P.shape[-2:])
+
+
+def _subspace_from_stack(
+    stack: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
+) -> MatrixSubspace:
+    """The span of the columns of a validated (n*n, N) stack of vectorized
+    members, with ``raw_basis`` the N members as matrices.
+
+    A stack wider than tall is factored QR-first (Chan's R-SVD): with
+    ``stack^T = Q R``, ``stack = R^T Q^T`` and ``Q^T`` has orthonormal rows,
+    so the m-by-m ``R^T`` has the singular values and the left singular
+    vectors of the stack, and the N-wide right singular vectors are never
+    formed.  If ``R`` overflows (entries near the largest float), the stack
+    goes to the SVD, which scales its input first.
+    """
+    m, N = stack.shape
+    if N > m:
+        R = np.linalg.qr(stack.T, mode="r")
+        if np.all(np.isfinite(R)):
+            stack = R.T
+    U, s, _ = np.linalg.svd(stack, full_matrices=False)
+    dim = rank_from_singular_values(s, tols)
+    Q = np.array(U[:, :dim])
+    if field == REAL:
+        Q = np.array(Q.real, dtype=np.float64)
+    return MatrixSubspace(
+        n=n, field=field, raw_basis=raw_basis, dim=dim, ortho_basis=Q, tols=tols
+    )
 
 
 def subspace_from_matrices(
@@ -187,15 +241,7 @@ def subspace_from_matrices(
     for i, M in enumerate(arrs):
         if M.shape[0] != n:
             raise MixedSizes(f"mats[{i}] has side {M.shape[0]}, expected {n}")
-    stack = np.column_stack([vec(M) for M in arrs])
-    U, s, _ = np.linalg.svd(stack, full_matrices=False)
-    dim = rank_from_singular_values(s, tols)
-    Q = np.array(U[:, :dim])
-    if field == REAL:
-        Q = np.array(Q.real, dtype=np.float64)
-    return MatrixSubspace(
-        n=n, field=field, raw_basis=tuple(arrs), dim=dim, ortho_basis=Q, tols=tols
-    )
+    return _subspace_from_stack(_vec_columns(arrs), n, field, tuple(arrs), tols)
 
 
 def membership(S: MatrixSubspace, A) -> Membership:

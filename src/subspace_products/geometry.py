@@ -16,11 +16,16 @@ import numpy as np
 
 from .core import (
     MatrixSubspace,
+    _basis_array,
+    _products,
+    _subspace_from_stack,
+    _vec_columns,
     as_square_matrix,
     check_same_space,
+    dtype_for,
+    matrix_rank,
     random_element,
     require_member,
-    subspace_from_matrices,
     subspaces_equal,
 )
 from .errors import FieldMismatch, SizeMismatch, ZeroSubspace
@@ -83,6 +88,17 @@ def product_map(V1, V2) -> np.ndarray:
     return A @ B
 
 
+def _linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> Tuple[MatrixSubspace, np.ndarray]:
+    """The linearization and its (n*n, S1.dim * S2.dim) stack of vectorized
+    basis products, in the order of its ``raw_basis``."""
+    check_same_space(S1, S2)
+    P = _products(_basis_array(S1)[:, None], _basis_array(S2)[None])
+    if not len(P):
+        P = np.zeros((1, S1.n, S1.n), dtype=dtype_for(S1.field))
+    stack = _vec_columns(P)
+    return _subspace_from_stack(stack, S1.n, S1.field, tuple(P), S1.tols), stack
+
+
 def linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
     """Smallest subspace containing every product V1 V2.
 
@@ -90,11 +106,18 @@ def linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
     matrices of the factors; ``raw_basis[s * S2.dim + t]`` is the product of
     the s-th and t-th of them.
     """
+    return _linearization(S1, S2)[0]
+
+
+def _tangent_products(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> np.ndarray:
+    """The products V1 C_t, then B_s V2, over the orthonormal basis matrices
+    C_t of S2 and B_s of S1, at a validated member point (V1, V2)."""
     check_same_space(S1, S2)
-    prods = [B @ C for B in S1.basis_matrices() for C in S2.basis_matrices()]
-    if not prods:
-        prods = [np.zeros((S1.n, S1.n))]
-    return subspace_from_matrices(prods, field=S1.field, tols=S1.tols)
+    V1a = as_square_matrix(require_member(S1, V1, name="V1"), field=S1.field, name="V1")
+    V2a = as_square_matrix(require_member(S2, V2, name="V2"), field=S1.field, name="V2")
+    return np.concatenate(
+        [_products(V1a, _basis_array(S2)), _products(_basis_array(S1), V2a)]
+    )
 
 
 def tangent_space(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> MatrixSubspace:
@@ -102,16 +125,14 @@ def tangent_space(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> MatrixSubsp
 
     Its dimension is the rank of the product map at the point.
     """
-    check_same_space(S1, S2)
-    V1a = require_member(S1, V1, name="V1")
-    V2a = require_member(S2, V2, name="V2")
-    mats = [V1a @ C for C in S2.basis_matrices()] + [B @ V2a for B in S1.basis_matrices()]
-    return subspace_from_matrices(mats, field=S1.field, tols=S1.tols)
+    P = _tangent_products(S1, S2, V1, V2)
+    return _subspace_from_stack(_vec_columns(P), S1.n, S1.field, tuple(P), S1.tols)
 
 
 def product_map_rank(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> int:
-    """Rank of the product map at (V1, V2): the tangent space dimension."""
-    return tangent_space(S1, S2, V1, V2).dim
+    """Rank of the product map at (V1, V2): the tangent space dimension,
+    from the singular values of the tangent stack alone."""
+    return matrix_rank(_vec_columns(_tangent_products(S1, S2, V1, V2)), S1.tols)
 
 
 def curvature_measure(

@@ -20,7 +20,9 @@ from .core import (
     REAL,
     MatrixSubspace,
     Tolerances,
+    _basis_array,
     _gaussian_coefficients,
+    _vec_columns,
     as_square_matrix,
     check_same_space,
     matrix_rank,
@@ -382,8 +384,8 @@ def zero_product_probe(
     check_same_space(S1, S2)
     if S1.dim == 0 or S2.dim == 0:
         raise ZeroSubspace("probe needs nonzero subspaces")
-    mats1 = S1.basis_matrices()
-    mats2 = S2.basis_matrices()
+    T1 = _basis_array(S1)
+    T2 = _basis_array(S2)
 
     best_val = np.inf
     best_pair = None
@@ -393,11 +395,11 @@ def zero_product_probe(
         prev = np.inf
         for _ in range(max_alternations):
             V1 = S1.element(c1)
-            L2 = np.column_stack([vec(V1 @ M) for M in mats2])
+            L2 = _vec_columns(np.matmul(V1, T2))
             _, s2, Vh2 = np.linalg.svd(L2, full_matrices=False)
             c2 = Vh2[-1].conj()
             V2 = S2.element(c2)
-            L1 = np.column_stack([vec(M @ V2) for M in mats1])
+            L1 = _vec_columns(np.matmul(T1, V2))
             _, s1, Vh1 = np.linalg.svd(L1, full_matrices=False)
             c1 = Vh1[-1].conj()
             val = float(s1[-1])

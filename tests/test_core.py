@@ -20,7 +20,14 @@ from subspace_products import (
     subspace_sum,
     subspaces_equal,
 )
-from subspace_products.core import matrix_rank
+from subspace_products.core import (
+    _basis_array,
+    _products,
+    _subspace_from_stack,
+    _vec_columns,
+    matrix_rank,
+    rank_from_singular_values,
+)
 from helpers import brute_span_rank, catalog, cell, exact_rank_fraction
 
 
@@ -152,6 +159,31 @@ class TestMatrixRank:
 
     def test_below_absolute_floor_is_zero(self):
         assert matrix_rank(1e-13 * np.eye(2)) == 0
+
+
+class TestSubspaceFromStack:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("lower_triangular", "unit_upper_constant_diagonal"),
+            ("symmetric", "persymmetric_constant_antidiagonal"),
+        ],
+    )
+    def test_qr_first_span_matches_direct_svd(self, kinds, field):
+        S1, S2 = (catalog(kind, 6, field) for kind in kinds)
+        P = _products(_basis_array(S1)[:, None], _basis_array(S2)[None])
+        stack = _vec_columns(P)
+        assert stack.shape[1] > stack.shape[0]  # wide: the QR-first path
+        U, s, _ = np.linalg.svd(stack, full_matrices=False)
+        dim = rank_from_singular_values(s, S1.tols)
+        S = _subspace_from_stack(stack, 6, field, tuple(P), S1.tols)
+        assert S.dim == dim
+        np.testing.assert_allclose(
+            S.ortho_basis @ S.ortho_basis.conj().T,
+            U[:, :dim] @ U[:, :dim].conj().T,
+            atol=1e-12,
+        )
 
 
 class TestEquivalenceTransform:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subspace_products import (
+    NonFiniteInput,
     NotMember,
     SizeMismatch,
     ZeroSubspace,
@@ -83,6 +84,74 @@ class TestLinearization:
             t = rng.standard_normal() + 1j * rng.standard_normal()
             P = t * (V1 @ V2)
             assert membership(lin, P).residual < lin.tol * max(1, np.linalg.norm(P))
+
+
+# The flatness_ladder pairs of the benchmark.
+LADDER_PAIRS = [
+    ("lower_triangular", "unit_upper_constant_diagonal", {}),
+    ("symmetric", "persymmetric_constant_antidiagonal", {}),
+    ("circulant", "diagonal", {}),
+    ("rank_cols", "rank_rows", {"k": 2}),
+    ("rank_rows", "rank_cols", {"k": 2}),
+]
+
+
+class TestBatchedProducts:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_linearization_raw_basis_order(self, field):
+        S1 = catalog("symmetric", 4, field)
+        S2 = catalog("persymmetric_constant_antidiagonal", 4, field)
+        lin = linearization(S1, S2)
+        B, C = S1.basis_matrices(), S2.basis_matrices()
+        assert len(lin.raw_basis) == S1.dim * S2.dim
+        for s in range(S1.dim):
+            for t in range(S2.dim):
+                np.testing.assert_array_equal(lin.raw_basis[s * S2.dim + t], B[s] @ C[t])
+
+    def test_tangent_raw_basis_order(self):
+        C = catalog("circulant", 3)
+        D = catalog("diagonal", 3)
+        V1, V2 = sample_pair(C, D, 0)
+        T = tangent_space(C, D, V1, V2)
+        expected = [V1 @ M for M in D.basis_matrices()] + [M @ V2 for M in C.basis_matrices()]
+        assert len(T.raw_basis) == len(expected)
+        for got, want in zip(T.raw_basis, expected):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind1,kind2,params", LADDER_PAIRS)
+    def test_product_map_rank_is_tangent_dim(self, kind1, kind2, params):
+        S1 = catalog(kind1, 8, "real", **params)
+        S2 = catalog(kind2, 8, "real", **params)
+        for seed in (0, 2):
+            V1, V2 = sample_pair(S1, S2, seed)
+            assert product_map_rank(S1, S2, V1, V2) == tangent_space(S1, S2, V1, V2).dim
+
+    def test_zero_subspaces_have_zero_tangent_space(self):
+        Z = subspace_from_matrices([np.zeros((3, 3))], field="real")
+        O = np.zeros((3, 3))
+        assert tangent_space(Z, Z, O, O).ortho_basis.shape == (9, 0)
+        assert product_map_rank(Z, Z, O, O) == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_overflowing_product_raises_non_finite(self, field):
+        # Products are linear in the point, so only a member near the float
+        # maximum overflows: 1.5e308 * sqrt(2) in the second row of V1 C.
+        L = catalog("lower_triangular", 2, field)
+        C = subspace_from_matrices([np.array([[1.0, 0.0], [1.0, 0.0]])], field=field)
+        V1 = 1.5e308 * np.array([[1.0, 0.0], [1.0, 1.0]])
+        for fn in (tangent_space, product_map_rank):
+            with pytest.raises(NonFiniteInput):
+                fn(L, C, V1, C.raw_basis[0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_huge_finite_point_keeps_its_rank(self):
+        # The QR-first factor overflows here; the SVD, which scales, takes over.
+        L = catalog("lower_triangular", 4, "real")
+        U = catalog("unit_upper_constant_diagonal", 4, "real")
+        V1, V2 = sample_pair(L, U, 0)
+        V1 = V1 / np.abs(V1).max() * 1e308
+        assert tangent_space(L, U, V1, V2).dim == product_map_rank(L, U, V1, V2) == 7
 
 
 class TestTangentSpace:
@@ -236,6 +305,22 @@ class TestFlatness:
         S2 = subspace_from_matrices([np.eye(2), np.diag([1.0, 2.0])])
         report = flatness_test(S1, S2, trials=5, seed=0)
         assert report.flat and report.lin_dim == 3
+
+    @pytest.mark.parametrize(
+        "kind1,kind2,field,ranks",
+        [
+            ("lower_triangular", "unit_upper_constant_diagonal", "real", (64, 64, 63, 58, 64)),
+            ("lower_triangular", "unit_upper_constant_diagonal", "complex", (62, 64, 64, 61, 64)),
+            ("symmetric", "persymmetric_constant_antidiagonal", "real", (64,) * 5),
+            ("symmetric", "persymmetric_constant_antidiagonal", "complex", (64,) * 5),
+        ],
+    )
+    def test_sampled_ranks_pinned_at_n8(self, kind1, kind2, field, ranks):
+        # Ranks at seed 0 as computed by the per-pair product loop and the
+        # full SVD of each tangent stack; the batched kernel keeps them.
+        report = flatness_test(catalog(kind1, 8, field), catalog(kind2, 8, field), seed=0)
+        assert report.sampled_ranks == tuple(zip(range(0, 10, 2), ranks))
+        assert report.flat and report.lin_dim == 64
 
     def test_zero_subspace_rejected(self):
         Z = subspace_from_matrices([np.zeros((2, 2))])
