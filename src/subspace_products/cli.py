@@ -36,6 +36,7 @@ from .pencil import (
     minrank,
 )
 from .serialization import (
+    _to_pairs,
     dumps_canonical,
     load_matrix,
     load_subspace,
@@ -276,10 +277,7 @@ def _cmd_glft(args, tols) -> int:
         return _CHECK_FAILED
     _emit(args, tols, {
         "witness": {
-            "a": [witness.a.real, witness.a.imag],
-            "b": [witness.b.real, witness.b.imag],
-            "c": [witness.c.real, witness.c.imag],
-            "d": [witness.d.real, witness.d.imag],
+            **{key: _to_pairs(getattr(witness, key)) for key in "abcd"},
             "residual": witness.residual,
         }
     })

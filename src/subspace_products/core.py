@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy import linalg
 
 from .errors import (
     BadParameters,
@@ -257,8 +258,9 @@ def membership(S: MatrixSubspace, A) -> Membership:
     coef = S.ortho_basis.conj().T @ v
     if S.field == REAL:
         coef = coef.real
-    residual = float(np.linalg.norm(v - S.ortho_basis @ coef))
-    scale = max(1.0, float(np.linalg.norm(arr)))
+    # BLAS nrm2 scales as it sums: squaring entries would overflow past 1e154.
+    residual = float(linalg.norm(v - S.ortho_basis @ coef, check_finite=False))
+    scale = max(1.0, float(linalg.norm(v, check_finite=False)))
     return Membership(inside=residual < S.tol * scale, residual=residual)
 
 

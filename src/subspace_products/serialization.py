@@ -4,8 +4,10 @@ Matrix file:   {"n": int, "entries": [[ [re, im], ... ], ...]}  (row-major)
 Subspace file: {"n": int, "field": "real"|"complex", "basis": [entries, ...]}
 Vector file:   {"entries": [[re, im], ...]}
 
-Readers reject malformed content with a field-path diagnostic in the error
-message.  Writers emit exactly these shapes.
+Every array in these files is nested lists of ``[re, im]`` pairs, written by
+:func:`_to_pairs` and read by :func:`_from_pairs`.  Readers reject malformed
+content with a field-path diagnostic in the error message.  Writers emit
+exactly these shapes.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    COMPLEX,
     FIELDS,
     REAL,
     MatrixSubspace,
@@ -24,180 +27,174 @@ from .core import (
 )
 from .errors import ParseError
 
+_NUMBER = (int, float)
+# What the list at each nesting level holds, counted from the innermost.
+_NOUNS = ("entries", "rows", "matrices")
+
 
 def _require(cond: bool, path: str, msg: str) -> None:
     if not cond:
         raise ParseError(f"{path}: {msg}")
 
 
-def _pair_to_scalar(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+def _fields(obj, path: str, keys: tuple) -> list:
+    """The values of ``keys`` in the JSON object ``obj``, all required."""
+    _require(isinstance(obj, dict), path, "expected an object")
+    for key in keys:
+        _require(key in obj, path, f"missing field {key!r}")
+    return [obj[key] for key in keys]
+
+
+def _to_pairs(A) -> list:
+    """Nested lists of ``[re, im]`` pairs, one per entry of A, as floats."""
+    A = np.asarray(A, dtype=np.complex128)
+    return np.stack([A.real, A.imag], -1).tolist()
+
+
+def _entry_error(x, path: str) -> ParseError:
+    if not (isinstance(x, (list, tuple)) and len(x) == 2):
+        return ParseError(f"{path}: expected [re, im] pair or number, got {x!r}")
+    part = 0 if not isinstance(x[0], _NUMBER) else 1
+    return ParseError(f"{path}[{part}]: expected a number")
+
+
+def _collect(value, shape: tuple, path: str, out: list) -> None:
+    """Check the nesting of ``value`` against ``shape`` and append its entries
+    to ``out`` as ``(re, im)`` pairs in row-major order."""
     _require(
-        isinstance(value, (list, tuple)) and len(value) == 2,
+        isinstance(value, list) and len(value) == shape[0],
         path,
-        f"expected [re, im] pair or number, got {value!r}",
+        f"expected {shape[0]} {_NOUNS[len(shape) - 1]}",
     )
-    re, im = value
-    _require(isinstance(re, (int, float)), f"{path}[0]", "expected a number")
-    _require(isinstance(im, (int, float)), f"{path}[1]", "expected a number")
-    return complex(re, im)
+    if len(shape) > 1:
+        for i, sub in enumerate(value):
+            _collect(sub, shape[1:], f"{path}[{i}]", out)
+        return
+    for i, x in enumerate(value):
+        if isinstance(x, _NUMBER):
+            out.append((x, 0.0))
+        elif (isinstance(x, (list, tuple)) and len(x) == 2
+              and isinstance(x[0], _NUMBER) and isinstance(x[1], _NUMBER)):
+            out.append(x)
+        else:
+            raise _entry_error(x, f"{path}[{i}]")
 
 
-def _scalar_to_pair(x) -> list:
-    x = complex(x)
-    return [x.real, x.imag]
+def _reject_first(bad: np.ndarray, path: str, msg: str) -> None:
+    """Raise ParseError naming the first entry where ``bad`` holds."""
+    if bad.any():
+        index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise ParseError(f"{path}{''.join(f'[{i}]' for i in index)}: {msg}")
+
+
+def _from_pairs(value, shape: tuple, path: str, field: Optional[str] = None) -> np.ndarray:
+    """Read nested lists of ``[re, im]`` pairs or bare real numbers of the
+    given shape into one array.
+
+    A leading length of ``None`` accepts any nonempty list.  With a field the
+    result has that field's dtype, and the real field rejects any nonzero
+    imaginary part; without one it is real unless some entry is imaginary.
+    NaN and infinite entries are rejected, naming the first one.
+    """
+    if shape[0] is None:
+        _require(
+            isinstance(value, list) and len(value) >= 1,
+            path,
+            f"expected a nonempty list of {_NOUNS[len(shape) - 1]}",
+        )
+        shape = (len(value), *shape[1:])
+    pairs = []
+    _collect(value, shape, path, pairs)
+    A = np.array(pairs, dtype=np.float64).view(np.complex128).reshape(shape)
+    _reject_first(~np.isfinite(A), path, "expected a finite number")
+    if field == REAL:
+        _reject_first(A.imag != 0, path, "nonzero imaginary entry over the real field")
+        return A.real.copy()
+    if field == COMPLEX or np.any(A.imag != 0):
+        return A
+    return A.real.copy()
+
+
+def _check_side(n, path: str) -> None:
+    _require(isinstance(n, int) and n >= 1, path, "expected a positive integer")
+
+
+def _check_field(field, path: str) -> None:
+    _require(field in FIELDS, path, "expected 'real' or 'complex'")
 
 
 def matrix_to_obj(A: np.ndarray) -> dict:
     A = np.asarray(A)
-    n = A.shape[0]
-    return {
-        "n": n,
-        "entries": [[_scalar_to_pair(A[i, j]) for j in range(n)] for i in range(n)],
-    }
+    return {"n": A.shape[0], "entries": _to_pairs(A)}
 
 
 def matrix_from_obj(obj, path: str = "matrix", field: Optional[str] = None) -> np.ndarray:
-    _require(isinstance(obj, dict), path, "expected an object")
-    _require("n" in obj, path, "missing field 'n'")
-    _require("entries" in obj, path, "missing field 'entries'")
-    n = obj["n"]
-    _require(isinstance(n, int) and n >= 1, f"{path}.n", "expected a positive integer")
-    rows = obj["entries"]
-    _require(isinstance(rows, list) and len(rows) == n, f"{path}.entries", f"expected {n} rows")
-    A = np.zeros((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        _require(
-            isinstance(row, list) and len(row) == n,
-            f"{path}.entries[{i}]",
-            f"expected {n} entries",
-        )
-        for j, val in enumerate(row):
-            A[i, j] = _pair_to_scalar(val, f"{path}.entries[{i}][{j}]")
-    if field == REAL:
-        _require(
-            not np.any(A.imag != 0),
-            f"{path}.entries",
-            "nonzero imaginary entry in a real-field matrix",
-        )
-        return A.real.copy()
-    if not np.any(A.imag != 0):
-        return A.real.copy()
-    return A
+    n, entries = _fields(obj, path, ("n", "entries"))
+    _check_side(n, f"{path}.n")
+    return _from_pairs(entries, (n, n), f"{path}.entries", field)
+
+
+def _subspace_obj(n: int, field: str, mats) -> dict:
+    return {"n": n, "field": field, "basis": _to_pairs(mats)}
 
 
 def subspace_to_obj(S: MatrixSubspace) -> dict:
-    return {
-        "n": S.n,
-        "field": S.field,
-        "basis": [matrix_to_obj(B)["entries"] for B in S.raw_basis],
-    }
+    return _subspace_obj(S.n, S.field, S.raw_basis)
 
 
 def subspace_from_obj(
     obj, path: str = "subspace", tols: Optional[Tolerances] = None
 ) -> MatrixSubspace:
-    _require(isinstance(obj, dict), path, "expected an object")
-    for key in ("n", "field", "basis"):
-        _require(key in obj, path, f"missing field {key!r}")
-    n = obj["n"]
-    _require(isinstance(n, int) and n >= 1, f"{path}.n", "expected a positive integer")
-    field = obj["field"]
-    _require(field in FIELDS, f"{path}.field", "expected 'real' or 'complex'")
-    basis_objs = obj["basis"]
-    _require(
-        isinstance(basis_objs, list) and len(basis_objs) >= 1,
-        f"{path}.basis",
-        "expected a nonempty list of matrices",
-    )
-    mats = [
-        matrix_from_obj({"n": n, "entries": entries}, path=f"{path}.basis[{i}]", field=field)
-        for i, entries in enumerate(basis_objs)
-    ]
-    return subspace_from_matrices(mats, field=field, tols=tols)
+    n, field, basis = _fields(obj, path, ("n", "field", "basis"))
+    _check_side(n, f"{path}.n")
+    _check_field(field, f"{path}.field")
+    mats = _from_pairs(basis, (None, n, n), f"{path}.basis", field)
+    return subspace_from_matrices(list(mats), field=field, tols=tols)
 
 
 def vector_to_obj(v: np.ndarray) -> dict:
-    v = np.asarray(v).reshape(-1)
-    return {"entries": [_scalar_to_pair(x) for x in v]}
+    return {"entries": _to_pairs(np.asarray(v).reshape(-1))}
 
 
 def vector_from_obj(obj, path: str = "vector") -> np.ndarray:
-    _require(isinstance(obj, dict), path, "expected an object")
-    _require("entries" in obj, path, "missing field 'entries'")
-    entries = obj["entries"]
-    _require(isinstance(entries, list) and entries, f"{path}.entries", "expected a nonempty list")
-    v = np.array([_pair_to_scalar(x, f"{path}.entries[{i}]") for i, x in enumerate(entries)])
-    if not np.any(v.imag != 0):
-        return v.real.copy()
-    return v
+    (entries,) = _fields(obj, path, ("entries",))
+    return _from_pairs(entries, (None,), f"{path}.entries")
 
 
 def model_to_obj(model) -> dict:
     """Bilinear model file: structure constants plus the three embedded bases."""
-    def embed(mats):
-        return {
-            "n": model.n,
-            "field": model.field,
-            "basis": [matrix_to_obj(B)["entries"] for B in mats],
-        }
-
     return {
         "n": model.n,
         "field": model.field,
         "j": model.j,
         "kmj": model.kmj,
         "l": model.l,
-        "M": [
-            [[_scalar_to_pair(Mr[s, t]) for t in range(model.kmj)] for s in range(model.j)]
-            for Mr in model.M
-        ],
-        "basis1": embed(model.basis1),
-        "basis2": embed(model.basis2),
-        "lin_basis": embed(model.lin_basis),
+        "M": _to_pairs(model.M),
+        "basis1": _subspace_obj(model.n, model.field, model.basis1),
+        "basis2": _subspace_obj(model.n, model.field, model.basis2),
+        "lin_basis": _subspace_obj(model.n, model.field, model.lin_basis),
     }
 
 
 def model_from_obj(obj, path: str = "model"):
     from .bilinear import BilinearModel
 
-    _require(isinstance(obj, dict), path, "expected an object")
-    for key in ("n", "field", "j", "kmj", "l", "M", "basis1", "basis2", "lin_basis"):
-        _require(key in obj, path, f"missing field {key!r}")
-    n, field = obj["n"], obj["field"]
-    _require(isinstance(n, int) and n >= 1, f"{path}.n", "expected a positive integer")
-    _require(field in FIELDS, f"{path}.field", "expected 'real' or 'complex'")
-    j, kmj, l = obj["j"], obj["kmj"], obj["l"]
+    keys = ("n", "field", "j", "kmj", "l", "M", "basis1", "basis2", "lin_basis")
+    n, field, j, kmj, l, M = _fields(obj, path, keys)[:6]
+    _check_side(n, f"{path}.n")
+    _check_field(field, f"{path}.field")
     for name, val in (("j", j), ("kmj", kmj), ("l", l)):
         _require(isinstance(val, int) and val >= 0, f"{path}.{name}", "expected a nonnegative integer")
-    raw = obj["M"]
-    _require(isinstance(raw, list) and len(raw) == l, f"{path}.M", f"expected {l} matrices")
-    M = np.zeros((l, j, kmj), dtype=np.complex128)
-    for r, rows in enumerate(raw):
-        _require(isinstance(rows, list) and len(rows) == j, f"{path}.M[{r}]", f"expected {j} rows")
-        for s, row in enumerate(rows):
-            _require(
-                isinstance(row, list) and len(row) == kmj,
-                f"{path}.M[{r}][{s}]",
-                f"expected {kmj} entries",
-            )
-            for t, val in enumerate(row):
-                M[r, s, t] = _pair_to_scalar(val, f"{path}.M[{r}][{s}][{t}]")
-    if field == REAL and not np.any(M.imag != 0):
-        M = M.real.copy()
+    M = _from_pairs(M, (l, j, kmj), f"{path}.M", field)
 
-    def extract(key):
+    def basis(key, count):
         sub = obj[key]
         _require(isinstance(sub, dict) and "basis" in sub, f"{path}.{key}", "expected an embedded subspace object")
-        return tuple(
-            matrix_from_obj({"n": n, "entries": entries}, path=f"{path}.{key}.basis[{i}]", field=field)
-            for i, entries in enumerate(sub["basis"])
-        )
+        return tuple(_from_pairs(sub["basis"], (count, n, n), f"{path}.{key}.basis", field))
 
     return BilinearModel(
         n=n, field=field, j=j, kmj=kmj, l=l, M=M,
-        basis1=extract("basis1"), basis2=extract("basis2"), lin_basis=extract("lin_basis"),
+        basis1=basis("basis1", j), basis2=basis("basis2", kmj), lin_basis=basis("lin_basis", l),
     )
 
 

@@ -254,6 +254,24 @@ class TestInputErrors:
         assert code == 1
         assert "basis[0]" in err
 
+    def test_subspace_diagnostic_names_the_file_path(self, capsys, tmp_path):
+        bad = tmp_path / "s.json"
+        basis = [[[1, 0], [0, 1]], [[0, 1], [1, "x"]]]
+        bad.write_text(json.dumps({"n": 2, "field": "complex", "basis": basis}))
+        code = main(["minrank", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{bad}.basis[1][1][1]: expected [re, im] pair or number" in err
+
+    def test_non_finite_rhs_writes_no_report(self, capsys, tmp_path, lu_pair_files):
+        rhs = tmp_path / "r.json"
+        rhs.write_text('{"entries": [[NaN, 0.0]' + ', [1.0, 0.0]' * 8 + "]}")
+        report = tmp_path / "report.json"
+        code = main(["solve", *lu_pair_files, str(rhs), "--output", str(report)])
+        assert code == 1
+        assert f"{rhs}.entries[0]: expected a finite number" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_real_field_rejects_complex_entries(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(

@@ -117,6 +117,16 @@ class TestMembership:
         with pytest.raises(SizeMismatch):
             membership(S, np.eye(3))
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_huge_entries_do_not_overflow(self, field):
+        # Squaring entries of 1e200 overflows; the norms must not.
+        S = subspace_from_matrices([np.eye(2), np.ones((2, 2))], field=field)
+        inside = membership(S, 1e200 * np.ones((2, 2)))
+        assert inside.inside and np.isfinite(inside.residual)
+        outside = membership(S, 1e200 * cell(2, 0, 1))
+        assert not outside.inside
+        assert outside.residual == pytest.approx(1e200 / np.sqrt(2), rel=1e-12)
+
     def test_projection_idempotent(self):
         rng = np.random.default_rng(4)
         S = catalog("lower_triangular", 4)

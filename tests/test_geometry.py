@@ -153,6 +153,14 @@ class TestBatchedProducts:
         V1 = V1 / np.abs(V1).max() * 1e308
         assert tangent_space(L, U, V1, V2).dim == product_map_rank(L, U, V1, V2) == 7
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_huge_point_is_a_member(self, field):
+        # Only membership is checked: with the two factors 1e300 apart in
+        # scale, the unequilibrated tangent columns lose rank to the cutoff.
+        S = catalog("symmetric", 4, field)
+        V1, V2 = sample_pair(S, S, 0)
+        assert 0 < product_map_rank(S, S, 1e300 * V1, V2) <= 16
+
 
 class TestTangentSpace:
     def test_lu_at_identity_full(self):

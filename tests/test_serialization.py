@@ -108,3 +108,195 @@ class TestModelFile:
         del obj["M"]
         with pytest.raises(ParseError, match="'M'"):
             model_from_obj(obj)
+
+
+def _model_obj(field="complex"):
+    model = extract_bilinear(catalog("lower_triangular", 3, field=field),
+                             catalog("unit_upper_constant_diagonal", 3, field=field))
+    return json.loads(dumps_canonical(model_to_obj(model)))
+
+
+class TestNonFiniteRejected:
+    def test_vector(self):
+        obj = json.loads('{"entries": [[NaN, 0.0], [1.0, 0.0]]}')
+        with pytest.raises(ParseError, match=r"^r\.json\.entries\[0\]: expected a finite number"):
+            vector_from_obj(obj, path="r.json")
+
+    def test_matrix(self):
+        obj = json.loads('{"n": 2, "entries": [[1, 0], [0, [0, Infinity]]]}')
+        with pytest.raises(ParseError, match=r"^matrix\.entries\[1\]\[1\]: expected a finite"):
+            matrix_from_obj(obj)
+
+    def test_subspace(self):
+        obj = json.loads('{"n": 1, "field": "real", "basis": [[[1]], [[-Infinity]]]}')
+        with pytest.raises(ParseError, match=r"^subspace\.basis\[1\]\[0\]\[0\]: expected a finite"):
+            subspace_from_obj(obj)
+
+    def test_model(self):
+        obj = _model_obj()
+        obj["M"][2][1][0] = [0.0, float("nan")]
+        with pytest.raises(ParseError, match=r"^model\.M\[2\]\[1\]\[0\]: expected a finite"):
+            model_from_obj(obj)
+
+
+class TestModelReaderChecks:
+    def test_real_field_rejects_imaginary_constant(self):
+        obj = _model_obj("real")
+        obj["M"][0][0][0] = [1.0, 0.5]
+        with pytest.raises(ParseError, match=r"^model\.M\[0\]\[0\]\[0\]: nonzero imaginary"):
+            model_from_obj(obj)
+
+    @pytest.mark.parametrize("key,count", [("basis1", 6), ("basis2", 4), ("lin_basis", 9)])
+    def test_basis_count_must_match(self, key, count):
+        obj = _model_obj()
+        obj[key]["basis"] = obj[key]["basis"][:2]
+        with pytest.raises(ParseError, match=rf"^model\.{key}\.basis: expected {count} matrices"):
+            model_from_obj(obj)
+
+    @pytest.mark.parametrize("field,dtype", [("real", np.float64), ("complex", np.complex128)])
+    def test_bases_take_the_field_dtype(self, field, dtype):
+        back = model_from_obj(_model_obj(field))
+        for basis in (back.basis1, back.basis2, back.lin_basis):
+            assert {B.dtype for B in basis} == {np.dtype(dtype)}
+
+
+class TestFormatPinned:
+    """The exact bytes of each file format; a codec change must not move one."""
+
+    def test_integer_matrix(self):
+        assert dumps_canonical(matrix_to_obj(np.array([[1, 2], [-3, 0]]))) == INT_MATRIX
+
+    def test_complex_matrix_keeps_signed_zeros(self):
+        A = np.array([[complex(1.5, -0.0), complex(-0.0, 2.0)], [complex(0.0, -0.0), -1j]])
+        assert dumps_canonical(matrix_to_obj(A)) == SIGNED_ZERO_MATRIX
+
+    def test_vector(self):
+        assert dumps_canonical(vector_to_obj(np.array([0.25, -1 + 0.5j]))) == VECTOR
+
+    def test_subspace(self):
+        assert dumps_canonical(subspace_to_obj(catalog("diagonal", 2))) == DIAGONAL_2
+
+
+INT_MATRIX = """\
+{
+  "entries": [
+    [
+      [
+        1.0,
+        0.0
+      ],
+      [
+        2.0,
+        0.0
+      ]
+    ],
+    [
+      [
+        -3.0,
+        0.0
+      ],
+      [
+        0.0,
+        0.0
+      ]
+    ]
+  ],
+  "n": 2
+}
+"""
+
+SIGNED_ZERO_MATRIX = """\
+{
+  "entries": [
+    [
+      [
+        1.5,
+        -0.0
+      ],
+      [
+        -0.0,
+        2.0
+      ]
+    ],
+    [
+      [
+        0.0,
+        -0.0
+      ],
+      [
+        -0.0,
+        -1.0
+      ]
+    ]
+  ],
+  "n": 2
+}
+"""
+
+VECTOR = """\
+{
+  "entries": [
+    [
+      0.25,
+      0.0
+    ],
+    [
+      -1.0,
+      0.5
+    ]
+  ]
+}
+"""
+
+DIAGONAL_2 = """\
+{
+  "basis": [
+    [
+      [
+        [
+          1.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ],
+      [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ]
+    ],
+    [
+      [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ],
+      [
+        [
+          0.0,
+          0.0
+        ],
+        [
+          1.0,
+          0.0
+        ]
+      ]
+    ]
+  ],
+  "field": "complex",
+  "n": 2
+}
+"""
