@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     MatrixSubspace,
     _basis_array,
+    _gaussian_coefficients,
     _products,
     _subspace_from_stack,
     _vec_columns,
@@ -34,6 +35,9 @@ from .errors import FieldMismatch, SizeMismatch, ZeroSubspace
 # backed by at least three agreeing max-rank observations.
 _CURVED_CONFIRMATIONS = 3
 _MAX_EXTRA_TRIALS = 25
+# Oversampling of the sketched linearization: a block of sampled products
+# whose rank falls this far short of their number has stalled.
+_SKETCH_OVERSAMPLING = 8
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,13 @@ class ProductAnalysis:
     ``flat`` is true exactly when some sampled point attains the
     linearization dimension; a curved verdict is a sampled claim backed by
     at least three trials agreeing on the maximal observed rank.
+
+    ``lin_basis_ref`` is the linearization spanned by sampled products of
+    Gaussian members, drawn in blocks until their rank stalls at least
+    ``_SKETCH_OVERSAMPLING`` (8) below their number; its ``raw_basis`` holds
+    those products, not the basis products ``B_s C_t`` of
+    :func:`linearization`, except when there are no more basis products
+    than a block would draw and every one of them is used.
     """
 
     lin_dim: int
@@ -107,6 +118,37 @@ def linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
     the s-th and t-th of them.
     """
     return _linearization(S1, S2)[0]
+
+
+def _sketched_linearization(
+    S1: MatrixSubspace, S2: MatrixSubspace, rng: np.random.Generator
+) -> MatrixSubspace:
+    """The linearization, spanned by products X_i Y_i of Gaussian members
+    instead of all S1.dim * S2.dim basis products.
+
+    Generic points of an irreducible variety (here the closure of the
+    product set) are linearly independent up to the dimension of its span,
+    so a block of products whose rank stays at least ``_SKETCH_OVERSAMPLING``
+    below their number has stalled at the full dimension.  The first block
+    draws S1.dim + S2.dim + ``_SKETCH_OVERSAMPLING`` products; if it has not
+    stalled, a second block tops it up to n^2 + ``_SKETCH_OVERSAMPLING``, past
+    the largest possible rank.  When there are no more basis products than a
+    block would draw, every basis product is used instead.
+    """
+    check_same_space(S1, S2)
+    d1, d2 = S1.dim, S2.dim
+    P = np.zeros((0, S1.n, S1.n), dtype=dtype_for(S1.field))
+    for count in (d1 + d2 + _SKETCH_OVERSAMPLING, S1.n**2 + _SKETCH_OVERSAMPLING):
+        if d1 * d2 <= count:
+            return _linearization(S1, S2)[0]
+        C = _gaussian_coefficients(rng, (count - len(P), d1 + d2), S1.field)
+        X = np.tensordot(C[:, :d1], _basis_array(S1), axes=1)
+        Y = np.tensordot(C[:, d1:], _basis_array(S2), axes=1)
+        P = np.concatenate([P, _products(X, Y)])
+        lin = _subspace_from_stack(_vec_columns(P), S1.n, S1.field, tuple(P), S1.tols)
+        if lin.dim <= len(P) - _SKETCH_OVERSAMPLING:
+            break
+    return lin
 
 
 def _tangent_products(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> np.ndarray:
@@ -182,13 +224,15 @@ def flatness_test(
     ``trials`` (bounded) until at least three points agree on the maximal
     observed rank.  Per-trial seeds are ``seed + 2 t`` for the first factor
     and ``seed + 2 t + 1`` for the second, so reports are reproducible and
-    individual points can be regenerated with :func:`sample_pair`.
+    individual points can be regenerated with :func:`sample_pair`.  The
+    linearization is spanned by sampled products drawn from a generator of
+    its own, seeded with ``seed`` (see :class:`ProductAnalysis`).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if S1.dim == 0 or S2.dim == 0:
         raise ZeroSubspace("flatness analysis requires nonzero subspaces")
-    lin = linearization(S1, S2)
+    lin = _sketched_linearization(S1, S2, np.random.default_rng(seed))
     ranks = []
 
     def run_trial(t: int) -> int:

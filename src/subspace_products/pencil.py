@@ -425,7 +425,8 @@ def closedness_certificate(
     Proof branch: certified minranks summing above n.  Evidence branch: the
     zero-product probe stayed above ``probe_threshold`` over its budget.
     ``Unknown`` does not assert non-closedness (products can be closed even
-    with zero divisors present).
+    with zero divisors present).  ``details["min_product_norm"]`` is the
+    probe's minimum, reported as 0.0 when below ``S1.tols.abs_floor``.
     """
     check_same_space(S1, S2)
     details: dict = {}
@@ -443,7 +444,8 @@ def closedness_certificate(
     ):
         return ClosednessCertificate(status="ClosedByMinrankSum", details=details)
     min_norm, _ = zero_product_probe(S1, S2, budget=budget, seed=seed)
-    details["min_product_norm"] = min_norm
+    # A minimum below the absolute floor is round-off, reported as exact zero.
+    details["min_product_norm"] = min_norm if min_norm >= S1.tols.abs_floor else 0.0
     details["budget"] = budget
     details["probe_threshold"] = probe_threshold
     if min_norm > probe_threshold:

@@ -80,6 +80,16 @@ def _collect(value, shape: tuple, path: str, out: list) -> None:
             raise _entry_error(x, f"{path}[{i}]")
 
 
+def _overflows(pair) -> bool:
+    """Whether a part of the ``(re, im)`` pair is an integer too large for a
+    float."""
+    try:
+        complex(*pair)
+    except OverflowError:
+        return True
+    return False
+
+
 def _reject_first(bad: np.ndarray, path: str, msg: str) -> None:
     """Raise ParseError naming the first entry where ``bad`` holds."""
     if bad.any():
@@ -94,7 +104,8 @@ def _from_pairs(value, shape: tuple, path: str, field: Optional[str] = None) -> 
     A leading length of ``None`` accepts any nonempty list.  With a field the
     result has that field's dtype, and the real field rejects any nonzero
     imaginary part; without one it is real unless some entry is imaginary.
-    NaN and infinite entries are rejected, naming the first one.
+    NaN and infinite entries, and integers too large for a float, are
+    rejected, naming the first one.
     """
     if shape[0] is None:
         _require(
@@ -105,7 +116,13 @@ def _from_pairs(value, shape: tuple, path: str, field: Optional[str] = None) -> 
         shape = (len(value), *shape[1:])
     pairs = []
     _collect(value, shape, path, pairs)
-    A = np.array(pairs, dtype=np.float64).view(np.complex128).reshape(shape)
+    try:
+        A = np.array(pairs, dtype=np.float64)
+    except OverflowError:
+        too_large = np.array([_overflows(pair) for pair in pairs]).reshape(shape)
+        _reject_first(too_large, path, "number too large for a float")
+        raise
+    A = A.view(np.complex128).reshape(shape)
     _reject_first(~np.isfinite(A), path, "expected a finite number")
     if field == REAL:
         _reject_first(A.imag != 0, path, "nonzero imaginary entry over the real field")

@@ -182,6 +182,23 @@ class TestClosednessCommand:
         assert json.loads(out)["result"]["status"] == "Unknown"
 
 
+class TestMinProductNormRoundOff:
+    # The probe's minimum on this pair is round-off (5.97e-18 or 1.67e-17,
+    # depending on the BLAS); below the absolute floor it reads exactly 0.
+    @pytest.mark.parametrize("command", ["analyze", "closedness"])
+    def test_zero_divisor_pair_reports_zero(self, capsys, tmp_path, command):
+        f1, f2 = tmp_path / "s.json", tmp_path / "p.json"
+        save_obj(subspace_to_obj(catalog("symmetric", 6, "real")), str(f1))
+        save_obj(subspace_to_obj(catalog("persymmetric_constant_antidiagonal", 6, "real")), str(f2))
+        code, out = run(capsys, [command, str(f1), str(f2)])
+        result = json.loads(out)["result"]
+        cert = result["closedness"] if command == "analyze" else result
+        assert code == (0 if command == "analyze" else 2)
+        assert cert["status"] == "Unknown"
+        assert cert["details"]["min_product_norm"] == 0.0
+        assert '"min_product_norm": 0.0,' in out
+
+
 class TestFactorCommand:
     def test_roundtrip(self, capsys, tmp_path, lu_pair_files):
         rng = np.random.default_rng(5)
@@ -270,6 +287,15 @@ class TestInputErrors:
         code = main(["solve", *lu_pair_files, str(rhs), "--output", str(report)])
         assert code == 1
         assert f"{rhs}.entries[0]: expected a finite number" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_huge_integer_rhs_writes_no_report(self, capsys, tmp_path, lu_pair_files):
+        rhs = tmp_path / "r.json"
+        rhs.write_text('{"entries": [[1' + "0" * 400 + ', 0.0]' + ', [1.0, 0.0]' * 8 + "]}")
+        report = tmp_path / "report.json"
+        code = main(["solve", *lu_pair_files, str(rhs), "--output", str(report)])
+        assert code == 1
+        assert f"{rhs}.entries[0]: number too large for a float" in capsys.readouterr().err
         assert not report.exists()
 
     def test_real_field_rejects_complex_entries(self, capsys, tmp_path):

@@ -18,9 +18,12 @@ from subspace_products import (
     second_fundamental_form,
     solve_bilinear,
     subspace_from_matrices,
+    subspaces_equal,
     tangent_space,
     vec,
 )
+from subspace_products.catalog import KINDS
+from subspace_products.geometry import _sketched_linearization
 from helpers import brute_span_rank, brute_tangent_rank, catalog, cell
 
 
@@ -160,6 +163,74 @@ class TestBatchedProducts:
         S = catalog("symmetric", 4, field)
         V1, V2 = sample_pair(S, S, 0)
         assert 0 < product_map_rank(S, S, 1e300 * V1, V2) <= 16
+
+
+# Every catalog kind that exists at n >= 3 and needs no generator matrix.
+SKETCH_KINDS = {
+    kind: {"band_lower": {"p": 1}, "band_upper": {"q": 1}, "rank_cols": {"k": 2},
+           "rank_rows": {"k": 2}}.get(kind, {})
+    for kind in KINDS
+    if kind not in ("krylov", "hurwitz_radon_2")
+}
+
+
+class TestSketchedLinearization:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_dim_matches_enumeration_on_catalog_pairs(self, n, field):
+        subs = [catalog(kind, n, field, **params) for kind, params in SKETCH_KINDS.items()]
+        for S1 in subs:
+            for S2 in subs:
+                want = linearization(S1, S2).dim
+                for seed in range(3):
+                    assert _sketched_linearization(S1, S2, np.random.default_rng(seed)).dim == want
+
+    @pytest.mark.parametrize("kind1,kind2,params", LADDER_PAIRS)
+    def test_dim_matches_enumeration_at_n16(self, kind1, kind2, params):
+        S1 = catalog(kind1, 16, "real", **params)
+        S2 = catalog(kind2, 16, "real", **params)
+        sketch = _sketched_linearization(S1, S2, np.random.default_rng(0))
+        assert sketch.dim == linearization(S1, S2).dim
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind1,kind2,params", LADDER_PAIRS)
+    def test_report_basis_spans_the_linearization(self, kind1, kind2, params, field):
+        S1 = catalog(kind1, 6, field, **params)
+        S2 = catalog(kind2, 6, field, **params)
+        report = flatness_test(S1, S2, seed=3)
+        assert subspaces_equal(report.lin_basis_ref, linearization(S1, S2))
+
+    def test_same_seed_same_basis(self):
+        S1 = catalog("rank_cols", 8, "complex", k=2)
+        S2 = catalog("rank_rows", 8, "complex", k=2)
+        a = _sketched_linearization(S1, S2, np.random.default_rng(5))
+        b = _sketched_linearization(S1, S2, np.random.default_rng(5))
+        np.testing.assert_array_equal(a.ortho_basis, b.ortho_basis)
+        np.testing.assert_array_equal(np.array(a.raw_basis), np.array(b.raw_basis))
+
+    def test_first_block_stalls(self):
+        # LU n = 6: 21 + 16 + 8 = 45 sampled products span all 36 dimensions.
+        L = catalog("lower_triangular", 6, "real")
+        U = catalog("unit_upper_constant_diagonal", 6, "real")
+        lin = _sketched_linearization(L, U, np.random.default_rng(0))
+        assert (len(lin.raw_basis), lin.dim) == (45, 36)
+
+    def test_second_block_tops_up_past_n_squared(self):
+        # 16 + 16 + 8 products do not stall below the 64 dimensions, so the
+        # second block tops up to 64 + 8 of the 256 basis products.
+        S1 = catalog("rank_cols", 8, "real", k=2)
+        S2 = catalog("rank_rows", 8, "real", k=2)
+        lin = _sketched_linearization(S1, S2, np.random.default_rng(0))
+        assert (len(lin.raw_basis), lin.dim) == (72, 64)
+
+    def test_few_basis_products_are_enumerated(self):
+        # circulant x diagonal n = 8: 64 basis products, no more than 64 + 8.
+        C = catalog("circulant", 8, "real")
+        D = catalog("diagonal", 8, "real")
+        lin = _sketched_linearization(C, D, np.random.default_rng(0))
+        B, E = C.basis_matrices(), D.basis_matrices()
+        assert len(lin.raw_basis) == 64
+        np.testing.assert_array_equal(lin.raw_basis[9], B[1] @ E[1])
 
 
 class TestTangentSpace:
@@ -330,6 +401,23 @@ class TestFlatness:
         assert report.sampled_ranks == tuple(zip(range(0, 10, 2), ranks))
         assert report.flat and report.lin_dim == 64
 
+    @pytest.mark.parametrize(
+        "kind1,kind2,field,ranks",
+        [
+            ("lower_triangular", "unit_upper_constant_diagonal", "real", (139, 144, 142, 134, 142)),
+            ("lower_triangular", "unit_upper_constant_diagonal", "complex",
+             (141, 143, 142, 143, 142, 136, 144)),
+            ("symmetric", "persymmetric_constant_antidiagonal", "real", (144,) * 5),
+            ("symmetric", "persymmetric_constant_antidiagonal", "complex", (144,) * 5),
+        ],
+    )
+    def test_sampled_ranks_pinned_at_n12(self, kind1, kind2, field, ranks):
+        # Ranks at seed 0 as computed with the enumerated linearization; the
+        # sketch draws from a generator of its own and leaves them unchanged.
+        report = flatness_test(catalog(kind1, 12, field), catalog(kind2, 12, field), seed=0)
+        assert report.sampled_ranks == tuple(zip(range(0, 2 * len(ranks), 2), ranks))
+        assert report.flat and report.lin_dim == 144
+
     def test_zero_subspace_rejected(self):
         Z = subspace_from_matrices([np.zeros((2, 2))])
         D = catalog("diagonal", 2)
@@ -394,6 +482,29 @@ class TestFactorizability:
         S = catalog("symmetric", 3)
         verdict, report = factorizability_check(W, S, S, trials=5, seed=0)
         assert verdict and report.flat
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_verdicts_on_the_full_space(self, n, field):
+        # Verdicts as computed with the enumerated linearization.
+        W = subspace_from_matrices(
+            [cell(n, i, j) for i in range(n) for j in range(n)], field=field
+        )
+        pairs = LADDER_PAIRS + [
+            ("symmetric", "symmetric", {}),
+            ("toeplitz_upper_triangular", "toeplitz_lower_triangular", {}),
+        ]
+        verdicts = []
+        for kind1, kind2, params in pairs:
+            S1 = catalog(kind1, n, field, **params)
+            S2 = catalog(kind2, n, field, **params)
+            verdict, report = factorizability_check(W, S1, S2, seed=0)
+            verdicts.append((verdict, report.flat, report.lin_dim))
+        N = n * n
+        assert verdicts == [
+            (True, True, N), (True, True, N), (False, False, N), (False, False, N),
+            (False, True, 4), (True, True, N), (False, False, N),
+        ]
 
     def test_dimension_window_enforced(self):
         full = subspace_from_matrices(

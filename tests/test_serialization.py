@@ -139,6 +139,32 @@ class TestNonFiniteRejected:
             model_from_obj(obj)
 
 
+class TestHugeIntegerRejected:
+    # A 400-digit integer is valid JSON but too large for a float.
+    HUGE = 10**400
+
+    def test_vector(self):
+        obj = {"entries": [[1.0, 0.0], [0, -self.HUGE]]}
+        with pytest.raises(ParseError, match=r"^r\.json\.entries\[1\]: number too large for a float"):
+            vector_from_obj(obj, path="r.json")
+
+    def test_matrix(self):
+        obj = {"n": 2, "entries": [[1, 0], [0, self.HUGE]]}
+        with pytest.raises(ParseError, match=r"^matrix\.entries\[1\]\[1\]: number too large"):
+            matrix_from_obj(obj)
+
+    def test_subspace(self):
+        obj = {"n": 1, "field": "real", "basis": [[[1]], [[self.HUGE]]]}
+        with pytest.raises(ParseError, match=r"^subspace\.basis\[1\]\[0\]\[0\]: number too large"):
+            subspace_from_obj(obj)
+
+    def test_model(self):
+        obj = _model_obj()
+        obj["M"][2][1][0] = [0.0, self.HUGE]
+        with pytest.raises(ParseError, match=r"^model\.M\[2\]\[1\]\[0\]: number too large"):
+            model_from_obj(obj)
+
+
 class TestModelReaderChecks:
     def test_real_field_rejects_imaginary_constant(self):
         obj = _model_obj("real")
