@@ -19,12 +19,12 @@ from .core import (
     REAL,
     MatrixSubspace,
     Tolerances,
+    _check_count,
     _gaussian_coefficients,
     _products,
     _vec_columns,
     as_square_matrix,
     check_same_space,
-    matrix_rank,
     rank_from_singular_values,
     vec,
 )
@@ -38,6 +38,11 @@ from .errors import (
     UnsupportedDegree,
 )
 from .geometry import _linearization
+
+# Relative residual at which a Gauss-Newton restart counts as solved, and the
+# members of the solution space tried as the invertible factor.
+_SOLVE_TOL = 1e-10
+_FACTOR_CANDIDATES = 25
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,6 @@ def solve_bilinear(
     restarts: int = 20,
     max_iter: int = 200,
     seed: int = 0,
-    tol_solve: float = 1e-10,
 ) -> SolveReport:
     """Damped Gauss-Newton for M(z) w = b with multi-start.
 
@@ -174,6 +178,7 @@ def solve_bilinear(
     ten on accepted steps and multiplies by ten on rejections.  Always
     returns the best report found; callers judge the residual.
     """
+    _check_count("restarts", restarts)
     b = np.asarray(b).reshape(-1)
     if b.size != model.l:
         raise SizeMismatch(f"b has length {b.size}, expected {model.l}")
@@ -229,24 +234,20 @@ def solve_bilinear(
                 lam *= 10.0
                 if lam > 1e10:
                     break
-            if rnorm < tol_solve * (1.0 + nb):
+            if rnorm < _SOLVE_TOL * (1.0 + nb):
                 break
         if best is None or rnorm < best.residual:
             best = SolveReport(
                 z=z, w=w, residual=float(rnorm), iterations=iters,
                 restarts_used=restarts_used,
             )
-        if best.residual < tol_solve * (1.0 + nb):
+        if best.residual < _SOLVE_TOL * (1.0 + nb):
             break
     return best
 
 
 def factor_via_inverse_closed(
-    A,
-    S1: MatrixSubspace,
-    S2: MatrixSubspace,
-    seed: int = 0,
-    candidates: int = 25,
+    A, S1: MatrixSubspace, S2: MatrixSubspace, seed: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Factor A = V1 V2 with V1 in S1 and V2 in S2, for inverse-closed S2.
 
@@ -274,16 +275,15 @@ def factor_via_inverse_closed(
 
     cands = [S2.element(N[:, i]) for i in range(null_dim)]
     rng = np.random.default_rng(seed)
-    for _ in range(max(0, candidates - null_dim)):
+    for _ in range(max(0, _FACTOR_CANDIDATES - null_dim)):
         c = _gaussian_coefficients(rng, null_dim, S1.field)
         cands.append(S2.element(N @ (c / np.linalg.norm(c))))
-
-    def inv_quality(Y):
-        sv = np.linalg.svd(Y, compute_uv=False)
-        return sv[-1] / sv[0] if sv[0] > 0 else 0.0
-
-    Y = max(cands, key=inv_quality)
-    if matrix_rank(Y, S1.tols) < S1.n:
+    # The best-conditioned candidate, judged on one batched spectrum; every
+    # candidate has unit Frobenius norm, so no largest singular value is zero.
+    sv = np.linalg.svd(np.array(cands), compute_uv=False)
+    best = int(np.argmax(sv[:, -1] / sv[:, 0]))
+    Y = cands[best]
+    if rank_from_singular_values(sv[best], S1.tols) < S1.n:
         raise SingularWitness(
             "all sampled nullspace members are numerically singular"
         )

@@ -1,8 +1,14 @@
 """Constructors for the structured matrix subspaces used across the package.
 
-Each constructor returns the subspace together with honesty-tested metadata
-flags: whether inverses of invertible members stay inside the subspace, and
-whether the identity is a member.
+Every kind but ``krylov`` is a pattern on the cells of an n x n matrix: a
+boolean rule on the row and column index grids picks the unit matrices
+E_ij (E_ij + E_ji for the symmetric kinds), optionally after a leading
+member (the identity for the unit-triangular kinds, the exchange matrix for
+the constant-antidiagonal kind); the Toeplitz, circulant and 2 x 2
+Hurwitz-Radon kinds are one array expression each.  ``make_subspace``
+returns the subspace together with honesty-tested metadata flags: whether
+inverses of invertible members stay inside the subspace, and whether the
+identity is a member.
 """
 
 from __future__ import annotations
@@ -43,109 +49,16 @@ class CatalogSpec:
     max_power: Optional[int] = None
 
 
-def _cell(n: int, i: int, j: int, dtype) -> np.ndarray:
-    A = np.zeros((n, n), dtype=dtype)
-    A[i, j] = 1.0
-    return A
-
-
-def _diagonal(n, dtype):
-    return [_cell(n, i, i, dtype) for i in range(n)]
-
-
-def _circulant(n, dtype):
-    shift = np.zeros((n, n), dtype=dtype)
-    for j in range(n):
-        shift[(j + 1) % n, j] = 1.0
-    return [np.linalg.matrix_power(shift, k) for k in range(n)]
-
-
-def _lower_triangular(n, dtype):
-    return [_cell(n, i, j, dtype) for i in range(n) for j in range(i + 1)]
-
-
-def _upper_triangular(n, dtype):
-    return [_cell(n, i, j, dtype) for i in range(n) for j in range(i, n)]
-
-
-def _strict_upper(n, dtype):
-    return [_cell(n, i, j, dtype) for i in range(n) for j in range(i + 1, n)]
-
-
-def _unit_upper_constant_diagonal(n, dtype):
-    return [np.eye(n, dtype=dtype)] + _strict_upper(n, dtype)
-
-
-def _unit_lower_constant_diagonal(n, dtype):
-    return [np.eye(n, dtype=dtype)] + [
-        _cell(n, i, j, dtype) for i in range(n) for j in range(i)
-    ]
-
-
-def _band_lower(n, p, dtype):
-    return [
-        _cell(n, i, j, dtype) for i in range(n) for j in range(n) if 0 <= i - j <= p
-    ]
-
-
-def _band_upper(n, q, dtype):
-    return [
-        _cell(n, i, j, dtype) for i in range(n) for j in range(n) if 0 <= j - i <= q
-    ]
-
-
-def _toeplitz_upper_triangular(n, dtype):
-    out = []
-    for d in range(n):
-        T = np.zeros((n, n), dtype=dtype)
-        for i in range(n - d):
-            T[i, i + d] = 1.0
-        out.append(T)
-    return out
-
-
-def _toeplitz_lower_triangular(n, dtype):
-    return [T.T.copy() for T in _toeplitz_upper_triangular(n, dtype)]
-
-
-def _symmetric(n, dtype):
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            A = _cell(n, i, j, dtype)
-            if i != j:
-                A = A + _cell(n, j, i, dtype)
-            out.append(A)
-    return out
-
-
-def _sym_constant_antidiagonal(n, dtype):
-    # Symmetric matrices whose antidiagonal entries are all equal: the free
-    # antidiagonal cells collapse onto the exchange matrix J.
-    J = np.fliplr(np.eye(n)).astype(dtype)
-    out = [J]
-    for i in range(n):
-        for j in range(i, n):
-            if i + j == n - 1:
-                continue
-            A = _cell(n, i, j, dtype)
-            if i != j:
-                A = A + _cell(n, j, i, dtype)
-            out.append(A)
-    return out
-
-
-def _rank_cols(n, k, dtype):
-    return [_cell(n, i, j, dtype) for i in range(n) for j in range(k)]
-
-
-def _rank_rows(n, k, dtype):
-    return [_cell(n, i, j, dtype) for i in range(k) for j in range(n)]
-
-
-def _hurwitz_radon_2(dtype):
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=dtype)
-    return [np.eye(2, dtype=dtype), rot]
+def _cells(keep: np.ndarray, dtype, mirror: bool = False) -> list:
+    """The unit matrices E_ij of the cells kept by the boolean n x n mask, in
+    row-major order; E_ij + E_ji with ``mirror`` (E_ii on the diagonal)."""
+    i, j = np.nonzero(keep)
+    E = np.zeros((i.size,) + keep.shape, dtype=dtype)
+    r = np.arange(i.size)
+    E[r, i, j] = 1.0
+    if mirror:
+        E[r, j, i] = 1.0
+    return list(E)
 
 
 def _in_range(attr: str, lo: int, hi: int):
@@ -165,29 +78,39 @@ def _real_2x2(kind: str, spec: CatalogSpec) -> None:
         raise BadParameters(f"{kind} is defined for n=2 over the real field")
 
 
-# kind -> (builder(spec, dtype), inverse_closed: bool or rule(spec), parameter check or None).
+# kind -> (builder(spec, i, j, dtype), inverse_closed: bool or rule(spec),
+# parameter check or None), where i, j are the row and column index grids.
 # A band is inverse-closed only as the diagonal or the full triangle.
 _KINDS = {
-    "diagonal": (lambda s, dt: _diagonal(s.n, dt), True, None),
-    "circulant": (lambda s, dt: _circulant(s.n, dt), True, None),
-    "lower_triangular": (lambda s, dt: _lower_triangular(s.n, dt), True, None),
-    "upper_triangular": (lambda s, dt: _upper_triangular(s.n, dt), True, None),
+    "diagonal": (lambda s, i, j, dt: _cells(i == j, dt), True, None),
+    "circulant": (
+        lambda s, i, j, dt: [np.roll(np.eye(s.n, dtype=dt), d, axis=0) for d in range(s.n)],
+        True, None),
+    "lower_triangular": (lambda s, i, j, dt: _cells(j <= i, dt), True, None),
+    "upper_triangular": (lambda s, i, j, dt: _cells(j >= i, dt), True, None),
     "unit_upper_constant_diagonal": (
-        lambda s, dt: _unit_upper_constant_diagonal(s.n, dt), True, None),
+        lambda s, i, j, dt: [np.eye(s.n, dtype=dt)] + _cells(j > i, dt), True, None),
     "unit_lower_constant_diagonal": (
-        lambda s, dt: _unit_lower_constant_diagonal(s.n, dt), True, None),
-    "band_lower": (lambda s, dt: _band_lower(s.n, s.p, dt), lambda s: s.p in (0, s.n - 1),
-                   _in_range("p", 0, -1)),
-    "band_upper": (lambda s, dt: _band_upper(s.n, s.q, dt), lambda s: s.q in (0, s.n - 1),
-                   _in_range("q", 0, -1)),
-    "toeplitz_upper_triangular": (lambda s, dt: _toeplitz_upper_triangular(s.n, dt), True, None),
-    "toeplitz_lower_triangular": (lambda s, dt: _toeplitz_lower_triangular(s.n, dt), True, None),
-    "symmetric": (lambda s, dt: _symmetric(s.n, dt), True, None),
+        lambda s, i, j, dt: [np.eye(s.n, dtype=dt)] + _cells(j < i, dt), True, None),
+    "band_lower": (lambda s, i, j, dt: _cells((j <= i) & (i - j <= s.p), dt),
+                   lambda s: s.p in (0, s.n - 1), _in_range("p", 0, -1)),
+    "band_upper": (lambda s, i, j, dt: _cells((j >= i) & (j - i <= s.q), dt),
+                   lambda s: s.q in (0, s.n - 1), _in_range("q", 0, -1)),
+    "toeplitz_upper_triangular": (
+        lambda s, i, j, dt: [np.eye(s.n, k=d, dtype=dt) for d in range(s.n)], True, None),
+    "toeplitz_lower_triangular": (
+        lambda s, i, j, dt: [np.eye(s.n, k=-d, dtype=dt) for d in range(s.n)], True, None),
+    "symmetric": (lambda s, i, j, dt: _cells(j >= i, dt, mirror=True), True, None),
+    # Symmetric matrices whose antidiagonal entries are all equal: the free
+    # antidiagonal cells collapse onto the exchange matrix J.
     "persymmetric_constant_antidiagonal": (
-        lambda s, dt: _sym_constant_antidiagonal(s.n, dt), False, None),
-    "rank_cols": (lambda s, dt: _rank_cols(s.n, s.k, dt), False, _in_range("k", 1, 0)),
-    "rank_rows": (lambda s, dt: _rank_rows(s.n, s.k, dt), False, _in_range("k", 1, 0)),
-    "hurwitz_radon_2": (lambda s, dt: _hurwitz_radon_2(dt), True, _real_2x2),
+        lambda s, i, j, dt: [np.fliplr(np.eye(s.n, dtype=dt))]
+        + _cells((j >= i) & (i + j != s.n - 1), dt, mirror=True), False, None),
+    "rank_cols": (lambda s, i, j, dt: _cells(j < s.k, dt), False, _in_range("k", 1, 0)),
+    "rank_rows": (lambda s, i, j, dt: _cells(i < s.k, dt), False, _in_range("k", 1, 0)),
+    "hurwitz_radon_2": (
+        lambda s, i, j, dt: [np.eye(2, dtype=dt), np.array([[0.0, -1.0], [1.0, 0.0]], dtype=dt)],
+        True, _real_2x2),
 }
 KINDS = tuple(_KINDS) + ("krylov",)
 
@@ -236,7 +159,7 @@ def make_subspace(
         build, closed, check = _KINDS[spec.kind]
         if check is not None:
             check(spec.kind, spec)
-        basis = build(spec, dtype)
+        basis = build(spec, *np.indices((n, n)), dtype)
         inverse_closed = closed(spec) if callable(closed) else closed
     else:
         raise BadParameters(f"unknown catalog kind {spec.kind!r}")
@@ -263,11 +186,8 @@ def persym_genericity_check(d: Sequence[float], rel_tol: float = 1e-10) -> bool:
         return False
     if np.any(np.abs(d) <= rel_tol * scale):
         return False
-    prod = np.array([d[j] * d[n - 1 - j] for j in range(n)])
-    for j in range(n):
-        for k in range(n):
-            if k == j or k == n - 1 - j:
-                continue
-            if abs(prod[j] - prod[k]) <= rel_tol * max(abs(prod[j]), abs(prod[k]), 1.0):
-                return False
-    return True
+    prod = d * d[::-1]
+    a = np.abs(prod)
+    j, k = np.indices((n, n))
+    close = np.abs(prod[j] - prod[k]) <= rel_tol * np.maximum(np.maximum(a[j], a[k]), 1.0)
+    return not np.any(close & (k != j) & (k != n - 1 - j))

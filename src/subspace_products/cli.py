@@ -21,7 +21,7 @@ from .bilinear import (
     solve_bilinear,
 )
 from .catalog import KINDS, CatalogSpec, make_subspace
-from .core import Tolerances, membership
+from .core import Tolerances, _check_count, membership
 from .errors import NoFactorization, SingularWitness, SubspaceProductsError
 from .geometry import (
     curvature_measure,
@@ -222,6 +222,7 @@ def _cmd_flatness(args, tols) -> int:
 
 
 def _cmd_curvature(args, tols) -> int:
+    _check_count("directions", args.directions)
     S1 = load_subspace(args.subspace1, tols=tols)
     S2 = load_subspace(args.subspace2, tols=tols)
     V1, V2 = sample_pair(S1, S2, args.seed)

@@ -72,6 +72,12 @@ def check_field(field: str) -> str:
     return field
 
 
+def _check_count(name: str, value: int) -> None:
+    """Reject a count (trials, restarts, budget, grid points, directions) below one."""
+    if value < 1:
+        raise BadParameters(f"{name} must be at least 1, got {value}")
+
+
 def as_square_matrix(A, field: Optional[str] = None, name: str = "matrix") -> np.ndarray:
     """Validate and normalize a square matrix.
 

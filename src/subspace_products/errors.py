@@ -77,7 +77,8 @@ class UnsupportedDegree(SubspaceProductsError):
 
 
 class BadParameters(SubspaceProductsError):
-    """Constructor parameters are out of range."""
+    """A parameter is out of range: a catalog constructor's, or a count
+    (trials, restarts, budget, grid points, directions) below one."""
 
 
 class NoFactorization(SubspaceProductsError):

@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     MatrixSubspace,
     _basis_array,
+    _check_count,
     _gaussian_coefficients,
     _products,
     _subspace_from_stack,
@@ -228,8 +229,7 @@ def flatness_test(
     linearization is spanned by sampled products drawn from a generator of
     its own, seeded with ``seed`` (see :class:`ProductAnalysis`).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_count("trials", trials)
     if S1.dim == 0 or S2.dim == 0:
         raise ZeroSubspace("flatness analysis requires nonzero subspaces")
     lin = _sketched_linearization(S1, S2, np.random.default_rng(seed))

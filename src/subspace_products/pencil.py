@@ -21,6 +21,7 @@ from .core import (
     MatrixSubspace,
     Tolerances,
     _basis_array,
+    _check_count,
     _gaussian_coefficients,
     _vec_columns,
     as_square_matrix,
@@ -42,6 +43,14 @@ from .errors import (
 
 # Relative gap below which eigenvalues are merged before multiplicity counting.
 _EIG_CLUSTER_RTOL = 1e-6
+# Search budgets: seeded members tried for an invertible one, sampled members
+# and Nelder-Mead restarts of the minrank bound, alternations per probe start,
+# and the probe minimum above which no zero-divisor pair is reported.
+_INVERTIBLE_TRIES = 50
+_MINRANK_SAMPLES = 120
+_MINRANK_RESTARTS = 6
+_PROBE_ALTERNATIONS = 60
+_PROBE_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,14 +109,12 @@ def _candidates(S: MatrixSubspace, samples: int, seed: int):
         yield random_unit_element(S, seed + t)
 
 
-def _find_invertible_element(
-    S: MatrixSubspace, max_tries: int = 50, seed: int = 0
-) -> np.ndarray:
-    for cand in _candidates(S, max_tries, seed):
+def _find_invertible_element(S: MatrixSubspace, seed: int = 0) -> np.ndarray:
+    for cand in _candidates(S, _INVERTIBLE_TRIES, seed):
         if matrix_rank(cand, S.tols) == S.n:
             return cand
     raise NoInvertibleElementFound(
-        f"no invertible element found in {max_tries} samples; "
+        f"no invertible element found in {_INVERTIBLE_TRIES} samples; "
         "this does not prove the subspace is singular"
     )
 
@@ -118,31 +125,27 @@ def _deflate_identity(C: np.ndarray) -> np.ndarray:
     return C - (np.trace(C) / n) * np.eye(n, dtype=C.dtype)
 
 
-def _normal_form(
-    S: MatrixSubspace, left: bool, max_tries: int, seed: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def _normal_form(S: MatrixSubspace, left: bool, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """(W, Y) with Y an invertible element of S and Y^{-1} S (``left``) or
     S Y^{-1} equal to span{I, W}."""
-    Y = _find_invertible_element(S, max_tries=max_tries, seed=seed)
+    Y = _find_invertible_element(S, seed=seed)
     Yi = np.linalg.inv(Y)
     cands = [_deflate_identity(Yi @ B if left else B @ Yi) for B in S.basis_matrices()]
     return max(cands, key=np.linalg.norm), Y
 
 
-def normalize_pencil(
-    S: MatrixSubspace, max_tries: int = 50, seed: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
+def normalize_pencil(S: MatrixSubspace, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Normal form of a nonsingular 2-dimensional subspace: S Y^{-1} = span{I, W1}.
 
     Returns (W1, Y) where Y is an invertible element of S.
     """
     if S.dim != 2:
         raise WrongDimension(f"pencil normalization needs dim 2, got {S.dim}")
-    return _normal_form(S, left=False, max_tries=max_tries, seed=seed)
+    return _normal_form(S, left=False, seed=seed)
 
 
 def normalize_pair(
-    S1: MatrixSubspace, S2: MatrixSubspace, max_tries: int = 50, seed: int = 0
+    S1: MatrixSubspace, S2: MatrixSubspace, seed: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Normal-form generators (X1, X2) with X S1 = span{I, X1}, S2 Y^{-1} = span{I, X2}.
 
@@ -152,8 +155,8 @@ def normalize_pair(
     check_same_space(S1, S2)
     if S1.dim != 2:
         raise WrongDimension(f"pair normalization needs dim 2, got {S1.dim} on side 1")
-    X1, _ = _normal_form(S1, left=True, max_tries=max_tries, seed=seed)
-    X2, _ = normalize_pencil(S2, max_tries=max_tries, seed=seed)
+    X1, _ = _normal_form(S1, left=True, seed=seed)
+    X2, _ = normalize_pencil(S2, seed=seed)
     return X1, X2
 
 
@@ -207,6 +210,7 @@ def craig_sakamoto_check(
     the theorem, so a disagreement indicates a numerical failure).
     """
     tols = tols or Tolerances()
+    _check_count("grid", grid)
     A = as_square_matrix(X1, field=REAL, name="X1")
     B = as_square_matrix(X2, field=REAL, name="X2")
     if A.shape != B.shape:
@@ -248,9 +252,9 @@ def _cluster_eigenvalues(ev: np.ndarray) -> list:
     return [np.mean(cl) for cl in clusters]
 
 
-def _minrank_dim2_eigen(S: MatrixSubspace, max_tries: int, seed: int) -> MinrankReport:
+def _minrank_dim2_eigen(S: MatrixSubspace, seed: int) -> MinrankReport:
     n = S.n
-    W1, Y = normalize_pencil(S, max_tries=max_tries, seed=seed)
+    W1, Y = normalize_pencil(S, seed=seed)
     ev = np.linalg.eigvals(W1)
     scale = max(1.0, float(np.max(np.abs(ev))))
     best_gm = 0
@@ -278,9 +282,7 @@ def _sigma_k(M: np.ndarray, k: int) -> float:
     return float(s[k - 1])
 
 
-def _minrank_sampled(
-    S: MatrixSubspace, samples: int, restarts: int, seed: int
-) -> MinrankReport:
+def _minrank_sampled(S: MatrixSubspace, seed: int) -> MinrankReport:
     """Uncertified upper bound by sampling plus local descent on sigma_{r+1}.
 
     The basis members are tried before the samples, so a rank-one basis
@@ -288,7 +290,7 @@ def _minrank_sampled(
     """
     best_rank = S.n + 1
     best_witness = None
-    for V in _candidates(S, samples, seed):
+    for V in _candidates(S, _MINRANK_SAMPLES, seed):
         r = matrix_rank(V, S.tols)
         if 0 < r < best_rank:
             best_rank, best_witness = r, V / np.linalg.norm(V)
@@ -315,7 +317,7 @@ def _minrank_sampled(
             return _sigma_k(V, target + 1)
 
         improved = False
-        for rs in range(restarts):
+        for rs in range(_MINRANK_RESTARTS):
             rng = np.random.default_rng(seed + 10_000 + rs)
             theta0 = rng.standard_normal(npar)
             res = optimize.minimize(
@@ -337,13 +339,7 @@ def _minrank_sampled(
     )
 
 
-def minrank(
-    S: MatrixSubspace,
-    max_tries: int = 50,
-    samples: int = 120,
-    restarts: int = 6,
-    seed: int = 0,
-) -> MinrankReport:
+def minrank(S: MatrixSubspace, seed: int = 0) -> MinrankReport:
     """Minimum rank over nonzero members of S.
 
     Exact and certified for dim 1, and for nonsingular dim 2 via the
@@ -360,18 +356,14 @@ def minrank(
         )
     if S.dim == 2:
         try:
-            return _minrank_dim2_eigen(S, max_tries=max_tries, seed=seed)
+            return _minrank_dim2_eigen(S, seed=seed)
         except NoInvertibleElementFound:
             pass
-    return _minrank_sampled(S, samples=samples, restarts=restarts, seed=seed)
+    return _minrank_sampled(S, seed=seed)
 
 
 def zero_product_probe(
-    S1: MatrixSubspace,
-    S2: MatrixSubspace,
-    budget: int = 100,
-    seed: int = 0,
-    max_alternations: int = 60,
+    S1: MatrixSubspace, S2: MatrixSubspace, budget: int = 100, seed: int = 0
 ) -> Tuple[float, Tuple[np.ndarray, np.ndarray]]:
     """Heuristic minimum of ||V1 V2||_F over unit-norm members.
 
@@ -382,6 +374,7 @@ def zero_product_probe(
     best value and pair found.
     """
     check_same_space(S1, S2)
+    _check_count("budget", budget)
     if S1.dim == 0 or S2.dim == 0:
         raise ZeroSubspace("probe needs nonzero subspaces")
     T1 = _basis_array(S1)
@@ -393,7 +386,7 @@ def zero_product_probe(
         c1 = _gaussian_coefficients(np.random.default_rng(seed + start), S1.dim, S1.field)
         c1 = c1 / np.linalg.norm(c1)
         prev = np.inf
-        for _ in range(max_alternations):
+        for _ in range(_PROBE_ALTERNATIONS):
             V1 = S1.element(c1)
             L2 = _vec_columns(np.matmul(V1, T2))
             _, s2, Vh2 = np.linalg.svd(L2, full_matrices=False)
@@ -414,21 +407,19 @@ def zero_product_probe(
 
 
 def closedness_certificate(
-    S1: MatrixSubspace,
-    S2: MatrixSubspace,
-    budget: int = 100,
-    seed: int = 0,
-    probe_threshold: float = 1e-6,
+    S1: MatrixSubspace, S2: MatrixSubspace, budget: int = 100, seed: int = 0
 ) -> ClosednessCertificate:
     """Closedness evidence for the product set of (S1, S2).
 
     Proof branch: certified minranks summing above n.  Evidence branch: the
-    zero-product probe stayed above ``probe_threshold`` over its budget.
+    zero-product probe's minimum over its ``budget`` starts stayed above the
+    fixed threshold 1e-6, recorded as ``details["probe_threshold"]``.
     ``Unknown`` does not assert non-closedness (products can be closed even
     with zero divisors present).  ``details["min_product_norm"]`` is the
     probe's minimum, reported as 0.0 when below ``S1.tols.abs_floor``.
     """
     check_same_space(S1, S2)
+    _check_count("budget", budget)
     details: dict = {}
     reports = []
     for name, S in (("minrank1", S1), ("minrank2", S2)):
@@ -447,8 +438,8 @@ def closedness_certificate(
     # A minimum below the absolute floor is round-off, reported as exact zero.
     details["min_product_norm"] = min_norm if min_norm >= S1.tols.abs_floor else 0.0
     details["budget"] = budget
-    details["probe_threshold"] = probe_threshold
-    if min_norm > probe_threshold:
+    details["probe_threshold"] = _PROBE_THRESHOLD
+    if min_norm > _PROBE_THRESHOLD:
         return ClosednessCertificate(status="ClosedByZeroProductProbe", details=details)
     return ClosednessCertificate(status="Unknown", details=details)
 

@@ -22,6 +22,92 @@ def catalog_flags(kind, n, field="complex", **params):
     return make_subspace(CatalogSpec(kind=kind, n=n, field=field, **params))
 
 
+def catalog_cells(kind, n, p=None, q=None, k=None):
+    """Raw basis of a catalog kind built cell by cell, independent of the library.
+
+    Cells are visited row by row; a symmetric kind adds the mirrored cell.
+    """
+
+    def units(keep, mirror=False):
+        out = []
+        for i in range(n):
+            for j in range(n):
+                if keep(i, j):
+                    A = cell(n, i, j)
+                    if mirror:
+                        A[j, i] = 1.0
+                    out.append(A)
+        return out
+
+    def shift_power(d, rows):
+        """Ones at (i + d, i) for ``rows`` and (i, i + d) otherwise, over every valid i."""
+        A = np.zeros((n, n), dtype=complex)
+        for i in range(n - d):
+            A[(i + d, i) if rows else (i, i + d)] = 1.0
+        return A
+
+    identity = [np.eye(n, dtype=complex)]
+    if kind == "diagonal":
+        return units(lambda i, j: i == j)
+    if kind == "circulant":
+        out = []
+        for d in range(n):
+            A = np.zeros((n, n), dtype=complex)
+            for i in range(n):
+                A[(i + d) % n, i] = 1.0
+            out.append(A)
+        return out
+    if kind == "lower_triangular":
+        return units(lambda i, j: i >= j)
+    if kind == "upper_triangular":
+        return units(lambda i, j: i <= j)
+    if kind == "unit_upper_constant_diagonal":
+        return identity + units(lambda i, j: i < j)
+    if kind == "unit_lower_constant_diagonal":
+        return identity + units(lambda i, j: i > j)
+    if kind == "band_lower":
+        return units(lambda i, j: 0 <= i - j <= p)
+    if kind == "band_upper":
+        return units(lambda i, j: 0 <= j - i <= q)
+    if kind == "toeplitz_upper_triangular":
+        return [shift_power(d, rows=False) for d in range(n)]
+    if kind == "toeplitz_lower_triangular":
+        return [shift_power(d, rows=True) for d in range(n)]
+    if kind == "symmetric":
+        return units(lambda i, j: i <= j, mirror=True)
+    if kind == "persymmetric_constant_antidiagonal":
+        exchange = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            exchange[i, n - 1 - i] = 1.0
+        return [exchange] + units(lambda i, j: i <= j and i + j != n - 1, mirror=True)
+    if kind == "rank_cols":
+        return units(lambda i, j: j < k)
+    if kind == "rank_rows":
+        return units(lambda i, j: i < k)
+    if kind == "hurwitz_radon_2":
+        return identity + [np.array([[0, -1], [1, 0]], dtype=complex)]
+    raise KeyError(kind)
+
+
+def persym_generic_brute(d, rel_tol=1e-10):
+    """Genericity of a diagonal for the symmetric x constant-antidiagonal pair,
+    by the definition: nonzero entries and pairwise distinct antidiagonal
+    products over j != k, k != n - 1 - j."""
+    d = [float(x) for x in d]
+    n = len(d)
+    scale = max((abs(x) for x in d), default=0.0)
+    if scale == 0.0 or any(abs(x) <= rel_tol * scale for x in d):
+        return False
+    prod = [d[j] * d[n - 1 - j] for j in range(n)]
+    for j in range(n):
+        for k in range(n):
+            if k in (j, n - 1 - j):
+                continue
+            if abs(prod[j] - prod[k]) <= rel_tol * max(abs(prod[j]), abs(prod[k]), 1.0):
+                return False
+    return True
+
+
 def exact_rank_fraction(A):
     """Row reduction over the rationals; exact rank for integer matrices."""
     rows = [[Fraction(int(x)) for x in row] for row in np.asarray(A)]

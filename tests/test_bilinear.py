@@ -134,6 +134,11 @@ class TestModelFromBases:
             )
 
 
+def test_solve_restarts_zero():
+    model = extract_bilinear(catalog("diagonal", 2), catalog("diagonal", 2))
+    with pytest.raises(BadParameters, match="restarts must be at least 1, got 0"):
+        solve_bilinear(model, np.ones(model.l), restarts=0)
+
 class TestMatrixAt:
     def test_zero_gives_zero(self):
         D = catalog("diagonal", 2)

@@ -8,7 +8,14 @@ from subspace_products import (
     product_map_rank,
     random_element,
 )
-from helpers import brute_tangent_rank, catalog, catalog_flags
+from subspace_products.catalog import KINDS
+from helpers import (
+    brute_tangent_rank,
+    catalog,
+    catalog_cells,
+    catalog_flags,
+    persym_generic_brute,
+)
 
 
 DIM_CASES = [
@@ -49,6 +56,38 @@ def test_hurwitz_radon_2():
         catalog("hurwitz_radon_2", 3, field="real")
     with pytest.raises(BadParameters):
         catalog("hurwitz_radon_2", 2, field="complex")
+
+
+# Catalog parameter of each parametrized kind and its valid range as a
+# function of n.
+_PARAMS = {
+    "band_lower": ("p", lambda n: range(0, n)),
+    "band_upper": ("q", lambda n: range(0, n)),
+    "rank_cols": ("k", lambda n: range(1, n + 1)),
+    "rank_rows": ("k", lambda n: range(1, n + 1)),
+}
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "krylov"])
+def test_raw_basis_pinned(kind):
+    """Every member of every raw basis, in order, for n = 1..6 in both fields."""
+    cases = 0
+    for field in ("real", "complex"):
+        dtype = np.float64 if field == "real" else np.complex128
+        for n in range(1, 7):
+            if kind == "hurwitz_radon_2" and (n, field) != (2, "real"):
+                continue
+            name, valid = _PARAMS.get(kind, (None, lambda n: [None]))
+            for v in valid(n):
+                params = {name: v} if name else {}
+                got = catalog(kind, n, field=field, **params).raw_basis
+                want = catalog_cells(kind, n, **params)
+                assert len(got) == len(want), (field, n, params)
+                for G, W in zip(got, want):
+                    assert G.dtype == dtype
+                    np.testing.assert_array_equal(G, W)
+                cases += 1
+    assert cases >= 1
 
 
 class TestKrylov:
@@ -137,6 +176,25 @@ class TestPersymGenericity:
 
     def test_zero_entry(self):
         assert not persym_genericity_check([1.0, 0.0, 3.0])
+
+    def test_agrees_with_brute_force(self):
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for t in range(600):
+            n = int(rng.integers(0, 9))
+            if t % 3 == 0:
+                d = rng.standard_normal(n)
+            else:
+                # Small integers make coinciding products and zeros common.
+                d = rng.integers(-4, 5, size=n).astype(float)
+            if t % 3 == 2 and n:
+                # Products near 1e-4 nudged apart by about 1e-11 are close
+                # only through the floor of 1 in the relative tolerance.
+                d = 1e-2 * d
+                d[rng.integers(0, n)] += 1e-9
+            verdicts.append(persym_genericity_check(d))
+            assert verdicts[-1] == persym_generic_brute(d), d
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_rank_follows_genericity(self):
         sym3 = catalog("symmetric", 3)

@@ -308,3 +308,49 @@ class TestInputErrors:
         code = main(["minrank", str(bad)])
         assert code == 1
         assert "imaginary" in capsys.readouterr().err
+
+
+class TestCountsBelowOne:
+    """A count below one is an input error: exit 1 and no report."""
+
+    @pytest.fixture
+    def lu4_files(self, tmp_path):
+        paths = []
+        for kind in ("lower_triangular", "unit_upper_constant_diagonal"):
+            path = tmp_path / f"{kind}.json"
+            save_obj(subspace_to_obj(catalog(kind, 4)), str(path))
+            paths.append(str(path))
+        return paths
+
+    def rejects(self, capsys, tmp_path, argv, message):
+        report = tmp_path / "report.json"
+        code = main(argv + ["--output", str(report)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_closedness_budget_zero(self, capsys, tmp_path, lu4_files):
+        # E11 E23 = 0: the probe would find the zero divisors, but never ran.
+        self.rejects(capsys, tmp_path, ["closedness", *lu4_files, "--budget", "0"],
+                     "budget must be at least 1, got 0")
+
+    def test_cs_grid_zero(self, capsys, tmp_path):
+        f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_obj(matrix_to_obj(cell(2, 0, 0).real), str(f1))
+        save_obj(matrix_to_obj(cell(2, 1, 1).real), str(f2))
+        self.rejects(capsys, tmp_path, ["cs", str(f1), str(f2), "--grid", "0"],
+                     "grid must be at least 1, got 0")
+
+    def test_flatness_trials_zero(self, capsys, tmp_path, lu_pair_files):
+        self.rejects(capsys, tmp_path, ["flatness", *lu_pair_files, "--trials", "0"],
+                     "trials must be at least 1, got 0")
+
+    def test_solve_restarts_zero(self, capsys, tmp_path, lu_pair_files):
+        fb = tmp_path / "b.json"
+        save_obj(vector_to_obj(np.ones(9)), str(fb))
+        self.rejects(capsys, tmp_path, ["solve", *lu_pair_files, str(fb), "--restarts", "0"],
+                     "restarts must be at least 1, got 0")
+
+    def test_curvature_directions_zero(self, capsys, tmp_path, segre_pair_files):
+        self.rejects(capsys, tmp_path, ["curvature", *segre_pair_files, "--directions", "0"],
+                     "directions must be at least 1, got 0")

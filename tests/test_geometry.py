@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subspace_products import (
+    BadParameters,
     NonFiniteInput,
     NotMember,
     SizeMismatch,
@@ -378,6 +379,11 @@ class TestFlatness:
         assert report.lin_dim == 9
         max_count = sum(1 for _, r in report.sampled_ranks if r == report.generic_rank)
         assert max_count >= 3
+
+    def test_trials_zero(self):
+        D = catalog("diagonal", 3)
+        with pytest.raises(BadParameters, match="trials must be at least 1, got 0"):
+            flatness_test(D, D, trials=0)
 
     def test_small_pencil_pair_flat(self):
         S1 = subspace_from_matrices([np.eye(2), cell(2, 0, 1)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subspace_products import (
+    BadParameters,
     ChainConditionViolated,
     NoInvertibleElementFound,
     NotSymmetric,
@@ -318,6 +319,30 @@ class TestClosedness:
         cert = closedness_certificate(rows, cols, budget=50, seed=0)
         assert cert.status == "Unknown"
         assert cert.details["min_product_norm"] < 1e-8
+
+
+class TestCountsBelowOne:
+    def test_closedness_budget_zero(self):
+        # LU n = 4 has the zero divisors E11 E23 = 0, which a probe that never
+        # ran would hide behind an infinite minimum.
+        L = catalog("lower_triangular", 4)
+        U = catalog("unit_upper_constant_diagonal", 4)
+        with pytest.raises(BadParameters, match="budget must be at least 1, got 0"):
+            closedness_certificate(L, U, budget=0)
+
+    def test_closedness_budget_zero_on_the_proof_branch(self):
+        S = catalog("hurwitz_radon_2", 2, field="real")
+        with pytest.raises(BadParameters, match="budget must be at least 1, got -1"):
+            closedness_certificate(S, S, budget=-1)
+
+    def test_probe_budget_zero(self):
+        D = catalog("diagonal", 3)
+        with pytest.raises(BadParameters, match="budget must be at least 1, got 0"):
+            zero_product_probe(D, D, budget=0)
+
+    def test_craig_sakamoto_grid_zero(self):
+        with pytest.raises(BadParameters, match="grid must be at least 1, got 0"):
+            craig_sakamoto_check(cell(2, 0, 0).real, cell(2, 1, 1).real, grid=0)
 
 
 class TestChainFactor:
