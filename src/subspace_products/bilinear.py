@@ -4,7 +4,8 @@ Fixing bases of the two factors and of the linearization turns the product
 map into a bidegree (1, 1) polynomial map (z, w) -> M(z) w, where each
 coefficient matrix M_r records how the basis products expand in the
 linearization basis.  This module extracts those constants, solves M(z) w = b
-by damped Gauss-Newton, and factors a matrix over an inverse-closed pair.
+(directly when one factor is inverse-closed, else by damped Gauss-Newton), and
+factors a matrix over an inverse-closed pair.
 """
 
 from __future__ import annotations
@@ -19,13 +20,18 @@ from .core import (
     REAL,
     MatrixSubspace,
     Tolerances,
+    _basis_array,
     _check_count,
     _gaussian_coefficients,
     _products,
     _vec_columns,
     as_square_matrix,
     check_same_space,
+    matrix_rank,
+    membership,
+    random_element,
     rank_from_singular_values,
+    subspace_from_matrices,
     vec,
 )
 from .errors import (
@@ -84,21 +90,30 @@ class BilinearModel:
         coords = np.asarray(coords).reshape(-1)
         if coords.size != self.l:
             raise SizeMismatch(f"coords has length {coords.size}, expected {self.l}")
-        out = np.zeros((self.n, self.n), dtype=np.complex128)
-        for c, W in zip(coords, self.lin_basis):
-            out = out + c * W
-        return out.real if self.field == REAL else out
+        return _combine(coords, self.lin_basis, self.n, self.field)
+
+
+def _combine(coeffs: np.ndarray, mats: Sequence, n: int, field: str) -> np.ndarray:
+    """The matrix sum_r coeffs[r] * mats[r], stored for ``field``."""
+    out = np.tensordot(coeffs, np.reshape(mats, (len(mats), n, n)), axes=1)
+    return out.real if field == REAL else np.asarray(out, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Best solution found for M(z) w = b over all restarts."""
+    """Best solution found for M(z) w = b over all restarts.
+
+    ``stop`` says why the returned attempt ended: ``inverse_closed`` for the
+    direct step, else the Gauss-Newton restart's ``converged``, ``max_iter``,
+    ``damping`` (damping above 1e10) or ``singular`` (unsolvable step).
+    """
 
     z: np.ndarray
     w: np.ndarray
     residual: float
     iterations: int
     restarts_used: int
+    stop: str = "converged"
 
 
 def model_from_bases(
@@ -171,14 +186,26 @@ def solve_bilinear(
     max_iter: int = 200,
     seed: int = 0,
 ) -> SolveReport:
-    """Damped Gauss-Newton for M(z) w = b with multi-start.
+    """Solve M(z) w = b: by one null-space step when a factor of the model's
+    pair is inverse-closed, else by damped Gauss-Newton with multi-start.
 
-    The scale gauge (s z, w / s) is fixed by renormalizing z to unit length
-    after every accepted step.  Levenberg damping starts at 1e-3, divides by
-    ten on accepted steps and multiplies by ten on rejections.  Always
-    returns the best report found; callers judge the residual.
+    Direct step: when the model carries all three bases and the inverse of a
+    seeded random member of one factor's span is a member of it, the target
+    ``A = sum_r b_r lin_basis[r]`` is factored by
+    :func:`factor_via_inverse_closed` (on ``A^T = V2^T V1^T`` when only the
+    first factor is closed), and z and w are read off the factors by least
+    squares on the model bases.  That answer is returned, with no iterations
+    or restarts and ``stop`` ``inverse_closed``, when its residual is below
+    1e-10 (1 + ||b||); otherwise Gauss-Newton runs as if it had not been tried.
+
+    Gauss-Newton: the scale gauge (s z, w / s) is fixed by renormalizing z to
+    unit length after every accepted step (the direct answer is normalized the
+    same way).  Levenberg damping starts at 1e-3, divides by ten on accepted
+    steps and multiplies by ten on rejections.  Always returns the best report
+    found; callers judge the residual.
     """
     _check_count("restarts", restarts)
+    _check_count("max_iter", max_iter)
     b = np.asarray(b).reshape(-1)
     if b.size != model.l:
         raise SizeMismatch(f"b has length {b.size}, expected {model.l}")
@@ -195,9 +222,17 @@ def solve_bilinear(
         )
     M = np.asarray(model.M)
     j, kmj = model.j, model.kmj
+    tol = _SOLVE_TOL * (1.0 + nb)
 
     def residual_vec(z, w):
         return (M @ w) @ z - b
+
+    direct = _solve_inverse_closed(model, b, seed)
+    if direct is not None:
+        rnorm = float(np.linalg.norm(residual_vec(*direct)))
+        if rnorm < tol:
+            return SolveReport(*direct, residual=rnorm, iterations=0, restarts_used=0,
+                               stop="inverse_closed")
 
     best = None
     restarts_used = 0
@@ -211,6 +246,7 @@ def solve_bilinear(
         r = residual_vec(z, w)
         rnorm = np.linalg.norm(r)
         iters = 0
+        stop = "max_iter"
         for it in range(max_iter):
             iters = it + 1
             # Partial derivatives of M(z) w: M w in z, M(z) in w.
@@ -220,6 +256,7 @@ def solve_bilinear(
             try:
                 step = np.linalg.solve(H, g)
             except np.linalg.LinAlgError:
+                stop = "singular"
                 break
             z_new, w_new = z - step[:j], w - step[j:]
             nz = np.linalg.norm(z_new)
@@ -233,17 +270,60 @@ def solve_bilinear(
             else:
                 lam *= 10.0
                 if lam > 1e10:
+                    stop = "damping"
                     break
-            if rnorm < _SOLVE_TOL * (1.0 + nb):
+            if rnorm < tol:
+                stop = "converged"
                 break
         if best is None or rnorm < best.residual:
             best = SolveReport(
                 z=z, w=w, residual=float(rnorm), iterations=iters,
-                restarts_used=restarts_used,
+                restarts_used=restarts_used, stop=stop,
             )
-        if best.residual < _SOLVE_TOL * (1.0 + nb):
+        if best.residual < tol:
             break
     return best
+
+
+def _inverse_closed(S: MatrixSubspace, seed: int) -> bool:
+    """Whether the inverse of a seeded random member of S is a member; a
+    numerically singular draw counts as not closed."""
+    if S.dim == 0:
+        return False
+    X = random_element(S, seed)
+    if matrix_rank(X, S.tols) < S.n:
+        return False
+    return membership(S, np.linalg.inv(X)).inside
+
+
+def _solve_inverse_closed(
+    model: BilinearModel, b: np.ndarray, seed: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(z, w) with z of unit length from factoring the target over the
+    model's pair, or None when the model lacks a basis, neither factor is
+    inverse-closed, or the null-space step finds no invertible witness."""
+    if not (len(model.basis1) and len(model.basis2) and len(model.lin_basis)):
+        return None
+    field = model.field
+    S1 = subspace_from_matrices(model.basis1, field=field)
+    S2 = subspace_from_matrices(model.basis2, field=field)
+    A = _combine(b, model.lin_basis, model.n, field)
+    try:
+        if _inverse_closed(S2, seed):
+            V1, V2 = factor_via_inverse_closed(A, S1, S2, seed)
+        elif _inverse_closed(S1, seed):
+            T1 = subspace_from_matrices([C.T for C in model.basis2], field=field)
+            T2 = subspace_from_matrices([B.T for B in model.basis1], field=field)
+            W1, W2 = factor_via_inverse_closed(A.T, T1, T2, seed)
+            V1, V2 = W2.T, W1.T
+        else:
+            return None
+    except (NoFactorization, SingularWitness):
+        return None
+    z = np.linalg.lstsq(_vec_columns(model.basis1), vec(V1), rcond=None)[0]
+    w = np.linalg.lstsq(_vec_columns(model.basis2), vec(V2), rcond=None)[0]
+    nz = np.linalg.norm(z)
+    return (z / nz, w * nz) if nz > 1e-300 else None
 
 
 def factor_via_inverse_closed(
@@ -264,8 +344,11 @@ def factor_via_inverse_closed(
     Aa = as_square_matrix(A, field=S1.field if S1.field == REAL else None, name="A")
     if Aa.shape[0] != S1.n:
         raise SizeMismatch(f"A has side {Aa.shape[0]}, expected {S1.n}")
-    mats2 = S2.basis_matrices()
-    L = np.column_stack([vec(S1.project_out(Aa @ C)) for C in mats2])
+    # The columns of L are the vectorized A C over the basis C of S2, less
+    # their projections onto S1.
+    P = _vec_columns(_products(Aa, _basis_array(S2)))
+    Q = S1.ortho_basis
+    L = P - Q @ (Q.conj().T @ P)
     U, s, Vh = np.linalg.svd(L, full_matrices=True)
     rank = rank_from_singular_values(s, S1.tols)
     null_dim = S2.dim - rank

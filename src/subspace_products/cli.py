@@ -313,15 +313,17 @@ def _cmd_solve(args, tols) -> int:
     S2 = load_subspace(args.subspace2, tols=tols)
     b = load_vector(args.rhs)
     model = extract_bilinear(S1, S2)
-    if args.model_out:
-        save_obj(model_to_obj(model), args.model_out)
     rep = solve_bilinear(
         model, b, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed
     )
+    # Written only after the solve, so a rejected input leaves no file.
+    if args.model_out:
+        save_obj(model_to_obj(model), args.model_out)
     _emit(args, tols, {
         "residual": rep.residual,
         "iterations": rep.iterations,
         "restarts_used": rep.restarts_used,
+        "stop": rep.stop,
         "z": vector_to_obj(rep.z),
         "w": vector_to_obj(rep.w),
         "model": {"j": model.j, "kmj": model.kmj, "l": model.l},

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from subspace_products import (
     BadParameters,
+    BilinearModel,
     NoFactorization,
     SingularWitness,
     SizeMismatch,
@@ -139,6 +142,13 @@ def test_solve_restarts_zero():
     with pytest.raises(BadParameters, match="restarts must be at least 1, got 0"):
         solve_bilinear(model, np.ones(model.l), restarts=0)
 
+
+def test_solve_max_iter_zero():
+    model = extract_bilinear(catalog("diagonal", 2), catalog("diagonal", 2))
+    with pytest.raises(BadParameters, match="max_iter must be at least 1, got 0"):
+        solve_bilinear(model, np.ones(model.l), max_iter=0)
+
+
 class TestMatrixAt:
     def test_zero_gives_zero(self):
         D = catalog("diagonal", 2)
@@ -222,6 +232,8 @@ class TestSolveBilinear:
         rep = solve_bilinear(model, np.array([1.0, 1.0, -1.0, 1.0]), restarts=50, seed=0)
         assert rep.residual > 0.1
         assert rep.residual >= np.sqrt(2) - 1e-6
+        # Without bases there is no direct step: every restart ran Gauss-Newton.
+        assert (rep.stop, rep.iterations, rep.restarts_used) == ("max_iter", 200, 38)
 
     def test_zero_rhs_trivial(self):
         D = catalog("diagonal", 2)
@@ -235,6 +247,130 @@ class TestSolveBilinear:
         model = extract_bilinear(D, D)
         with pytest.raises(SizeMismatch):
             solve_bilinear(model, np.zeros(5))
+
+
+def coordinates(model, A):
+    """Coordinates of A in the model's orthonormal linearization basis."""
+    return np.array([np.vdot(W, A) for W in model.lin_basis])
+
+
+def assert_factors(model, rep, A, b):
+    """The report solves M(z) w = b, its factors rebuild A, and z has unit length."""
+    assert rep.residual < 1e-10 * (1 + np.linalg.norm(b))
+    V1 = np.tensordot(rep.z, np.array(model.basis1), axes=1)
+    V2 = np.tensordot(rep.w, np.array(model.basis2), axes=1)
+    assert np.linalg.norm(V1 @ V2 - A) < 1e-10 * np.linalg.norm(A)
+    assert abs(np.linalg.norm(rep.z) - 1.0) < 1e-12
+
+
+LU = ("lower_triangular", "unit_upper_constant_diagonal")
+
+
+class TestSolveInverseClosed:
+    """Pairs with an inverse-closed factor are solved by one null-space step."""
+
+    # The targets on which Gauss-Newton stalls: plain Gaussian LU at n = 8,
+    # and a shifted symmetric x symmetric target at n = 6.
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kinds, n, seed, shift", [
+        pytest.param(LU, 8, 0, 0, id="lu8-seed0"),
+        pytest.param(LU, 8, 1, 0, id="lu8-seed1"),
+        pytest.param(LU, 8, 40, 0, id="lu8-seed40"),
+        pytest.param(("symmetric", "symmetric"), 6, 37, 6, id="sym6-seed37"),
+    ])
+    def test_stalling_targets_solve_directly(self, field, kinds, n, seed, shift):
+        model = extract_bilinear(catalog(kinds[0], n, field), catalog(kinds[1], n, field))
+        A = np.random.default_rng(seed).standard_normal((n, n)) + shift * np.eye(n)
+        b = coordinates(model, A)
+        start = time.perf_counter()
+        rep = solve_bilinear(model, b)
+        elapsed = time.perf_counter() - start
+        assert (rep.stop, rep.iterations, rep.restarts_used) == ("inverse_closed", 0, 0)
+        assert_factors(model, rep, A, b)
+        assert elapsed < 1.0
+
+    def test_only_first_factor_closed(self):
+        # span{U0, R1, R2} is not inverse-closed; lower triangular is, so the
+        # transposed problem A^T = V2^T V1^T is solved.
+        n = 4
+        rng = np.random.default_rng(3)
+        L0 = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
+        U0 = rng.standard_normal((n, n)) + n * np.eye(n)
+        S2 = subspace_from_matrices([U0, rng.standard_normal((n, n)), rng.standard_normal((n, n))])
+        assert not membership(S2, np.linalg.inv(U0)).inside
+        model = extract_bilinear(catalog("lower_triangular", n), S2)
+        A = L0 @ U0
+        b = coordinates(model, A)
+        rep = solve_bilinear(model, b)
+        assert rep.stop == "inverse_closed"
+        assert_factors(model, rep, A, b)
+
+    def test_non_orthonormal_model_bases(self):
+        # model_from_bases keeps the given bases: z and w are read off by
+        # least squares on them.
+        n = 3
+        rng = np.random.default_rng(9)
+        lower = [B + 0.5 * catalog("lower_triangular", n).basis_matrices()[0]
+                 for B in catalog("lower_triangular", n).basis_matrices()]
+        upper = [2.0 * C for C in catalog("unit_upper_constant_diagonal", n).basis_matrices()]
+        model = model_from_bases(lower, upper, [cell(n, i, j) for j in range(n) for i in range(n)])
+        A = random_complex(rng, n) + n * np.eye(n)
+        b = vec(A)
+        rep = solve_bilinear(model, b)
+        assert rep.stop == "inverse_closed"
+        assert_factors(model, rep, A, b)
+
+    def test_unfactorable_target_falls_back(self):
+        # The exchange matrix has a zero leading minor: no LU factorization,
+        # so the direct step fails and Gauss-Newton runs without raising.
+        model = extract_bilinear(catalog(LU[0], 4), catalog(LU[1], 4))
+        b = coordinates(model, np.fliplr(np.eye(4)))
+        rep = solve_bilinear(model, b, restarts=2)
+        assert rep.stop in ("converged", "max_iter", "damping", "singular")
+        assert rep.iterations > 0 and rep.restarts_used >= 1
+        assert rep.residual > 1e-3
+
+    def test_same_seed_same_answer(self):
+        model = extract_bilinear(catalog("symmetric", 4), catalog("symmetric", 4))
+        b = coordinates(model, random_complex(np.random.default_rng(11), 4))
+        first, again = solve_bilinear(model, b, seed=5), solve_bilinear(model, b, seed=5)
+        assert first.stop == "inverse_closed"
+        np.testing.assert_array_equal(first.z, again.z)
+        np.testing.assert_array_equal(first.w, again.w)
+
+
+class TestGaussNewtonStop:
+    """Why the returned Gauss-Newton attempt ended."""
+
+    def model(self, M):
+        M = np.asarray(M, dtype=float)
+        return BilinearModel(n=1, field="real", j=M.shape[1], kmj=M.shape[2], l=M.shape[0],
+                             M=M, basis1=(), basis2=(), lin_basis=())
+
+    def test_converged(self):
+        rng = np.random.default_rng(5)
+        model = self.model(rng.standard_normal((6, 2, 3)))
+        rep = solve_bilinear(model, model.apply(rng.standard_normal(2), rng.standard_normal(3)))
+        assert rep.stop == "converged" and rep.residual < 1e-10
+
+    def test_damping(self):
+        # z w = 1 and 0 = 1: every start reaches the least-squares minimum,
+        # after which no step decreases the residual.
+        rep = solve_bilinear(self.model([[[1.0]], [[0.0]]]), np.array([1.0, 1.0]), restarts=1)
+        assert rep.stop == "damping" and rep.residual == pytest.approx(1.0)
+
+    def test_max_iter(self):
+        model = self.model(np.random.default_rng(6).standard_normal((6, 2, 3)))
+        rep = solve_bilinear(model, np.ones(6), restarts=1, max_iter=1)
+        assert (rep.stop, rep.iterations) == ("max_iter", 1)
+
+    def test_singular(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        rep = solve_bilinear(self.model([[[1.0]], [[0.0]]]), np.array([1.0, 1.0]), restarts=1)
+        assert (rep.stop, rep.iterations) == ("singular", 1)
 
 
 class TestFactorViaInverseClosed:

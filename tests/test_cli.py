@@ -219,7 +219,22 @@ class TestSolveCommand:
         save_obj(vector_to_obj(b), str(fb))
         code, out = run(capsys, ["solve", *lu_pair_files, str(fb), "--restarts", "10"])
         assert code == 0
-        assert json.loads(out)["result"]["residual"] < 1e-6
+        result = json.loads(out)["result"]
+        assert result["residual"] < 1e-6
+        assert (result["stop"], result["iterations"], result["restarts_used"]) == (
+            "inverse_closed", 0, 0)
+
+    def test_gauss_newton_stop_reported(self, capsys, tmp_path, segre_pair_files):
+        # circulant x diagonal products fill a 5-dimensional set of 3 x 3
+        # matrices: this target is off it, so the direct step fails and
+        # Gauss-Newton runs.
+        fb = tmp_path / "b.json"
+        save_obj(vector_to_obj(np.ones(9)), str(fb))
+        argv = ["solve", *segre_pair_files, str(fb), "--restarts", "2", "--max-iter", "3"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["result"]["stop"] == "max_iter"
+        assert run(capsys, argv) == (0, out)
 
     def test_model_out_file(self, capsys, tmp_path, lu_pair_files):
         from subspace_products.serialization import load_json, model_from_obj
@@ -350,6 +365,15 @@ class TestCountsBelowOne:
         save_obj(vector_to_obj(np.ones(9)), str(fb))
         self.rejects(capsys, tmp_path, ["solve", *lu_pair_files, str(fb), "--restarts", "0"],
                      "restarts must be at least 1, got 0")
+
+    def test_solve_max_iter_zero(self, capsys, tmp_path, lu_pair_files):
+        fb = tmp_path / "b.json"
+        save_obj(vector_to_obj(np.ones(9)), str(fb))
+        model_path = tmp_path / "model.json"
+        self.rejects(capsys, tmp_path, ["solve", *lu_pair_files, str(fb), "--max-iter", "0",
+                                        "--model-out", str(model_path)],
+                     "max_iter must be at least 1, got 0")
+        assert not model_path.exists()
 
     def test_curvature_directions_zero(self, capsys, tmp_path, segre_pair_files):
         self.rejects(capsys, tmp_path, ["curvature", *segre_pair_files, "--directions", "0"],
