@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="flatness report plus closedness certificate")
     p.add_argument("subspace1")
     p.add_argument("subspace2")
-    p.add_argument("--budget", type=int, default=100, help="zero-product probe restarts")
+    p.add_argument("--budget", type=int, default=100, help="at most this many probe starts")
     _add_common(p)
 
     p = sub.add_parser("flatness", help="sampled flatness verdict (exit 2 when curved)")
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closedness", help="closedness certificate (exit 2 when unknown)")
     p.add_argument("subspace1")
     p.add_argument("subspace2")
-    p.add_argument("--budget", type=int, default=100)
+    p.add_argument("--budget", type=int, default=100, help="at most this many probe starts")
     _add_common(p)
 
     p = sub.add_parser("bound", help="certificate degree bound")

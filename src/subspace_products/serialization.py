@@ -13,6 +13,7 @@ exactly these shapes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -243,5 +244,41 @@ def save_obj(obj, path: str) -> None:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text: sorted keys, fixed separators, trailing newline.
+
+    The text is that of ``json.dumps(obj, sort_keys=True, indent=2)``, whose
+    indenting encoder runs in pure Python; :func:`_emit` writes the same
+    bytes with one formatting call per list of ``[re, im]`` pairs.
+    """
+    return _emit(obj, "\n") + "\n"
+
+
+def _emit(obj, newline: str) -> str:
+    """JSON text of ``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)``
+    writes it, nested where a line break reads ``newline``."""
+    inner = newline + "  "
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = (f"{json.dumps(key)}: {_emit(obj[key], inner)}" for key in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(obj) is list and obj:
+        text = _float_pairs(obj, inner)
+        if text is None:
+            text = ("," + inner).join(_emit(item, inner) for item in obj)
+        return "[" + inner + text + newline + "]"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline)
+
+
+def _float_pairs(items: list, newline: str) -> Optional[str]:
+    """The items of a list of finite ``[re, im]`` float pairs, joined as
+    :func:`_emit` joins them, or None for any other list."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    values = tuple(chain.from_iterable(items))
+    if set(map(type, values)) != {float}:
+        return None
+    inner = newline + "  "
+    pair = "[" + inner + "%r," + inner + "%r" + newline + "]"
+    text = ("," + newline).join([pair] * len(items)) % values
+    # repr writes NaN and infinities as nan and inf, where JSON has NaN and
+    # Infinity; no finite float's repr holds an "n".
+    return None if "n" in text else text

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 
 from subspace_products import CatalogSpec, make_subspace, vec
+from subspace_products.core import _basis_array, _gaussian_coefficients, _vec_columns
+from subspace_products.pencil import _PROBE_ALTERNATIONS
 
 
 def cell(n, i, j, value=1.0):
@@ -172,3 +174,31 @@ def strongly_nonsingular(A, floor=1e-6):
     return all(
         abs(np.linalg.det(A[: m + 1, : m + 1])) > floor for m in range(A.shape[0])
     )
+
+
+def sequential_probe(S1, S2, budget=100, seed=0):
+    """Reference zero-product probe: every start in turn, one alternation at a
+    time, two SVDs per alternation.
+
+    Returns the best value and its pair of members, the first start's on a
+    tie.
+    """
+    T1 = _basis_array(S1)
+    T2 = _basis_array(S2)
+    best = (np.inf, None)
+    for start in range(budget):
+        c1 = _gaussian_coefficients(np.random.default_rng(seed + start), S1.dim, S1.field)
+        c1 = c1 / np.linalg.norm(c1)
+        prev = np.inf
+        for _ in range(_PROBE_ALTERNATIONS):
+            _, _, Vh2 = np.linalg.svd(_vec_columns(np.matmul(S1.element(c1), T2)), full_matrices=False)
+            V2 = S2.element(Vh2[-1].conj())
+            _, s1, Vh1 = np.linalg.svd(_vec_columns(np.matmul(T1, V2)), full_matrices=False)
+            c1 = Vh1[-1].conj()
+            val = float(s1[-1])
+            if prev - val < 1e-15:
+                break
+            prev = val
+        if val < best[0]:
+            best = (val, (S1.element(c1), V2))
+    return best

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from subspace_products import subspace_from_matrices
+from subspace_products import cli, serialization, subspace_from_matrices
 from subspace_products.cli import main
 from subspace_products.serialization import (
     dumps_canonical,
@@ -13,6 +13,23 @@ from subspace_products.serialization import (
     vector_to_obj,
 )
 from helpers import catalog, cell, random_complex
+
+
+@pytest.fixture(autouse=True)
+def writer_matches_json_dumps(monkeypatch):
+    """Check every report and file the CLI writes, byte for byte, against the
+    standard library's indenting encoder."""
+
+    def checked(obj):
+        text = dumps_canonical(obj)
+        assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        checked.calls += 1
+        return text
+
+    checked.calls = 0
+    monkeypatch.setattr(cli, "dumps_canonical", checked)
+    monkeypatch.setattr(serialization, "dumps_canonical", checked)
+    return checked
 
 
 @pytest.fixture
@@ -236,18 +253,20 @@ class TestSolveCommand:
         assert json.loads(out)["result"]["stop"] == "max_iter"
         assert run(capsys, argv) == (0, out)
 
-    def test_model_out_file(self, capsys, tmp_path, lu_pair_files):
+    def test_model_out_file(self, capsys, tmp_path, lu_pair_files, writer_matches_json_dumps):
         from subspace_products.serialization import load_json, model_from_obj
 
         rng = np.random.default_rng(7)
         fb = tmp_path / "b.json"
         save_obj(vector_to_obj(rng.standard_normal(9)), str(fb))
         model_path = tmp_path / "model.json"
+        written = writer_matches_json_dumps.calls
         code, _ = run(
             capsys,
             ["solve", *lu_pair_files, str(fb), "--restarts", "3", "--model-out", str(model_path)],
         )
         assert code == 0
+        assert writer_matches_json_dumps.calls == written + 2  # the model file and the report
         model = model_from_obj(load_json(str(model_path)))
         assert (model.j, model.kmj, model.l) == (6, 4, 9)
 

@@ -18,11 +18,12 @@ from subspace_products import (
     normalize_pair,
     normalize_pencil,
     numerical_rank,
+    pencil,
     subspace_from_matrices,
     vec,
     zero_product_probe,
 )
-from helpers import catalog, cell, random_complex
+from helpers import catalog, cell, random_complex, sequential_probe
 
 
 def spanIX(X, field="complex"):
@@ -297,6 +298,117 @@ class TestZeroProductProbe:
                 V2 = sum(c / np.linalg.norm(c2) * B for c, B in zip(c2, S2.basis_matrices()))
                 grid_best = min(grid_best, np.linalg.norm(V1 @ V2))
             assert val <= grid_best + 1e-12
+
+
+def _pairs_without_zero_divisors():
+    """(S1, S2, probe seed): catalog pairs, then the random complex 2 x 2
+    pairs of test_never_beats_brute_force_grid."""
+    pairs = [
+        (catalog("circulant", n, field), catalog("diagonal", n, field), 0)
+        for n in (4, 6, 8)
+        for field in ("real", "complex")
+    ]
+    hr = catalog("hurwitz_radon_2", 2, field="real")
+    pairs.append((hr, hr, 0))
+    pairs.append((catalog("toeplitz_upper_triangular", 3), catalog("toeplitz_lower_triangular", 3), 0))
+    # At seed 2, starts 3 and 6 (one block) tie at the smallest value with
+    # different members, so the first start must win inside a block.
+    pairs.append((
+        catalog("toeplitz_upper_triangular", 3, "real"),
+        catalog("toeplitz_lower_triangular", 3, "real"),
+        2,
+    ))
+    rng = np.random.default_rng(8)
+    for trial in range(3):
+        S1 = subspace_from_matrices([random_complex(rng, 2), random_complex(rng, 2)])
+        S2 = subspace_from_matrices([random_complex(rng, 2), random_complex(rng, 2)])
+        pairs.append((S1, S2, trial))
+    return pairs
+
+
+def _zero_divisor_pairs():
+    return [
+        (catalog("lower_triangular", 4), catalog("unit_upper_constant_diagonal", 4)),
+        (catalog("lower_triangular", 6, "real"), catalog("unit_upper_constant_diagonal", 6, "real")),
+        (catalog("rank_rows", 3, k=1), catalog("rank_cols", 3, k=1)),
+    ]
+
+
+class TestBatchedProbe:
+    """The batched probe against the sequential reference in helpers."""
+
+    @pytest.mark.parametrize("S1, S2, seed", _pairs_without_zero_divisors())
+    def test_matches_sequential_reference(self, S1, S2, seed):
+        ref_val, (R1, R2) = sequential_probe(S1, S2, budget=30, seed=seed)
+        val, (V1, V2) = zero_product_probe(S1, S2, budget=30, seed=seed)
+        assert val == pytest.approx(ref_val, rel=1e-12)
+        np.testing.assert_allclose(V1, R1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(V2, R2, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("S1, S2", _zero_divisor_pairs())
+    def test_zero_divisor_pairs_reach_round_off(self, S1, S2):
+        val, (V1, V2) = zero_product_probe(S1, S2, budget=100, seed=0)
+        assert val < S1.tols.abs_floor
+        assert np.linalg.norm(V1 @ V2) < S1.tols.abs_floor
+        assert abs(np.linalg.norm(V1) - 1) < 1e-12
+        assert abs(np.linalg.norm(V2) - 1) < 1e-12
+        assert membership(S1, V1).inside and membership(S2, V2).inside
+
+    @pytest.mark.parametrize(
+        "S1, S2",
+        [(S1, S2) for S1, S2, _ in _pairs_without_zero_divisors() if S1.dim > 2]
+        + _zero_divisor_pairs(),
+    )
+    def test_certificate_details_match_reference(self, S1, S2):
+        ref_val, _ = sequential_probe(S1, S2, budget=40, seed=0)
+        cert = closedness_certificate(S1, S2, budget=40, seed=0)
+        expected = {
+            "min_product_norm": ref_val if ref_val >= S1.tols.abs_floor else 0.0,
+            "budget": 40,
+            "probe_threshold": 1e-6,
+        }
+        assert cert.details == expected
+
+    @staticmethod
+    def spy_blocks(monkeypatch):
+        """Record the starts of every block the probe runs."""
+        blocks = []
+        block = pencil._probe_block
+
+        def spy(S1, S2, starts, seed):
+            blocks.append(starts)
+            return block(S1, S2, starts, seed)
+
+        monkeypatch.setattr(pencil, "_probe_block", spy)
+        return blocks
+
+    def test_stops_after_first_round_off_zero(self, monkeypatch):
+        blocks = self.spy_blocks(monkeypatch)
+        L = catalog("lower_triangular", 6, "real")
+        U = catalog("unit_upper_constant_diagonal", 6, "real")
+        val, _ = zero_product_probe(L, U, budget=100, seed=0)
+        assert val < L.tols.abs_floor
+        assert blocks == [range(0, 1)]
+        cert = closedness_certificate(L, U, budget=100, seed=0)
+        assert cert.details["budget"] == 100
+        assert cert.details["min_product_norm"] == 0.0
+
+    def test_blocks_double_up_to_the_budget(self, monkeypatch):
+        blocks = self.spy_blocks(monkeypatch)
+        zero_product_probe(catalog("circulant", 4), catalog("diagonal", 4), budget=100, seed=0)
+        assert [len(b) for b in blocks] == [1, 2, 4, 8, 16, 32, 37]
+        assert blocks[0].start == 0 and blocks[-1].stop == 100
+
+    def test_stack_cap_splits_blocks_without_changing_the_result(self, monkeypatch):
+        S1, S2 = catalog("circulant", 6), catalog("diagonal", 6)
+        expected = zero_product_probe(S1, S2, budget=20, seed=3)
+        blocks = self.spy_blocks(monkeypatch)
+        monkeypatch.setattr(pencil, "_PROBE_STACK_ENTRIES", 3 * 6 * 6 * 6)
+        val, (V1, V2) = zero_product_probe(S1, S2, budget=20, seed=3)
+        assert max(len(b) for b in blocks) == 3 and sum(len(b) for b in blocks) == 20
+        assert val == expected[0]
+        np.testing.assert_array_equal(V1, expected[1][0])
+        np.testing.assert_array_equal(V2, expected[1][1])
 
 
 class TestClosedness:

@@ -203,6 +203,53 @@ class TestFormatPinned:
         assert dumps_canonical(subspace_to_obj(catalog("diagonal", 2))) == DIAGONAL_2
 
 
+
+def json_dumps_text(obj) -> str:
+    """The text the canonical writer must match byte for byte."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class TestCanonicalWriter:
+    """dumps_canonical writes exactly the bytes of the standard library's
+    indenting encoder."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_model_file(self, field):
+        obj = model_to_obj(
+            extract_bilinear(
+                catalog("lower_triangular", 4, field),
+                catalog("unit_upper_constant_diagonal", 4, field),
+            )
+        )
+        assert dumps_canonical(obj) == json_dumps_text(obj)
+
+    def test_odd_values(self):
+        obj = {
+            "empty": [[], {}, [[]], [{}], {"x": []}],
+            "non_finite": [float("nan"), float("inf"), -float("inf")],
+            "pairs_with_non_finite": [[1.0, float("nan")], [float("-inf"), 2.0]],
+            "signed_zeros": [[0.0, -0.0], [-0.0, 0.0]],
+            "int_pairs": [[1, 2.0], [3, -4]],
+            "bool_pair": [[True, 1.0]],
+            "numpy_floats": [[np.float64(1.5), 0.0], [np.float64(-0.0), np.float64(2.0)]],
+            "three": [[1.0, 2.0, 3.0]],
+            "tuple_pairs": [(1.0, 2.0), (3.0, 4.0)],
+            "mixed": [[1.0, 2.0], "x", [3.0, 4.0]],
+            "extremes": [[1e300, -1e-300], [5e-324, 1.7976931348623157e308]],
+            "nested": {"b": {"c": [[0.25, -0.5]]}, "a": None},
+            "scalars": [0, -1, 2.5, True, False, None, "s"],
+            "non-ASCII \u00e9": "\u00fc \u2713 \n\t\"",
+            "\u00e0": 1,
+            "Z": 0,
+        }
+        assert dumps_canonical(obj) == json_dumps_text(obj)
+
+    @pytest.mark.parametrize(
+        "obj", [[], {}, 1.0, float("nan"), "x", None, 7, [[1.0, 2.0]], [[[1.0, 2.0]]], {1: 2.0}],
+    )
+    def test_small_values(self, obj):
+        assert dumps_canonical(obj) == json_dumps_text(obj)
+
 INT_MATRIX = """\
 {
   "entries": [
