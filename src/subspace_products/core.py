@@ -202,25 +202,30 @@ def _products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return P.reshape((-1,) + P.shape[-2:])
 
 
-def _subspace_from_stack(
-    stack: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
-) -> MatrixSubspace:
-    """The span of the columns of a validated (n*n, N) stack of vectorized
-    members, with ``raw_basis`` the N members as matrices.
+def _reduced_stack(stack: np.ndarray) -> np.ndarray:
+    """A matrix with the singular values and left singular vectors of a
+    validated (n*n, N) stack of vectorized members, at most n*n wide.
 
     A stack wider than tall is factored QR-first (Chan's R-SVD): with
     ``stack^T = Q R``, ``stack = R^T Q^T`` and ``Q^T`` has orthonormal rows,
     so the m-by-m ``R^T`` has the singular values and the left singular
     vectors of the stack, and the N-wide right singular vectors are never
     formed.  If ``R`` overflows (entries near the largest float), the stack
-    goes to the SVD, which scales its input first.
+    itself is returned for the SVD, which scales its input first.
     """
     m, N = stack.shape
     if N > m:
         R = np.linalg.qr(stack.T, mode="r")
         if np.all(np.isfinite(R)):
-            stack = R.T
-    U, s, _ = np.linalg.svd(stack, full_matrices=False)
+            return R.T
+    return stack
+
+
+def _span_of_reduced(
+    F: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
+) -> MatrixSubspace:
+    """The span of the columns of a reduced stack (see :func:`_reduced_stack`)."""
+    U, s, _ = np.linalg.svd(F, full_matrices=False)
     dim = rank_from_singular_values(s, tols)
     Q = np.array(U[:, :dim])
     if field == REAL:
@@ -228,6 +233,42 @@ def _subspace_from_stack(
     return MatrixSubspace(
         n=n, field=field, raw_basis=raw_basis, dim=dim, ortho_basis=Q, tols=tols
     )
+
+
+def _subspace_from_stack(
+    stack: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
+) -> MatrixSubspace:
+    """The span of the columns of a validated (n*n, N) stack of vectorized
+    members, with ``raw_basis`` the N members as matrices, from one SVD of
+    the reduced stack (see :func:`_reduced_stack`)."""
+    return _span_of_reduced(_reduced_stack(stack), n, field, raw_basis, tols)
+
+
+def _full_space(
+    n: int, field: str, tols: Tolerances, raw_basis: Optional[tuple] = None
+) -> MatrixSubspace:
+    """All n-by-n matrices, with the identity as ``ortho_basis`` (the
+    vectorized matrix units).  ``raw_basis`` defaults to the n*n matrix
+    units in column-major order."""
+    identity = np.eye(n * n, dtype=dtype_for(field))
+    if raw_basis is None:
+        raw_basis = tuple(unvec(e, n) for e in identity.T)
+    return MatrixSubspace(
+        n=n, field=field, raw_basis=raw_basis, dim=n * n, ortho_basis=identity, tols=tols
+    )
+
+
+def _subspace_unless_full(
+    stack: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
+) -> MatrixSubspace:
+    """:func:`_subspace_from_stack` for a stack that may span every n-by-n
+    matrix.  The rank comes from the singular values of the reduced stack
+    alone; a full rank gives :func:`_full_space` over ``raw_basis``, and
+    only a proper span pays for the singular vectors."""
+    F = _reduced_stack(stack)
+    if F.shape[1] >= n * n and matrix_rank(F, tols) == n * n:
+        return _full_space(n, field, tols, raw_basis)
+    return _span_of_reduced(F, n, field, raw_basis, tols)
 
 
 def subspace_from_matrices(

@@ -9,6 +9,7 @@ set is flat, i.e. equals its linearization.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -18,9 +19,11 @@ from .core import (
     MatrixSubspace,
     _basis_array,
     _check_count,
+    _full_space,
     _gaussian_coefficients,
     _products,
     _subspace_from_stack,
+    _subspace_unless_full,
     _vec_columns,
     as_square_matrix,
     check_same_space,
@@ -31,6 +34,8 @@ from .core import (
     subspaces_equal,
 )
 from .errors import FieldMismatch, SizeMismatch, ZeroSubspace
+
+_log = logging.getLogger("subspace_products")
 
 # Extra samples allowed beyond the requested trials so a curved verdict is
 # backed by at least three agreeing max-rank observations.
@@ -49,12 +54,16 @@ class ProductAnalysis:
     linearization dimension; a curved verdict is a sampled claim backed by
     at least three trials agreeing on the maximal observed rank.
 
-    ``lin_basis_ref`` is the linearization spanned by sampled products of
-    Gaussian members, drawn in blocks until their rank stalls at least
-    ``_SKETCH_OVERSAMPLING`` (8) below their number; its ``raw_basis`` holds
-    those products, not the basis products ``B_s C_t`` of
-    :func:`linearization`, except when there are no more basis products
-    than a block would draw and every one of them is used.
+    ``lin_basis_ref`` is the linearization.  When a trial's rank is n^2 it
+    is the whole matrix space: its ``raw_basis`` holds the n^2 matrix units
+    in column-major order and its ``ortho_basis`` is the identity.
+    Otherwise it is spanned by sampled products of Gaussian members, drawn
+    in blocks until their rank stalls at least ``_SKETCH_OVERSAMPLING`` (8)
+    below their number; its ``raw_basis`` holds those products, not the
+    basis products ``B_s C_t`` of :func:`linearization`, except when there
+    are no more basis products than a block would draw and every one of
+    them is used.  Such a span of every n-by-n matrix also has the identity
+    as ``ortho_basis``, unless the first sampled block already stalled there.
     """
 
     lin_dim: int
@@ -100,13 +109,21 @@ def product_map(V1, V2) -> np.ndarray:
     return A @ B
 
 
-def _linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> Tuple[MatrixSubspace, np.ndarray]:
-    """The linearization and its (n*n, S1.dim * S2.dim) stack of vectorized
-    basis products, in the order of its ``raw_basis``."""
+def _basis_products(S1: MatrixSubspace, S2: MatrixSubspace) -> np.ndarray:
+    """The S1.dim * S2.dim products B_s C_t of the orthonormal basis matrices,
+    as a (count, n, n) array in the order of :func:`linearization`'s
+    ``raw_basis``; one zero matrix when either factor is zero."""
     check_same_space(S1, S2)
     P = _products(_basis_array(S1)[:, None], _basis_array(S2)[None])
     if not len(P):
         P = np.zeros((1, S1.n, S1.n), dtype=dtype_for(S1.field))
+    return P
+
+
+def _linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> Tuple[MatrixSubspace, np.ndarray]:
+    """The linearization and its (n*n, S1.dim * S2.dim) stack of vectorized
+    basis products, in the order of its ``raw_basis``."""
+    P = _basis_products(S1, S2)
     stack = _vec_columns(P)
     return _subspace_from_stack(stack, S1.n, S1.field, tuple(P), S1.tols), stack
 
@@ -121,6 +138,17 @@ def linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
     return _linearization(S1, S2)[0]
 
 
+def _sampled_products(
+    S1: MatrixSubspace, S2: MatrixSubspace, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """``count`` products X_i Y_i of Gaussian members of S1 and S2."""
+    d1 = S1.dim
+    C = _gaussian_coefficients(rng, (count, d1 + S2.dim), S1.field)
+    X = np.tensordot(C[:, :d1], _basis_array(S1), axes=1)
+    Y = np.tensordot(C[:, d1:], _basis_array(S2), axes=1)
+    return _products(X, Y)
+
+
 def _sketched_linearization(
     S1: MatrixSubspace, S2: MatrixSubspace, rng: np.random.Generator
 ) -> MatrixSubspace:
@@ -131,24 +159,36 @@ def _sketched_linearization(
     product set) are linearly independent up to the dimension of its span,
     so a block of products whose rank stays at least ``_SKETCH_OVERSAMPLING``
     below their number has stalled at the full dimension.  The first block
-    draws S1.dim + S2.dim + ``_SKETCH_OVERSAMPLING`` products; if it has not
-    stalled, a second block tops it up to n^2 + ``_SKETCH_OVERSAMPLING``, past
-    the largest possible rank.  When there are no more basis products than a
-    block would draw, every basis product is used instead.
+    draws S1.dim + S2.dim + ``_SKETCH_OVERSAMPLING`` products and is spanned
+    by one SVD.  If it has not stalled, a second block tops it up to
+    n^2 + ``_SKETCH_OVERSAMPLING``, past the largest possible rank.  When
+    there are no more basis products than a block would draw, every basis
+    product is used instead.  Those last two spans exist to reach past n^2,
+    so their rank comes from singular values alone: a span of every n-by-n
+    matrix gets the identity as ``ortho_basis`` (its ``raw_basis`` still
+    holds the products), and only a proper span pays for singular vectors.
     """
     check_same_space(S1, S2)
-    d1, d2 = S1.dim, S2.dim
-    P = np.zeros((0, S1.n, S1.n), dtype=dtype_for(S1.field))
-    for count in (d1 + d2 + _SKETCH_OVERSAMPLING, S1.n**2 + _SKETCH_OVERSAMPLING):
-        if d1 * d2 <= count:
-            return _linearization(S1, S2)[0]
-        C = _gaussian_coefficients(rng, (count - len(P), d1 + d2), S1.field)
-        X = np.tensordot(C[:, :d1], _basis_array(S1), axes=1)
-        Y = np.tensordot(C[:, d1:], _basis_array(S2), axes=1)
-        P = np.concatenate([P, _products(X, Y)])
-        lin = _subspace_from_stack(_vec_columns(P), S1.n, S1.field, tuple(P), S1.tols)
-        if lin.dim <= len(P) - _SKETCH_OVERSAMPLING:
-            break
+    n, d1, d2 = S1.n, S1.dim, S2.dim
+    first = d1 + d2 + _SKETCH_OVERSAMPLING
+    top_up = n * n + _SKETCH_OVERSAMPLING
+    if d1 * d2 <= first:
+        P = _basis_products(S1, S2)
+    else:
+        P = _sampled_products(S1, S2, rng, first)
+        lin = _subspace_from_stack(_vec_columns(P), n, S1.field, tuple(P), S1.tols)
+        _log.debug("sketch block: %d products, rank %d", len(P), lin.dim)
+        if lin.dim <= first - _SKETCH_OVERSAMPLING:
+            return lin
+        if d1 * d2 <= top_up:
+            P = _basis_products(S1, S2)
+        else:
+            P = np.concatenate([P, _sampled_products(S1, S2, rng, top_up - first)])
+    lin = _subspace_unless_full(_vec_columns(P), n, S1.field, tuple(P), S1.tols)
+    _log.debug(
+        "sketch span past n^2: %d products, rank %d, %s",
+        len(P), lin.dim, "full" if lin.dim == n * n else "proper",
+    )
     return lin
 
 
@@ -225,14 +265,19 @@ def flatness_test(
     ``trials`` (bounded) until at least three points agree on the maximal
     observed rank.  Per-trial seeds are ``seed + 2 t`` for the first factor
     and ``seed + 2 t + 1`` for the second, so reports are reproducible and
-    individual points can be regenerated with :func:`sample_pair`.  The
-    linearization is spanned by sampled products drawn from a generator of
-    its own, seeded with ``seed`` (see :class:`ProductAnalysis`).
+    individual points can be regenerated with :func:`sample_pair`.
+
+    The first ``trials`` trials run before the linearization is spanned.
+    Their tangent spaces V1 S2 + S1 V2 are spanned by products of members,
+    so they lie in the linearization: a trial of rank n^2 settles it as the
+    whole matrix space, with the matrix units as basis, and no product is
+    spanned.  Otherwise the linearization is spanned by sampled products
+    drawn from a generator of its own, seeded with ``seed``, so the trial
+    ranks do not depend on it (see :class:`ProductAnalysis`).
     """
     _check_count("trials", trials)
     if S1.dim == 0 or S2.dim == 0:
         raise ZeroSubspace("flatness analysis requires nonzero subspaces")
-    lin = _sketched_linearization(S1, S2, np.random.default_rng(seed))
     ranks = []
 
     def run_trial(t: int) -> int:
@@ -242,9 +287,15 @@ def flatness_test(
         ranks.append((s_t, r))
         return r
 
-    flat = False
     for t in range(trials):
-        flat = run_trial(t) == lin.dim or flat
+        run_trial(t)
+    full_seed = next((s for s, r in ranks if r == S1.n**2), None)
+    if full_seed is None:
+        lin = _sketched_linearization(S1, S2, np.random.default_rng(seed))
+    else:
+        _log.debug("trial seed %d has rank n^2 = %d: the linearization is M_n", full_seed, S1.n**2)
+        lin = _full_space(S1.n, S1.field, S1.tols)
+    flat = any(r == lin.dim for _, r in ranks)
     t = trials
     while not flat and t < trials + _MAX_EXTRA_TRIALS:
         max_rank = max(r for _, r in ranks)

@@ -4,8 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from subspace_products import CatalogSpec, make_subspace, vec
-from subspace_products.core import _basis_array, _gaussian_coefficients, _vec_columns
+from subspace_products import CatalogSpec, linearization, make_subspace, vec
+from subspace_products.core import (
+    _basis_array,
+    _gaussian_coefficients,
+    _products,
+    _subspace_from_stack,
+    _vec_columns,
+)
+from subspace_products.geometry import ProductAnalysis, product_map_rank, sample_pair
 from subspace_products.pencil import _PROBE_ALTERNATIONS
 
 
@@ -202,3 +209,52 @@ def sequential_probe(S1, S2, budget=100, seed=0):
         if val < best[0]:
             best = (val, (S1.element(c1), V2))
     return best
+
+
+def sketch_first_flatness(S1, S2, trials=5, seed=0):
+    """Reference flatness report: the linearization is spanned before any
+    trial, by sampled products in blocks of d1 + d2 + 8, then n^2 + 8, each
+    spanned by one SVD with singular vectors, or by every basis product when
+    there are no more of them than a block would draw."""
+    d1, d2 = S1.dim, S2.dim
+    rng = np.random.default_rng(seed)
+    P = np.zeros((0, S1.n, S1.n), dtype=S1.ortho_basis.dtype)
+    for count in (d1 + d2 + 8, S1.n**2 + 8):
+        if d1 * d2 <= count:
+            lin = linearization(S1, S2)
+            break
+        C = _gaussian_coefficients(rng, (count - len(P), d1 + d2), S1.field)
+        X = np.tensordot(C[:, :d1], _basis_array(S1), axes=1)
+        Y = np.tensordot(C[:, d1:], _basis_array(S2), axes=1)
+        P = np.concatenate([P, _products(X, Y)])
+        lin = _subspace_from_stack(_vec_columns(P), S1.n, S1.field, tuple(P), S1.tols)
+        if lin.dim <= len(P) - 8:
+            break
+    ranks = []
+
+    def run_trial(t):
+        s_t = seed + 2 * t
+        r = product_map_rank(S1, S2, *sample_pair(S1, S2, s_t))
+        ranks.append((s_t, r))
+        return r
+
+    flat = False
+    for t in range(trials):
+        flat = run_trial(t) == lin.dim or flat
+    t = trials
+    while not flat and t < trials + 25:
+        max_rank = max(r for _, r in ranks)
+        if sum(1 for _, r in ranks if r == max_rank) >= 3:
+            break
+        flat = run_trial(t) == lin.dim
+        t += 1
+    generic_rank = max(r for _, r in ranks)
+    return ProductAnalysis(
+        lin_dim=lin.dim,
+        lin_basis_ref=lin,
+        sampled_ranks=tuple(ranks),
+        generic_rank=generic_rank,
+        flat=generic_rank == lin.dim,
+        trials=len(ranks),
+        tol_used=S1.tol,
+    )

@@ -24,6 +24,7 @@ from subspace_products.core import (
     _basis_array,
     _products,
     _subspace_from_stack,
+    _subspace_unless_full,
     _vec_columns,
     matrix_rank,
     rank_from_singular_values,
@@ -194,6 +195,39 @@ class TestSubspaceFromStack:
             U[:, :dim] @ U[:, :dim].conj().T,
             atol=1e-12,
         )
+
+
+class TestSubspaceUnlessFull:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_full_span_gets_the_identity_basis(self, field):
+        S1, S2 = (catalog(kind, 4, field) for kind in ("circulant", "diagonal"))
+        P = np.concatenate([_products(_basis_array(S1)[:, None], _basis_array(S2)[None])] * 2)
+        S = _subspace_unless_full(_vec_columns(P), 4, field, tuple(P), S1.tols)
+        assert S.dim == 16
+        np.testing.assert_array_equal(S.ortho_basis, np.eye(16, dtype=S1.ortho_basis.dtype))
+        assert len(S.raw_basis) == 32
+        np.testing.assert_array_equal(S.raw_basis[5], P[5])
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_proper_span_is_the_one_svd_span(self, field):
+        S1, S2 = (catalog(kind, 4, field, k=1) for kind in ("rank_rows", "rank_cols"))
+        P = _products(_basis_array(S1)[:, None], _basis_array(S2)[None])
+        stack = _vec_columns(P)
+        assert stack.shape[1] >= stack.shape[0]
+        got = _subspace_unless_full(stack, 4, field, tuple(P), S1.tols)
+        want = _subspace_from_stack(stack, 4, field, tuple(P), S1.tols)
+        assert got.dim == want.dim == 1
+        np.testing.assert_array_equal(got.ortho_basis, want.ortho_basis)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_qr_falls_back_to_the_svd(self):
+        # Entries near the float maximum: Householder QR overflows R here
+        # (with OpenBLAS), while the SVD, which scales its input, keeps
+        # every singular value finite and decides the rank.
+        stack = 7e307 * np.random.default_rng(0).uniform(-1.0, 1.0, (4, 8))
+        S = _subspace_unless_full(stack, 2, "real", (), Tolerances())
+        assert S.dim == 4
+        np.testing.assert_array_equal(S.ortho_basis, np.eye(4))
 
 
 class TestEquivalenceTransform:

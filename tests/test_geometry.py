@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,9 @@ from subspace_products import (
     vec,
 )
 from subspace_products.catalog import KINDS
+from subspace_products import geometry
 from subspace_products.geometry import _sketched_linearization
-from helpers import brute_span_rank, brute_tangent_rank, catalog, cell
+from helpers import brute_span_rank, brute_tangent_rank, catalog, cell, sketch_first_flatness
 
 
 class TestProductMap:
@@ -232,6 +235,119 @@ class TestSketchedLinearization:
         B, E = C.basis_matrices(), D.basis_matrices()
         assert len(lin.raw_basis) == 64
         np.testing.assert_array_equal(lin.raw_basis[9], B[1] @ E[1])
+
+
+def assert_same_report(S1, S2, seed):
+    got = flatness_test(S1, S2, seed=seed)
+    want = sketch_first_flatness(S1, S2, seed=seed)
+    assert got.to_dict() == want.to_dict()
+    assert subspaces_equal(got.lin_basis_ref, want.lin_basis_ref)
+    return got, want
+
+
+def spy_on_sketch(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _sketched_linearization(*args)
+
+    monkeypatch.setattr(geometry, "_sketched_linearization", spy)
+    return calls
+
+
+class TestTrialsBeforeSketch:
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_reports_match_sketch_first_on_catalog_pairs(self, n, field):
+        subs = [catalog(kind, n, field, **params) for kind, params in SKETCH_KINDS.items()]
+        for S1 in subs:
+            for S2 in subs:
+                for seed in (0, 3):
+                    assert_same_report(S1, S2, seed)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind1,kind2,params", LADDER_PAIRS)
+    def test_reports_match_sketch_first_on_ladder_pairs(self, kind1, kind2, params, field):
+        S1 = catalog(kind1, 8, field, **params)
+        S2 = catalog(kind2, 8, field, **params)
+        for seed in (0, 3):
+            assert_same_report(S1, S2, seed)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind1,kind2,params", LADDER_PAIRS)
+    def test_sketch_runs_only_when_no_trial_has_full_rank(
+        self, kind1, kind2, params, field, monkeypatch
+    ):
+        calls = spy_on_sketch(monkeypatch)
+        flatness_test(catalog(kind1, 8, field, **params), catalog(kind2, 8, field, **params))
+        settled_by_trials = kind1 in ("lower_triangular", "symmetric")
+        assert len(calls) == (0 if settled_by_trials else 1)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_full_space_basis_is_the_matrix_units(self, field):
+        L = catalog("lower_triangular", 4, field)
+        U = catalog("unit_upper_constant_diagonal", 4, field)
+        lin = flatness_test(L, U).lin_basis_ref
+        units = np.eye(16, dtype=L.ortho_basis.dtype)
+        assert lin.dim == 16
+        assert lin.ortho_basis.dtype == L.ortho_basis.dtype
+        np.testing.assert_array_equal(lin.ortho_basis, units)
+        assert len(lin.raw_basis) == 16
+        for k, E in enumerate(lin.raw_basis):
+            np.testing.assert_array_equal(E, cell(4, k % 4, k // 4))
+            np.testing.assert_array_equal(vec(E), units[:, k])
+
+    @pytest.mark.parametrize(
+        "kind1,kind2,params,n",
+        [("circulant", "diagonal", {}, 16), ("rank_cols", "rank_rows", {"k": 2}, 8)],
+    )
+    def test_span_past_n_squared_has_the_identity_basis(self, kind1, kind2, params, n):
+        S1 = catalog(kind1, n, "real", **params)
+        S2 = catalog(kind2, n, "real", **params)
+        got, want = assert_same_report(S1, S2, 0)
+        lin = got.lin_basis_ref
+        assert lin.dim == n * n
+        np.testing.assert_array_equal(lin.ortho_basis, np.eye(n * n))
+        np.testing.assert_array_equal(
+            np.array(lin.raw_basis), np.array(want.lin_basis_ref.raw_basis)
+        )
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_factorizability_verdicts_unchanged_for_lu(self, field):
+        L = catalog("lower_triangular", 4, field)
+        U = catalog("unit_upper_constant_diagonal", 4, field)
+        full = subspace_from_matrices(
+            [cell(4, i, j) for i in range(4) for j in range(4)], field=field
+        )
+        no_corner = subspace_from_matrices(
+            [cell(4, i, j) for i in range(4) for j in range(4) if (i, j) != (0, 3)], field=field
+        )
+        want = sketch_first_flatness(L, U).lin_basis_ref
+        for W, expected in ((full, True), (no_corner, False)):
+            verdict, _ = factorizability_check(W, L, U)
+            assert verdict is expected
+            assert subspaces_equal(want, W) is expected
+
+    def test_debug_log_names_the_deciding_path(self, caplog, capsys):
+        L = catalog("lower_triangular", 4, "real")
+        U = catalog("unit_upper_constant_diagonal", 4, "real")
+        cols = catalog("rank_cols", 8, "real", k=2)
+        rows = catalog("rank_rows", 8, "real", k=2)
+        with caplog.at_level(logging.DEBUG, logger="subspace_products"):
+            flatness_test(L, U, seed=0)
+            flatness_test(cols, rows, seed=0)
+            flatness_test(rows, cols, seed=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "trial seed 0 has rank n^2 = 16: the linearization is M_n",
+            "sketch block: 40 products, rank 40",
+            "sketch span past n^2: 72 products, rank 64, full",
+            "sketch block: 40 products, rank 4",
+        ]
+        assert all(r.name == "subspace_products" for r in caplog.records)
+        # Without a configured handler, debug events print nothing.
+        flatness_test(L, U, seed=0)
+        assert capsys.readouterr() == ("", "")
 
 
 class TestTangentSpace:
