@@ -9,6 +9,8 @@ negative (no witness, curved, unknown closedness, no factorization).
 from __future__ import annotations
 
 import argparse
+import functools
+import logging
 import sys
 
 import numpy as np
@@ -49,6 +51,7 @@ from .serialization import (
 )
 
 _CHECK_FAILED = 2
+_log = logging.getLogger("subspace_products")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -141,6 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call and never
+    modified; :func:`build_parser` returns a fresh one to callers."""
+    return build_parser()
+
+
 def _tolerances(args) -> Tolerances:
     kwargs = {}
     if args.tol is not None:
@@ -183,6 +193,19 @@ def _header(args, tols: Tolerances) -> dict:
     }
 
 
+def _subspace(path: str, tols: Tolerances):
+    S = load_subspace(path, tols=tols)
+    _log.debug("loaded %s: subspace n=%d field=%s dim=%d", path, S.n, S.field, S.dim)
+    return S
+
+
+def _array(load, path: str, **kwargs) -> np.ndarray:
+    """A matrix or vector file read by ``load``."""
+    A = load(path, **kwargs)
+    _log.debug("loaded %s: shape %s dtype %s", path, A.shape, A.dtype)
+    return A
+
+
 def _emit(args, tols: Tolerances, result: dict) -> None:
     _write(args, {**_header(args, tols), "result": result})
 
@@ -201,8 +224,8 @@ def _write(args, obj: dict) -> None:
 
 
 def _cmd_analyze(args, tols) -> int:
-    S1 = load_subspace(args.subspace1, tols=tols)
-    S2 = load_subspace(args.subspace2, tols=tols)
+    S1 = _subspace(args.subspace1, tols)
+    S2 = _subspace(args.subspace2, tols)
     report = flatness_test(S1, S2, trials=args.trials, seed=args.seed)
     cert = closedness_certificate(S1, S2, budget=args.budget, seed=args.seed)
     _emit(args, tols, {
@@ -214,8 +237,8 @@ def _cmd_analyze(args, tols) -> int:
 
 
 def _cmd_flatness(args, tols) -> int:
-    S1 = load_subspace(args.subspace1, tols=tols)
-    S2 = load_subspace(args.subspace2, tols=tols)
+    S1 = _subspace(args.subspace1, tols)
+    S2 = _subspace(args.subspace2, tols)
     report = flatness_test(S1, S2, trials=args.trials, seed=args.seed)
     _emit(args, tols, report.to_dict())
     return 0 if report.flat else _CHECK_FAILED
@@ -223,8 +246,8 @@ def _cmd_flatness(args, tols) -> int:
 
 def _cmd_curvature(args, tols) -> int:
     _check_count("directions", args.directions)
-    S1 = load_subspace(args.subspace1, tols=tols)
-    S2 = load_subspace(args.subspace2, tols=tols)
+    S1 = _subspace(args.subspace1, tols)
+    S2 = _subspace(args.subspace2, tols)
     V1, V2 = sample_pair(S1, S2, args.seed)
     norms = []
     for t in range(args.directions):
@@ -245,7 +268,7 @@ def _cmd_curvature(args, tols) -> int:
 
 
 def _cmd_minrank(args, tols) -> int:
-    S = load_subspace(args.subspace, tols=tols)
+    S = _subspace(args.subspace, tols)
     rep = minrank(S, seed=args.seed)
     _emit(args, tols, {
         "value": rep.value,
@@ -257,8 +280,8 @@ def _cmd_minrank(args, tols) -> int:
 
 
 def _cmd_cs(args, tols) -> int:
-    X1 = load_matrix(args.matrix1, field="real")
-    X2 = load_matrix(args.matrix2, field="real")
+    X1 = _array(load_matrix, args.matrix1, field="real")
+    X2 = _array(load_matrix, args.matrix2, field="real")
     zero_product, det_identity = craig_sakamoto_check(X1, X2, grid=args.grid, tols=tols)
     _emit(args, tols, {
         "zero_product": zero_product,
@@ -270,8 +293,8 @@ def _cmd_cs(args, tols) -> int:
 
 
 def _cmd_glft(args, tols) -> int:
-    X1 = load_matrix(args.matrix1)
-    X2 = load_matrix(args.matrix2)
+    X1 = _array(load_matrix, args.matrix1)
+    X2 = _array(load_matrix, args.matrix2)
     witness = find_lft_witness(X1, X2, tols=tols)
     if witness is None:
         _emit(args, tols, {"witness": None})
@@ -286,9 +309,9 @@ def _cmd_glft(args, tols) -> int:
 
 
 def _cmd_factor(args, tols) -> int:
-    A = load_matrix(args.matrix)
-    S1 = load_subspace(args.subspace1, tols=tols)
-    S2 = load_subspace(args.subspace2, tols=tols)
+    A = _array(load_matrix, args.matrix)
+    S1 = _subspace(args.subspace1, tols)
+    S2 = _subspace(args.subspace2, tols)
     try:
         V1, V2 = factor_via_inverse_closed(A, S1, S2, seed=args.seed)
     except (NoFactorization, SingularWitness) as exc:
@@ -309,9 +332,9 @@ def _cmd_factor(args, tols) -> int:
 
 
 def _cmd_solve(args, tols) -> int:
-    S1 = load_subspace(args.subspace1, tols=tols)
-    S2 = load_subspace(args.subspace2, tols=tols)
-    b = load_vector(args.rhs)
+    S1 = _subspace(args.subspace1, tols)
+    S2 = _subspace(args.subspace2, tols)
+    b = _array(load_vector, args.rhs)
     model = extract_bilinear(S1, S2)
     rep = solve_bilinear(
         model, b, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed
@@ -332,7 +355,7 @@ def _cmd_solve(args, tols) -> int:
 
 
 def _cmd_catalog(args, tols) -> int:
-    matrix = load_matrix(args.matrix) if args.matrix else None
+    matrix = _array(load_matrix, args.matrix) if args.matrix else None
     spec = CatalogSpec(
         kind=args.kind, n=args.n, field=args.field,
         p=args.p, q=args.q, k=args.k, matrix=matrix, max_power=args.max_power,
@@ -348,8 +371,8 @@ def _cmd_catalog(args, tols) -> int:
 
 
 def _cmd_closedness(args, tols) -> int:
-    S1 = load_subspace(args.subspace1, tols=tols)
-    S2 = load_subspace(args.subspace2, tols=tols)
+    S1 = _subspace(args.subspace1, tols)
+    S2 = _subspace(args.subspace2, tols)
     cert = closedness_certificate(S1, S2, budget=args.budget, seed=args.seed)
     _emit(args, tols, {"status": cert.status, "details": cert.details})
     return 0 if cert.status != "Unknown" else _CHECK_FAILED
@@ -377,8 +400,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    _log.debug("command %s", args.command)
     try:
         tols = _tolerances(args)
         return _COMMANDS[args.command](args, tols)

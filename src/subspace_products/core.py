@@ -396,9 +396,22 @@ def subspace_sum(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
 
 
 def subspaces_equal(S1: MatrixSubspace, S2: MatrixSubspace) -> bool:
-    """Mutual membership of the orthonormal bases, plus equal dimensions."""
+    """Equal dimensions, and each orthonormal basis inside the other subspace.
+
+    This is mutual :func:`membership` of the basis matrices, decided by one
+    projection per side: every column of ``Q1 - Q2 (Q2^H Q1)`` (and of the
+    reverse) must have norm below the tested subspace's ``tol``, the
+    membership threshold of a unit-norm matrix.
+    """
     if S1.n != S2.n or S1.field != S2.field or S1.dim != S2.dim:
         return False
-    return all(membership(S2, B).inside for B in S1.basis_matrices()) and all(
-        membership(S1, C).inside for C in S2.basis_matrices()
-    )
+    return _columns_inside(S2, S1.ortho_basis) and _columns_inside(S1, S2.ortho_basis)
+
+
+def _columns_inside(S: MatrixSubspace, Q: np.ndarray) -> bool:
+    """Whether every unit column of Q lies in S by the membership rule."""
+    coef = S.ortho_basis.conj().T @ Q
+    if S.field == REAL:
+        coef = coef.real
+    residual = np.linalg.norm(Q - S.ortho_basis @ coef, axis=0)
+    return bool(np.all(residual < S.tol))

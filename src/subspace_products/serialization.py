@@ -29,6 +29,9 @@ from .core import (
 from .errors import ParseError
 
 _NUMBER = (int, float)
+# The exact entry types the one-conversion read accepts; every other entry,
+# numpy scalars and number subclasses included, takes the walk.
+_PLAIN_NUMBERS = {int, float, bool}
 # What the list at each nesting level holds, counted from the innermost.
 _NOUNS = ("entries", "rows", "matrices")
 
@@ -81,6 +84,39 @@ def _collect(value, shape: tuple, path: str, out: list) -> None:
             raise _entry_error(x, f"{path}[{i}]")
 
 
+def _plain_pairs(value, shape: tuple) -> Optional[np.ndarray]:
+    """The float array of ``value``'s ``(re, im)`` pairs, shaped ``(*shape, 2)``,
+    read in one conversion; or None, and :func:`_collect` reads it instead.
+
+    It answers only where every list is a ``list`` of the expected length
+    and the entries are all plain numbers or all ``[re, im]`` pairs of plain
+    numbers, which the walk accepts too; each number then takes the same
+    float64 conversion as in the walk's ``np.array`` call, so the array is
+    the walk's.
+    The checks run level by level in builtins, never per entry in Python.
+    """
+    level = [value]
+    for size in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    kinds = set(map(type, level))
+    bare = kinds <= _PLAIN_NUMBERS
+    if not bare:
+        if not kinds <= {list, tuple} or set(map(len, level)) != {2}:
+            return None
+        level = list(chain.from_iterable(level))
+        if not set(map(type, level)) <= _PLAIN_NUMBERS:
+            return None
+    try:
+        A = np.array(level, dtype=np.float64)
+    except OverflowError:
+        return None
+    if bare:
+        A = np.stack([A, np.zeros_like(A)], -1)
+    return A.reshape(*shape, 2)
+
+
 def _overflows(pair) -> bool:
     """Whether a part of the ``(re, im)`` pair is an integer too large for a
     float."""
@@ -115,14 +151,16 @@ def _from_pairs(value, shape: tuple, path: str, field: Optional[str] = None) -> 
             f"expected a nonempty list of {_NOUNS[len(shape) - 1]}",
         )
         shape = (len(value), *shape[1:])
-    pairs = []
-    _collect(value, shape, path, pairs)
-    try:
-        A = np.array(pairs, dtype=np.float64)
-    except OverflowError:
-        too_large = np.array([_overflows(pair) for pair in pairs]).reshape(shape)
-        _reject_first(too_large, path, "number too large for a float")
-        raise
+    A = _plain_pairs(value, shape)
+    if A is None:
+        pairs = []
+        _collect(value, shape, path, pairs)
+        try:
+            A = np.array(pairs, dtype=np.float64)
+        except OverflowError:
+            too_large = np.array([_overflows(pair) for pair in pairs]).reshape(shape)
+            _reject_first(too_large, path, "number too large for a float")
+            raise
     A = A.view(np.complex128).reshape(shape)
     _reject_first(~np.isfinite(A), path, "expected a finite number")
     if field == REAL:

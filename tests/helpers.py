@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from subspace_products import CatalogSpec, linearization, make_subspace, vec
+from subspace_products import CatalogSpec, linearization, make_subspace, membership, vec
+from subspace_products.catalog import KINDS
 from subspace_products.core import (
     _basis_array,
     _gaussian_coefficients,
@@ -14,6 +15,15 @@ from subspace_products.core import (
 )
 from subspace_products.geometry import ProductAnalysis, product_map_rank, sample_pair
 from subspace_products.pencil import _PROBE_ALTERNATIONS
+
+
+# Every catalog kind that exists at n >= 3 and needs no generator matrix.
+SKETCH_KINDS = {
+    kind: {"band_lower": {"p": 1}, "band_upper": {"q": 1}, "rank_cols": {"k": 2},
+           "rank_rows": {"k": 2}}.get(kind, {})
+    for kind in KINDS
+    if kind not in ("krylov", "hurwitz_radon_2")
+}
 
 
 def cell(n, i, j, value=1.0):
@@ -180,6 +190,16 @@ def strongly_nonsingular(A, floor=1e-6):
     A = np.asarray(A)
     return all(
         abs(np.linalg.det(A[: m + 1, : m + 1])) > floor for m in range(A.shape[0])
+    )
+
+
+def membership_subspaces_equal(S1, S2):
+    """Reference subspace equality: equal dimensions and mutual membership of
+    the orthonormal basis matrices, one ``membership`` call per matrix."""
+    if S1.n != S2.n or S1.field != S2.field or S1.dim != S2.dim:
+        return False
+    return all(membership(S2, B).inside for B in S1.basis_matrices()) and all(
+        membership(S1, C).inside for C in S2.basis_matrices()
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -76,6 +77,78 @@ class TestFlatness:
         code, out = run(capsys, ["flatness", *lu_pair_files, "--format", "text"])
         assert code == 0
         assert "flat: True" in out
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process, and no call leaks into
+    the next."""
+
+    def test_consecutive_calls_are_independent(self, capsys, tmp_path, monkeypatch, segre_pair_files):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        runs = [
+            ["flatness", *segre_pair_files, "--seed", "1", "--output", str(tmp_path / "a.json")],
+            ["flatness", *segre_pair_files, "--seed", "2", "--format", "text",
+             "--output", str(tmp_path / "b.txt")],
+            ["flatness", *segre_pair_files],
+        ]
+
+        def reports():
+            codes = [main(argv) for argv in runs]
+            files = [(tmp_path / name).read_text(encoding="utf-8") for name in ("a.json", "b.txt")]
+            return codes, files, capsys.readouterr().out
+
+        shared = reports()
+        assert builds == [1]
+        # The same calls, each parsed by a parser of its own.
+        monkeypatch.setattr(cli, "_parser", build)
+        assert reports() == shared
+        codes, (a, b), stdout = shared
+        assert codes == [2, 2, 2]
+        assert json.loads(a)["seed"] == 1 and "seed: 2" in b.splitlines()
+        assert json.loads(stdout)["seed"] == 0
+
+    def test_version_and_usage_errors_exit(self, capsys, lu_pair_files):
+        with pytest.raises(SystemExit) as version:
+            main(["--version"])
+        assert version.value.code == 0
+        assert capsys.readouterr().out == f"subspace-products {cli.__version__}\n"
+        for argv in ([], ["nope"], ["flatness", lu_pair_files[0]], ["bound", "--D", "x"]):
+            with pytest.raises(SystemExit) as usage:
+                main(argv)
+            assert usage.value.code == 2
+        # A usage error leaves the shared parser working.
+        assert main(["flatness", *lu_pair_files]) == 0
+
+    def test_build_parser_returns_a_new_parser(self, capsys, lu_pair_files):
+        parser = cli.build_parser()
+        assert parser is not cli.build_parser() and parser is not cli._parser()
+        parser.add_argument("--extra")
+        with pytest.raises(SystemExit) as usage:
+            main(["--extra", "x", "flatness", *lu_pair_files])
+        assert usage.value.code == 2
+
+
+class TestDebugLog:
+    def test_command_and_loaded_files(self, caplog, capsys, tmp_path, lu_pair_files):
+        lower, upper = lu_pair_files
+        A = tmp_path / "A.json"
+        save_obj(matrix_to_obj(np.eye(3) + np.tril(np.ones((3, 3)))), str(A))
+        with caplog.at_level(logging.DEBUG, logger="subspace_products"):
+            assert main(["factor", str(A), lower, upper]) == 0
+        cli_events = [r.getMessage() for r in caplog.records if r.module == "cli"]
+        assert cli_events == [
+            "command factor",
+            f"loaded {A}: shape (3, 3) dtype float64",
+            f"loaded {lower}: subspace n=3 field=complex dim=6",
+            f"loaded {upper}: subspace n=3 field=complex dim=4",
+        ]
+        capsys.readouterr()
+        # Without a configured handler, debug events print nothing.
+        assert main(["factor", str(A), lower, upper]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestDeterminism:

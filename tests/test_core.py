@@ -29,7 +29,14 @@ from subspace_products.core import (
     matrix_rank,
     rank_from_singular_values,
 )
-from helpers import brute_span_rank, catalog, cell, exact_rank_fraction
+from helpers import (
+    SKETCH_KINDS,
+    brute_span_rank,
+    catalog,
+    cell,
+    exact_rank_fraction,
+    membership_subspaces_equal,
+)
 
 
 class TestSubspaceFromMatrices:
@@ -228,6 +235,37 @@ class TestSubspaceUnlessFull:
         S = _subspace_unless_full(stack, 2, "real", (), Tolerances())
         assert S.dim == 4
         np.testing.assert_array_equal(S.ortho_basis, np.eye(4))
+
+
+class TestSubspacesEqual:
+    """One projection per side decides what mutual membership of the basis
+    matrices decides (``membership_subspaces_equal``)."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_agrees_with_membership_on_catalog_pairs(self, n, field):
+        subs = [catalog(kind, n, field, **params) for kind, params in SKETCH_KINDS.items()]
+        # The same spans through other bases: reversed orthonormal matrices.
+        subs += [subspace_from_matrices(S.basis_matrices()[::-1], field=field) for S in subs]
+        verdicts = set()
+        for S1 in subs:
+            for S2 in subs:
+                got = subspaces_equal(S1, S2)
+                assert got is membership_subspaces_equal(S1, S2)
+                verdicts.add((got, S1.dim == S2.dim))
+        # Equal and unequal verdicts, and different spans of equal dimension.
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("tilt", [1e-10, 3e-9, 7e-9, 1.2e-8, 3e-8, 1e-6])
+    def test_agrees_across_the_membership_threshold(self, field, tilt):
+        S = subspace_from_matrices([cell(3, 0, 0), cell(3, 0, 1)], field=field)
+        T = subspace_from_matrices([cell(3, 0, 0), cell(3, 0, 1) + cell(3, 2, 1, tilt)], field=field)
+        assert subspaces_equal(S, T) is membership_subspaces_equal(S, T) is (tilt < 1e-8)
+
+    def test_full_space_with_itself(self):
+        W = subspace_from_matrices([cell(5, i, j) for j in range(5) for i in range(5)])
+        assert subspaces_equal(W, W) and membership_subspaces_equal(W, W)
 
 
 class TestEquivalenceTransform:

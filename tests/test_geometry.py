@@ -25,10 +25,16 @@ from subspace_products import (
     tangent_space,
     vec,
 )
-from subspace_products.catalog import KINDS
 from subspace_products import geometry
 from subspace_products.geometry import _sketched_linearization
-from helpers import brute_span_rank, brute_tangent_rank, catalog, cell, sketch_first_flatness
+from helpers import (
+    SKETCH_KINDS,
+    brute_span_rank,
+    brute_tangent_rank,
+    catalog,
+    cell,
+    sketch_first_flatness,
+)
 
 
 class TestProductMap:
@@ -167,15 +173,6 @@ class TestBatchedProducts:
         S = catalog("symmetric", 4, field)
         V1, V2 = sample_pair(S, S, 0)
         assert 0 < product_map_rank(S, S, 1e300 * V1, V2) <= 16
-
-
-# Every catalog kind that exists at n >= 3 and needs no generator matrix.
-SKETCH_KINDS = {
-    kind: {"band_lower": {"p": 1}, "band_upper": {"q": 1}, "rank_cols": {"k": 2},
-           "rank_rows": {"k": 2}}.get(kind, {})
-    for kind in KINDS
-    if kind not in ("krylov", "hurwitz_radon_2")
-}
 
 
 class TestSketchedLinearization:

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from subspace_products import ParseError, extract_bilinear, solve_bilinear, subspaces_equal
+from subspace_products import serialization
+from subspace_products.cli import main
 from subspace_products.serialization import (
+    _from_pairs,
     dumps_canonical,
+    load_json,
+    load_matrix,
     load_subspace,
+    load_vector,
     matrix_from_obj,
     matrix_to_obj,
     model_from_obj,
@@ -202,6 +208,148 @@ class TestFormatPinned:
     def test_subspace(self):
         assert dumps_canonical(subspace_to_obj(catalog("diagonal", 2))) == DIAGONAL_2
 
+
+
+def _pairs_json(A):
+    """``[re, im]`` pairs of A as the JSON text of a file holds them."""
+    return json.loads(json.dumps(np.stack([A.real, A.imag], -1).tolist()))
+
+
+_RNG = np.random.default_rng(5)
+_PAIRS_3x3 = _pairs_json(random_complex(_RNG, 3))
+_REAL_PAIRS_3x3 = _pairs_json(_RNG.standard_normal((3, 3)) * [[1, -0.0, 0]])
+_BASIS = _pairs_json(random_complex(_RNG, 2).reshape(1, 2, 2) * [[[1]], [[0.5]], [[-0.0]]])
+_BIG = 2**53 + 1
+_HUGE = 2**64 + 3
+
+# (value, shape, route) triples: input the reader is given, valid and
+# invalid, in every form a caller or a JSON file can produce, and the route
+# that reads it (None: refused before either route runs).
+READER_CASES = {
+    "json_pairs": (_PAIRS_3x3, (3, 3), "fast"),
+    "json_real_pairs": (_REAL_PAIRS_3x3, (3, 3), "fast"),
+    "json_basis": (_BASIS, (None, 2, 2), "fast"),
+    "json_vector": (_PAIRS_3x3[0], (None,), "fast"),
+    "bare_numbers": ([[1, -0.0], [2.5, -3]], (2, 2), "fast"),
+    "bare_vector": ([0.0, -0.0, 7], (None,), "fast"),
+    "int_pairs": ([[[1, 0], [0, -2]], [[3, 4], [-0.0, 5]]], (2, 2), "fast"),
+    "mixed_rows": ([[1, [2, 0]], [3, 4]], (2, 2), "walk"),
+    "mixed_in_row": ([[[1.0, 0.0], 2.0]], (1, 2), "walk"),
+    "bools": ([[True, False], [False, True]], (2, 2), "fast"),
+    "bool_pairs": ([[True, 0.5], [False, True]], (2,), "fast"),
+    "above_2_53": ([[_BIG, 0], [-_BIG, 0.5]], (2,), "fast"),
+    "above_2_53_bare": ([[_BIG, 1], [2**60 + 1, -(2**62) - 3]], (2, 2), "fast"),
+    "above_2_63": ([[2**63 + 5, -1], [0, 2**64 - 1]], (2,), "fast"),
+    "above_2_64": ([[_HUGE, 0], [1, -_HUGE]], (2,), "fast"),
+    "above_2_64_bare": ([[_HUGE, 1], [2, 3]], (2, 2), "fast"),
+    "too_large": ([[1, 0], [0, -(10**400)]], (2,), "walk"),
+    "too_large_bare": ([[10**400, 1], [2, 3]], (2, 2), "walk"),
+    "nan_literal": (json.loads("[[NaN, 0], [1, 2]]"), (2,), "fast"),
+    "infinity_literal": (json.loads("[[1, 0], [0, [0, Infinity]]]"), (2, 2), "walk"),
+    "minus_infinity_bare": (json.loads("[[1, -Infinity], [2, 3]]"), (2, 2), "fast"),
+    "string_entry": ([[1, "x"], [2, 3]], (2, 2), "walk"),
+    "string_part": ([["1", 0], [2, 0]], (2,), "walk"),
+    "none_entry": ([[1, None], [2, 3]], (2, 2), "walk"),
+    "none_part": ([[1, None]], (1,), "walk"),
+    "ragged_rows": ([[1, 2], [3]], (2, 2), "walk"),
+    "ragged_pair": ([[1, 0], [2, 0, 0]], (2,), "walk"),
+    "too_many_rows": ([[1, 2], [3, 4], [5, 6]], (2, 2), "walk"),
+    "too_shallow": ([1, 2], (2, 2), "walk"),
+    "too_deep": ([[[[1, 0]]]], (1, 1), "walk"),
+    "pair_of_pairs": ([[[1, 0], [0, 1]]], (1,), "walk"),
+    "tuple_rows": ([(1, 2), (3, 4)], (2, 2), "walk"),
+    "tuple_outer": (((1, 0), (2, 0)), (2,), "walk"),
+    "tuple_pairs": ([[(1, 0), (2, -0.0)]], (1, 2), "fast"),
+    "numpy_float64": ([[np.float64(1.5), np.float64(-0.0)], [2.0, 3.0]], (2, 2), "walk"),
+    "numpy_int64": ([[np.int64(1), 0], [2, 3]], (2, 2), "walk"),
+    "numpy_float32_part": ([[np.float32(0.1), 0.0]], (1,), "walk"),
+    "numpy_bool": ([[np.bool_(True), 0.0]], (1,), "walk"),
+    "ndarray_row": ([np.array([1.0, 2.0]), [3.0, 4.0]], (2, 2), "walk"),
+    "ndarray_pair": ([np.array([1.0, 0.0])], (1,), "walk"),
+    "empty_axis": ([[[], []], [[], []]], (2, 2, 0), "fast"),
+    "empty_leading": ([], (None,), None),
+    "not_a_list": ({"re": 1}, (None,), None),
+}
+
+
+def _read(value, shape, field):
+    """What ``_from_pairs`` makes of the input: the array's dtype, shape and
+    bytes (signed zeros included), or the error's type and message."""
+    try:
+        A = _from_pairs(value, shape, "f.json.basis", field)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc).__name__, str(exc)
+    return A.dtype, A.shape, A.tobytes()
+
+
+@pytest.fixture
+def collect_calls(monkeypatch):
+    """Counts the calls of the entry-by-entry walk."""
+    calls = []
+    walk = serialization._collect
+
+    def spy(*args):
+        calls.append(args[2])
+        return walk(*args)
+
+    monkeypatch.setattr(serialization, "_collect", spy)
+    return calls
+
+
+class TestOneConversionReader:
+    """The one-conversion route gives exactly what the entry-by-entry walk
+    gives: the same array or the same diagnostic."""
+
+    @pytest.mark.parametrize("field", [None, "real", "complex"])
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_same_outcome_as_the_walk(self, monkeypatch, case, field):
+        value, shape, _ = READER_CASES[case]
+        got = _read(value, shape, field)
+        monkeypatch.setattr(serialization, "_plain_pairs", lambda value, shape: None)
+        assert got == _read(value, shape, field)
+
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_walk_runs_only_where_needed(self, collect_calls, case):
+        value, shape, route = READER_CASES[case]
+        _read(value, shape, None)
+        assert bool(collect_calls) == (route == "walk")
+
+
+class TestBenchmarkStyleFilesSkipTheWalk:
+    """Subspace, matrix, vector and model files as the CLI benchmark writes
+    them are read without the walk."""
+
+    def test_no_walk(self, tmp_path, collect_calls):
+        def put(name, obj):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            return str(path)
+
+        def pairs(A):
+            return [[[float(A[i, j].real), float(A[i, j].imag)] for j in range(A.shape[1])]
+                    for i in range(A.shape[0])]
+
+        n = 6
+        lower, upper = (catalog(kind, n, "real") for kind in
+                        ("lower_triangular", "unit_upper_constant_diagonal"))
+        files = [put(name, {"n": n, "field": "real", "basis": [pairs(M) for M in S.raw_basis]})
+                 for name, S in (("lower", lower), ("upper", upper))]
+        A = np.random.default_rng(0).standard_normal((n, n)) + n * np.eye(n)
+        matrix = put("A", {"n": n, "entries": pairs(A)})
+        rhs = put("rhs", {"entries": [[float(x), 0.0] for x in np.arange(n * n) / 7]})
+        model = str(tmp_path / "model.json")
+        out = str(tmp_path / "out.json")
+        assert main(["solve", *files, rhs, "--model-out", model, "--output", out]) == 0
+        assert main(["factor", matrix, *files, "--output", out]) == 0
+        assert load_subspace(files[0]).dim == 21 and load_matrix(matrix).shape == (n, n)
+        assert load_vector(rhs).shape == (n * n,)
+        assert model_from_obj(load_json(model), path=model).l == n * n
+        assert collect_calls == []
+
+    def test_spy_sees_the_walk(self, collect_calls):
+        with pytest.raises(ParseError, match=r"^v\.entries\[1\]: expected \[re, im\] pair"):
+            vector_from_obj({"entries": [[1.0, 0.0], "x"]}, path="v")
+        assert collect_calls == ["v.entries"]
 
 
 def json_dumps_text(obj) -> str:
