@@ -349,7 +349,8 @@ def factor_via_inverse_closed(
     P = _vec_columns(_products(Aa, _basis_array(S2)))
     Q = S1.ortho_basis
     L = P - Q @ (Q.conj().T @ P)
-    U, s, Vh = np.linalg.svd(L, full_matrices=True)
+    # L is n² by dim2 with dim2 <= n², so the thin Vh is the full square one.
+    _, s, Vh = np.linalg.svd(L, full_matrices=False)
     rank = rank_from_singular_values(s, S1.tols)
     null_dim = S2.dim - rank
     if null_dim == 0:

@@ -4,6 +4,9 @@ Loads subspace and matrix JSON files, runs the analyses, and emits
 deterministic reports.  Exit codes: 0 on success, 1 on input or usage
 errors, 2 when a check-style command ran cleanly but the verdict is
 negative (no witness, curved, unknown closedness, no factorization).
+
+Every command is one row of :data:`_COMMANDS`; :func:`build_parser` and
+:func:`main` read that table, and a command's handler only computes.
 """
 
 from __future__ import annotations
@@ -54,103 +57,6 @@ _CHECK_FAILED = 2
 _log = logging.getLogger("subspace_products")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
-    parser.add_argument("--trials", type=int, default=5, help="sampling trials (default 5)")
-    parser.add_argument("--tol", type=float, default=None, help="relative rank tolerance override")
-    parser.add_argument("--abs-floor", type=float, default=None, help="absolute floor override")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--output", default=None, help="write the report to this path instead of stdout")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="subspace-products",
-        description="Analyze the set of products of two matrix subspaces.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="flatness report plus closedness certificate")
-    p.add_argument("subspace1")
-    p.add_argument("subspace2")
-    p.add_argument("--budget", type=int, default=100, help="at most this many probe starts")
-    _add_common(p)
-
-    p = sub.add_parser("flatness", help="sampled flatness verdict (exit 2 when curved)")
-    p.add_argument("subspace1")
-    p.add_argument("subspace2")
-    _add_common(p)
-
-    p = sub.add_parser("curvature", help="curvature measure at a sampled base point")
-    p.add_argument("subspace1")
-    p.add_argument("subspace2")
-    p.add_argument("--directions", type=int, default=20, help="direction pairs to sample")
-    _add_common(p)
-
-    p = sub.add_parser("minrank", help="minimum rank over nonzero members")
-    p.add_argument("subspace")
-    _add_common(p)
-
-    p = sub.add_parser("cs", help="zero-product and determinant-identity tests (exit 2 when nonzero)")
-    p.add_argument("matrix1")
-    p.add_argument("matrix2")
-    p.add_argument("--grid", type=int, default=9, help="grid points per axis on [-1,1]")
-    _add_common(p)
-
-    p = sub.add_parser("glft", help="generalized linear-fractional witness (exit 2 when none)")
-    p.add_argument("matrix1")
-    p.add_argument("matrix2")
-    _add_common(p)
-
-    p = sub.add_parser("factor", help="factor A = V1 V2 over an inverse-closed pair")
-    p.add_argument("matrix")
-    p.add_argument("subspace1")
-    p.add_argument("subspace2")
-    _add_common(p)
-
-    p = sub.add_parser("solve", help="solve M(z)w = b in the bilinear model of a pair")
-    p.add_argument("subspace1")
-    p.add_argument("subspace2")
-    p.add_argument("rhs", help="vector JSON file with linearization coordinates")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--model-out", default=None, help="also write the bilinear model file here")
-    _add_common(p)
-
-    p = sub.add_parser("catalog", help="emit a structured subspace JSON file")
-    p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--field", choices=("real", "complex"), default="complex")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--matrix", default=None, help="generator matrix JSON (krylov)")
-    p.add_argument("--max-power", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("closedness", help="closedness certificate (exit 2 when unknown)")
-    p.add_argument("subspace1")
-    p.add_argument("subspace2")
-    p.add_argument("--budget", type=int, default=100, help="at most this many probe starts")
-    _add_common(p)
-
-    p = sub.add_parser("bound", help="certificate degree bound")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-
-    return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` uses, built on its first call and never
-    modified; :func:`build_parser` returns a fresh one to callers."""
-    return build_parser()
-
-
 def _tolerances(args) -> Tolerances:
     kwargs = {}
     if args.tol is not None:
@@ -193,23 +99,6 @@ def _header(args, tols: Tolerances) -> dict:
     }
 
 
-def _subspace(path: str, tols: Tolerances):
-    S = load_subspace(path, tols=tols)
-    _log.debug("loaded %s: subspace n=%d field=%s dim=%d", path, S.n, S.field, S.dim)
-    return S
-
-
-def _array(load, path: str, **kwargs) -> np.ndarray:
-    """A matrix or vector file read by ``load``."""
-    A = load(path, **kwargs)
-    _log.debug("loaded %s: shape %s dtype %s", path, A.shape, A.dtype)
-    return A
-
-
-def _emit(args, tols: Tolerances, result: dict) -> None:
-    _write(args, {**_header(args, tols), "result": result})
-
-
 def _write(args, obj: dict) -> None:
     """Render ``obj`` as ``--format`` asks and write it to ``--output`` or stdout."""
     if args.format == "json":
@@ -223,31 +112,49 @@ def _write(args, obj: dict) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_analyze(args, tols) -> int:
-    S1 = _subspace(args.subspace1, tols)
-    S2 = _subspace(args.subspace2, tols)
+# Readers of input files: (path, tolerances) -> the loaded object.  They
+# call the loaders through this module's names at call time, so a loader
+# rebound here (a wrapper, a test double) is the one that runs.
+def _subspace(path: str, tols: Tolerances):
+    S = load_subspace(path, tols=tols)
+    _log.debug("loaded %s: subspace n=%d field=%s dim=%d", path, S.n, S.field, S.dim)
+    return S
+
+
+def _logged(path: str, A: np.ndarray) -> np.ndarray:
+    _log.debug("loaded %s: shape %s dtype %s", path, A.shape, A.dtype)
+    return A
+
+
+def _matrix(path: str, tols: Tolerances, field=None) -> np.ndarray:
+    return _logged(path, load_matrix(path, field=field))
+
+
+def _vector(path: str, tols: Tolerances) -> np.ndarray:
+    return _logged(path, load_vector(path))
+
+
+# Handlers: (args, tolerances, *inputs) -> (report result, verdict), where a
+# false verdict exits 2.
+
+
+def _analyze(args, tols, S1, S2):
     report = flatness_test(S1, S2, trials=args.trials, seed=args.seed)
     cert = closedness_certificate(S1, S2, budget=args.budget, seed=args.seed)
-    _emit(args, tols, {
+    return {
         "analysis": report.to_dict(),
         "closedness": {"status": cert.status, "details": cert.details},
         "dims": {"subspace1": S1.dim, "subspace2": S2.dim},
-    })
-    return 0
+    }, True
 
 
-def _cmd_flatness(args, tols) -> int:
-    S1 = _subspace(args.subspace1, tols)
-    S2 = _subspace(args.subspace2, tols)
+def _flatness(args, tols, S1, S2):
     report = flatness_test(S1, S2, trials=args.trials, seed=args.seed)
-    _emit(args, tols, report.to_dict())
-    return 0 if report.flat else _CHECK_FAILED
+    return report.to_dict(), report.flat
 
 
-def _cmd_curvature(args, tols) -> int:
+def _curvature(args, tols, S1, S2):
     _check_count("directions", args.directions)
-    S1 = _subspace(args.subspace1, tols)
-    S2 = _subspace(args.subspace2, tols)
     V1, V2 = sample_pair(S1, S2, args.seed)
     norms = []
     for t in range(args.directions):
@@ -256,69 +163,55 @@ def _cmd_curvature(args, tols) -> int:
         W2 = W2 / np.linalg.norm(W2)
         sample = curvature_measure(S1, S2, V1, V2, W1, W2)
         norms.append(sample.q_norm)
-    _emit(args, tols, {
+    return {
         "base_seed": args.seed,
         "tangent_dim": product_map_rank(S1, S2, V1, V2),
         "q_norms": norms,
         "max_q_norm": max(norms),
         "min_q_norm": min(norms),
         "directions": args.directions,
-    })
-    return 0
+    }, True
 
 
-def _cmd_minrank(args, tols) -> int:
-    S = _subspace(args.subspace, tols)
+def _minrank(args, tols, S):
     rep = minrank(S, seed=args.seed)
-    _emit(args, tols, {
+    return {
         "value": rep.value,
         "certified": rep.certified,
         "method": rep.method,
         "witness": matrix_to_obj(rep.witness),
-    })
-    return 0
+    }, True
 
 
-def _cmd_cs(args, tols) -> int:
-    X1 = _array(load_matrix, args.matrix1, field="real")
-    X2 = _array(load_matrix, args.matrix2, field="real")
+def _cs(args, tols, X1, X2):
     zero_product, det_identity = craig_sakamoto_check(X1, X2, grid=args.grid, tols=tols)
-    _emit(args, tols, {
+    return {
         "zero_product": zero_product,
         "det_identity": det_identity,
         "grid": args.grid,
         "agree": zero_product == det_identity,
-    })
-    return 0 if zero_product else _CHECK_FAILED
+    }, zero_product
 
 
-def _cmd_glft(args, tols) -> int:
-    X1 = _array(load_matrix, args.matrix1)
-    X2 = _array(load_matrix, args.matrix2)
+def _glft(args, tols, X1, X2):
     witness = find_lft_witness(X1, X2, tols=tols)
     if witness is None:
-        _emit(args, tols, {"witness": None})
-        return _CHECK_FAILED
-    _emit(args, tols, {
+        return {"witness": None}, False
+    return {
         "witness": {
             **{key: _to_pairs(getattr(witness, key)) for key in "abcd"},
             "residual": witness.residual,
         }
-    })
-    return 0
+    }, True
 
 
-def _cmd_factor(args, tols) -> int:
-    A = _array(load_matrix, args.matrix)
-    S1 = _subspace(args.subspace1, tols)
-    S2 = _subspace(args.subspace2, tols)
+def _factor(args, tols, A, S1, S2):
     try:
         V1, V2 = factor_via_inverse_closed(A, S1, S2, seed=args.seed)
     except (NoFactorization, SingularWitness) as exc:
-        _emit(args, tols, {"factored": False, "reason": str(exc)})
-        return _CHECK_FAILED
+        return {"factored": False, "reason": str(exc)}, False
     residual = float(np.linalg.norm(A - V1 @ V2) / max(1.0, np.linalg.norm(A)))
-    _emit(args, tols, {
+    return {
         "factored": True,
         "V1": matrix_to_obj(V1),
         "V2": matrix_to_obj(V2),
@@ -327,14 +220,10 @@ def _cmd_factor(args, tols) -> int:
             "V1": membership(S1, V1).residual,
             "V2": membership(S2, V2).residual,
         },
-    })
-    return 0
+    }, True
 
 
-def _cmd_solve(args, tols) -> int:
-    S1 = _subspace(args.subspace1, tols)
-    S2 = _subspace(args.subspace2, tols)
-    b = _array(load_vector, args.rhs)
+def _solve(args, tols, S1, S2, b):
     model = extract_bilinear(S1, S2)
     rep = solve_bilinear(
         model, b, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed
@@ -342,7 +231,7 @@ def _cmd_solve(args, tols) -> int:
     # Written only after the solve, so a rejected input leaves no file.
     if args.model_out:
         save_obj(model_to_obj(model), args.model_out)
-    _emit(args, tols, {
+    return {
         "residual": rep.residual,
         "iterations": rep.iterations,
         "restarts_used": rep.restarts_used,
@@ -350,64 +239,124 @@ def _cmd_solve(args, tols) -> int:
         "z": vector_to_obj(rep.z),
         "w": vector_to_obj(rep.w),
         "model": {"j": model.j, "kmj": model.kmj, "l": model.l},
-    })
-    return 0
+    }, True
 
 
-def _cmd_catalog(args, tols) -> int:
-    matrix = _array(load_matrix, args.matrix) if args.matrix else None
+def _catalog(args, tols):
+    matrix = _matrix(args.matrix, tols) if args.matrix else None
     spec = CatalogSpec(
         kind=args.kind, n=args.n, field=args.field,
         p=args.p, q=args.q, k=args.k, matrix=matrix, max_power=args.max_power,
     )
     S, flags = make_subspace(spec, tols=tols)
     # Emitted as a subspace file (loadable by the other commands directly),
-    # with the report metadata carried in extra keys readers ignore.
+    # with the report metadata carried in extra keys readers ignore; the
+    # None result tells main the output is already written.
     _write(args, {
         **subspace_to_obj(S), **_header(args, tols),
         "dim": S.dim, "flags": flags, "kind": args.kind,
     })
-    return 0
+    return None, True
 
 
-def _cmd_closedness(args, tols) -> int:
-    S1 = _subspace(args.subspace1, tols)
-    S2 = _subspace(args.subspace2, tols)
+def _closedness(args, tols, S1, S2):
     cert = closedness_certificate(S1, S2, budget=args.budget, seed=args.seed)
-    _emit(args, tols, {"status": cert.status, "details": cert.details})
-    return 0 if cert.status != "Unknown" else _CHECK_FAILED
+    return {"status": cert.status, "details": cert.details}, cert.status != "Unknown"
 
 
-def _cmd_bound(args, tols) -> int:
+def _bound(args, tols):
     value = nullstellensatz_degree_bound(args.D, args.n, args.k)
-    _emit(args, tols, {"bound": value, "D": args.D, "n": args.n, "k": args.k})
-    return 0
+    return {"bound": value, "D": args.D, "n": args.n, "k": args.k}, True
 
 
+# Options every command takes, after its own: (flag, add_argument keywords).
+_COMMON = (
+    ("--seed", dict(type=int, default=0, help="master random seed (default 0)")),
+    ("--trials", dict(type=int, default=5, help="sampling trials (default 5)")),
+    ("--tol", dict(type=float, default=None, help="relative rank tolerance override")),
+    ("--abs-floor", dict(type=float, default=None, help="absolute floor override")),
+    ("--format", dict(choices=("json", "text"), default="json")),
+    ("--output", dict(default=None, help="write the report to this path instead of stdout")),
+)
+_PAIR = (("subspace1", _subspace), ("subspace2", _subspace))
+_BUDGET = (("--budget", dict(type=int, default=100, help="at most this many probe starts")),)
+_INT = dict(type=int, default=None)
+_REQUIRED_INT = dict(type=int, required=True)
+
+# One row per command, in --help order: handler, help, positional inputs as
+# (name, reader[, help]) read in this order, and the command's own options.
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "flatness": _cmd_flatness,
-    "curvature": _cmd_curvature,
-    "minrank": _cmd_minrank,
-    "cs": _cmd_cs,
-    "glft": _cmd_glft,
-    "factor": _cmd_factor,
-    "solve": _cmd_solve,
-    "catalog": _cmd_catalog,
-    "closedness": _cmd_closedness,
-    "bound": _cmd_bound,
+    "analyze": (_analyze, "flatness report plus closedness certificate", _PAIR, _BUDGET),
+    "flatness": (_flatness, "sampled flatness verdict (exit 2 when curved)", _PAIR, ()),
+    "curvature": (_curvature, "curvature measure at a sampled base point", _PAIR, (
+        ("--directions", dict(type=int, default=20, help="direction pairs to sample")),)),
+    "minrank": (_minrank, "minimum rank over nonzero members", (("subspace", _subspace),), ()),
+    "cs": (_cs, "zero-product and determinant-identity tests (exit 2 when nonzero)", (
+        ("matrix1", functools.partial(_matrix, field="real")),
+        ("matrix2", functools.partial(_matrix, field="real")),
+    ), (("--grid", dict(type=int, default=9, help="grid points per axis on [-1,1]")),)),
+    "glft": (_glft, "generalized linear-fractional witness (exit 2 when none)",
+             (("matrix1", _matrix), ("matrix2", _matrix)), ()),
+    "factor": (_factor, "factor A = V1 V2 over an inverse-closed pair",
+               (("matrix", _matrix), *_PAIR), ()),
+    "solve": (_solve, "solve M(z)w = b in the bilinear model of a pair", (
+        *_PAIR, ("rhs", _vector, "vector JSON file with linearization coordinates"),
+    ), (
+        ("--restarts", dict(type=int, default=20)),
+        ("--max-iter", dict(type=int, default=200)),
+        ("--model-out", dict(default=None, help="also write the bilinear model file here")),
+    )),
+    "catalog": (_catalog, "emit a structured subspace JSON file", (), (
+        ("--kind", dict(required=True, choices=KINDS)),
+        ("--n", _REQUIRED_INT),
+        ("--field", dict(choices=("real", "complex"), default="complex")),
+        ("--p", _INT), ("--q", _INT), ("--k", _INT),
+        ("--matrix", dict(default=None, help="generator matrix JSON (krylov)")),
+        ("--max-power", _INT),
+    )),
+    "closedness": (_closedness, "closedness certificate (exit 2 when unknown)", _PAIR, _BUDGET),
+    "bound": (_bound, "certificate degree bound", (),
+              (("--D", _REQUIRED_INT), ("--n", _REQUIRED_INT), ("--k", _REQUIRED_INT))),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="subspace-products",
+        description="Analyze the set of products of two matrix subspaces.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, summary, inputs, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, _read, *input_help in inputs:
+            p.add_argument(name, help=input_help[0] if input_help else None)
+        for flag, keywords in options + _COMMON:
+            p.add_argument(flag, **keywords)
+    return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call and never
+    modified; :func:`build_parser` returns a fresh one to callers."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     _log.debug("command %s", args.command)
+    handler, _, inputs, _ = _COMMANDS[args.command]
     try:
         tols = _tolerances(args)
-        return _COMMANDS[args.command](args, tols)
+        loaded = [read(getattr(args, name), tols) for name, read, *_ in inputs]
+        result, verdict = handler(args, tols, *loaded)
+        if result is not None:
+            _write(args, {**_header(args, tols), "result": result})
     except SubspaceProductsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if verdict else _CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -41,15 +41,19 @@ class Tolerances:
 
     Singular values are kept when they exceed ``rel_rank_tol`` times the
     largest singular value; if the largest singular value is below
-    ``abs_floor`` the rank is reported as zero.
+    ``abs_floor`` the rank is reported as zero.  A ``rel_rank_tol`` of 1 or
+    more, or an infinite ``abs_floor``, would make every rank zero, so both
+    are rejected.
     """
 
     rel_rank_tol: float = 1e-8
     abs_floor: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_rank_tol > 0.0 and self.abs_floor > 0.0):
-            raise BadParameters("tolerance values must be strictly positive")
+        if not 0.0 < self.rel_rank_tol < 1.0:
+            raise BadParameters(f"rel_rank_tol must be in (0, 1), got {self.rel_rank_tol}")
+        if not 0.0 < self.abs_floor < np.inf:
+            raise BadParameters(f"abs_floor must be positive and finite, got {self.abs_floor}")
 
 
 def vec(A: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 
@@ -470,3 +471,115 @@ class TestCountsBelowOne:
     def test_curvature_directions_zero(self, capsys, tmp_path, segre_pair_files):
         self.rejects(capsys, tmp_path, ["curvature", *segre_pair_files, "--directions", "0"],
                      "directions must be at least 1, got 0")
+
+
+class TestToleranceFlags:
+    """A tolerance flag that would make every rank zero is rejected as such:
+    exit 1, a message naming the tolerance, no report.  Before the check,
+    both files loaded as zero subspaces and the error blamed the inputs."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "1", "rel_rank_tol must be in (0, 1), got 1.0"),
+        ("--tol", "5", "rel_rank_tol must be in (0, 1), got 5.0"),
+        ("--tol", "inf", "rel_rank_tol must be in (0, 1), got inf"),
+        ("--abs-floor", "inf", "abs_floor must be positive and finite, got inf"),
+    ])
+    def test_rejected(self, capsys, tmp_path, lu_pair_files, flag, value, message):
+        report = tmp_path / "report.json"
+        code = main(["flatness", *lu_pair_files, flag, value, "--output", str(report)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not report.exists()
+
+
+# The command-line interface, pinned: per subcommand its help, its
+# positionals as (name, help) in order, and every option in order as
+# flag -> (dest, default, type, choices, required, help).
+_COMMON = {
+    "--seed": ("seed", 0, int, None, False, "master random seed (default 0)"),
+    "--trials": ("trials", 5, int, None, False, "sampling trials (default 5)"),
+    "--tol": ("tol", None, float, None, False, "relative rank tolerance override"),
+    "--abs-floor": ("abs_floor", None, float, None, False, "absolute floor override"),
+    "--format": ("format", "json", None, ("json", "text"), False, None),
+    "--output": ("output", None, None, None, False,
+                 "write the report to this path instead of stdout"),
+}
+_PAIR = [("subspace1", None), ("subspace2", None)]
+_BUDGET = {"--budget": ("budget", 100, int, None, False, "at most this many probe starts")}
+_KINDS = (
+    "diagonal", "circulant", "lower_triangular", "upper_triangular",
+    "unit_upper_constant_diagonal", "unit_lower_constant_diagonal", "band_lower",
+    "band_upper", "toeplitz_upper_triangular", "toeplitz_lower_triangular", "symmetric",
+    "persymmetric_constant_antidiagonal", "rank_cols", "rank_rows", "hurwitz_radon_2",
+    "krylov",
+)
+_INTERFACE = {
+    "analyze": ("flatness report plus closedness certificate", _PAIR, _BUDGET),
+    "flatness": ("sampled flatness verdict (exit 2 when curved)", _PAIR, {}),
+    "curvature": ("curvature measure at a sampled base point", _PAIR, {
+        "--directions": ("directions", 20, int, None, False, "direction pairs to sample"),
+    }),
+    "minrank": ("minimum rank over nonzero members", [("subspace", None)], {}),
+    "cs": ("zero-product and determinant-identity tests (exit 2 when nonzero)",
+           [("matrix1", None), ("matrix2", None)], {
+               "--grid": ("grid", 9, int, None, False, "grid points per axis on [-1,1]"),
+           }),
+    "glft": ("generalized linear-fractional witness (exit 2 when none)",
+             [("matrix1", None), ("matrix2", None)], {}),
+    "factor": ("factor A = V1 V2 over an inverse-closed pair",
+               [("matrix", None), *_PAIR], {}),
+    "solve": ("solve M(z)w = b in the bilinear model of a pair",
+              [*_PAIR, ("rhs", "vector JSON file with linearization coordinates")], {
+                  "--restarts": ("restarts", 20, int, None, False, None),
+                  "--max-iter": ("max_iter", 200, int, None, False, None),
+                  "--model-out": ("model_out", None, None, None, False,
+                                  "also write the bilinear model file here"),
+              }),
+    "catalog": ("emit a structured subspace JSON file", [], {
+        "--kind": ("kind", None, None, _KINDS, True, None),
+        "--n": ("n", None, int, None, True, None),
+        "--field": ("field", "complex", None, ("real", "complex"), False, None),
+        "--p": ("p", None, int, None, False, None),
+        "--q": ("q", None, int, None, False, None),
+        "--k": ("k", None, int, None, False, None),
+        "--matrix": ("matrix", None, None, None, False, "generator matrix JSON (krylov)"),
+        "--max-power": ("max_power", None, int, None, False, None),
+    }),
+    "closedness": ("closedness certificate (exit 2 when unknown)", _PAIR, _BUDGET),
+    "bound": ("certificate degree bound", [], {
+        "--D": ("D", None, int, None, True, None),
+        "--n": ("n", None, int, None, True, None),
+        "--k": ("k", None, int, None, True, None),
+    }),
+}
+
+
+class TestInterface:
+    """No command, positional, option, default or help text drifts."""
+
+    @staticmethod
+    def subcommands():
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        helps = {a.dest: a.help for a in sub._choices_actions}
+        return {name: (helps[name], p) for name, p in sub.choices.items()}
+
+    def test_commands_in_order(self):
+        assert list(self.subcommands()) == list(_INTERFACE)
+
+    @pytest.mark.parametrize("command", list(_INTERFACE))
+    def test_command(self, command):
+        summary, positionals, options = _INTERFACE[command]
+        help, parser = self.subcommands()[command]
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert help == summary
+        assert [(a.dest, a.help) for a in actions if not a.option_strings] == positionals
+        assert {
+            a.option_strings[0]: (a.dest, a.default, a.type, a.choices, a.required, a.help)
+            for a in actions if a.option_strings
+        } == {**options, **_COMMON}
+        assert [a.option_strings for a in actions if a.option_strings] == [
+            [flag] for flag in {**options, **_COMMON}
+        ]

@@ -376,3 +376,29 @@ def test_tolerances_must_be_positive():
         Tolerances(rel_rank_tol=0.0)
     with pytest.raises(BadParameters):
         Tolerances(abs_floor=-1.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"rel_rank_tol": 1.0}, "rel_rank_tol must be in (0, 1), got 1.0"),
+    ({"rel_rank_tol": 5.0}, "rel_rank_tol must be in (0, 1), got 5.0"),
+    ({"rel_rank_tol": float("inf")}, "rel_rank_tol must be in (0, 1), got inf"),
+    ({"rel_rank_tol": float("nan")}, "rel_rank_tol must be in (0, 1), got nan"),
+    ({"abs_floor": float("inf")}, "abs_floor must be positive and finite, got inf"),
+    ({"abs_floor": float("nan")}, "abs_floor must be positive and finite, got nan"),
+    ({"abs_floor": 0.0}, "abs_floor must be positive and finite, got 0.0"),
+])
+def test_tolerances_that_zero_every_rank_are_rejected(kwargs, message):
+    """Every singular value is at most s_1, so a relative cutoff of 1 or more
+    keeps none; an infinite floor treats every stack as zero."""
+    from subspace_products import BadParameters
+
+    with pytest.raises(BadParameters) as err:
+        Tolerances(**kwargs)
+    assert str(err.value) == message
+
+
+def test_tolerances_just_inside_the_bounds_are_kept():
+    assert matrix_rank(np.eye(3), Tolerances(rel_rank_tol=float(np.nextafter(1.0, 0.0)))) == 3
+    floor = Tolerances(abs_floor=1e300)
+    assert matrix_rank(np.eye(3) * 1e301, floor) == 3
+    assert matrix_rank(np.eye(3) * 1e299, floor) == 0
