@@ -4,8 +4,8 @@ Fixing bases of the two factors and of the linearization turns the product
 map into a bidegree (1, 1) polynomial map (z, w) -> M(z) w, where each
 coefficient matrix M_r records how the basis products expand in the
 linearization basis.  This module extracts those constants, solves M(z) w = b
-(directly when one factor is inverse-closed, else by damped Gauss-Newton), and
-factors a matrix over an inverse-closed pair.
+(directly by factoring the target when that solves it, else by damped
+Gauss-Newton), and factors a matrix over an inverse-closed pair.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ from .core import (
     _check_count,
     _gaussian_coefficients,
     _products,
+    _projection,
     _vec_columns,
     as_square_matrix,
     check_same_space,
-    matrix_rank,
-    membership,
-    random_element,
     rank_from_singular_values,
     subspace_from_matrices,
     vec,
@@ -37,6 +35,7 @@ from .core import (
 from .errors import (
     BadParameters,
     NoFactorization,
+    NonFiniteInput,
     NotMember,
     RealFieldViolation,
     SingularWitness,
@@ -104,8 +103,9 @@ class SolveReport:
     """Best solution found for M(z) w = b over all restarts.
 
     ``stop`` says why the returned attempt ended: ``inverse_closed`` for the
-    direct step, else the Gauss-Newton restart's ``converged``, ``max_iter``,
-    ``damping`` (damping above 1e10) or ``singular`` (unsolvable step).
+    direct step (factoring the target, kept for its residual alone), else the
+    Gauss-Newton restart's ``converged``, ``max_iter``, ``damping`` (damping
+    above 1e10) or ``singular`` (unsolvable step).
     """
 
     z: np.ndarray
@@ -186,17 +186,18 @@ def solve_bilinear(
     max_iter: int = 200,
     seed: int = 0,
 ) -> SolveReport:
-    """Solve M(z) w = b: by one null-space step when a factor of the model's
-    pair is inverse-closed, else by damped Gauss-Newton with multi-start.
+    """Solve M(z) w = b: by one null-space step when that solves it, else by
+    damped Gauss-Newton with multi-start.
 
-    Direct step: when the model carries all three bases and the inverse of a
-    seeded random member of one factor's span is a member of it, the target
+    Direct step: when the model carries all three bases, the target
     ``A = sum_r b_r lin_basis[r]`` is factored by
-    :func:`factor_via_inverse_closed` (on ``A^T = V2^T V1^T`` when only the
-    first factor is closed), and z and w are read off the factors by least
-    squares on the model bases.  That answer is returned, with no iterations
-    or restarts and ``stop`` ``inverse_closed``, when its residual is below
-    1e-10 (1 + ||b||); otherwise Gauss-Newton runs as if it had not been tried.
+    :func:`factor_via_inverse_closed`, first over the model's pair and, if
+    that fails, over the transposed pair (``A^T = V2^T V1^T``); z and w are
+    read off the factors by least squares on the model bases.  The first
+    answer whose residual is below 1e-10 (1 + ||b||) is returned, with no
+    iterations or restarts and ``stop`` ``inverse_closed``: the residual is
+    the only judge of whether the pair factors the target.  Otherwise
+    Gauss-Newton runs as if the step had not been tried.
 
     Gauss-Newton: the scale gauge (s z, w / s) is fixed by renormalizing z to
     unit length after every accepted step (the direct answer is normalized the
@@ -209,6 +210,8 @@ def solve_bilinear(
     b = np.asarray(b).reshape(-1)
     if b.size != model.l:
         raise SizeMismatch(f"b has length {b.size}, expected {model.l}")
+    if not np.all(np.isfinite(b)):
+        raise NonFiniteInput("b contains NaN or Inf entries")
     real = model.field == REAL
     if real and np.iscomplexobj(b) and np.any(b.imag != 0):
         raise RealFieldViolation("right-hand side must be real for a real-field model")
@@ -227,12 +230,9 @@ def solve_bilinear(
     def residual_vec(z, w):
         return (M @ w) @ z - b
 
-    direct = _solve_inverse_closed(model, b, seed)
+    direct = _solve_inverse_closed(model, b, tol, seed)
     if direct is not None:
-        rnorm = float(np.linalg.norm(residual_vec(*direct)))
-        if rnorm < tol:
-            return SolveReport(*direct, residual=rnorm, iterations=0, restarts_used=0,
-                               stop="inverse_closed")
+        return direct
 
     best = None
     restarts_used = 0
@@ -285,45 +285,40 @@ def solve_bilinear(
     return best
 
 
-def _inverse_closed(S: MatrixSubspace, seed: int) -> bool:
-    """Whether the inverse of a seeded random member of S is a member; a
-    numerically singular draw counts as not closed."""
-    if S.dim == 0:
-        return False
-    X = random_element(S, seed)
-    if matrix_rank(X, S.tols) < S.n:
-        return False
-    return membership(S, np.linalg.inv(X)).inside
-
-
 def _solve_inverse_closed(
-    model: BilinearModel, b: np.ndarray, seed: int
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """(z, w) with z of unit length from factoring the target over the
-    model's pair, or None when the model lacks a basis, neither factor is
-    inverse-closed, or the null-space step finds no invertible witness."""
+    model: BilinearModel, b: np.ndarray, tol: float, seed: int
+) -> Optional[SolveReport]:
+    """The direct step: the first answer with residual below ``tol`` from
+    factoring the target over the model's pair, then over the transposed pair
+    (``A^T = V2^T V1^T``); None when the model lacks a basis or neither
+    orientation gives one."""
     if not (len(model.basis1) and len(model.basis2) and len(model.lin_basis)):
         return None
     field = model.field
-    S1 = subspace_from_matrices(model.basis1, field=field)
-    S2 = subspace_from_matrices(model.basis2, field=field)
     A = _combine(b, model.lin_basis, model.n, field)
-    try:
-        if _inverse_closed(S2, seed):
-            V1, V2 = factor_via_inverse_closed(A, S1, S2, seed)
-        elif _inverse_closed(S1, seed):
-            T1 = subspace_from_matrices([C.T for C in model.basis2], field=field)
-            T2 = subspace_from_matrices([B.T for B in model.basis1], field=field)
-            W1, W2 = factor_via_inverse_closed(A.T, T1, T2, seed)
-            V1, V2 = W2.T, W1.T
-        else:
-            return None
-    except (NoFactorization, SingularWitness):
-        return None
-    z = np.linalg.lstsq(_vec_columns(model.basis1), vec(V1), rcond=None)[0]
-    w = np.linalg.lstsq(_vec_columns(model.basis2), vec(V2), rcond=None)[0]
-    nz = np.linalg.norm(z)
-    return (z / nz, w * nz) if nz > 1e-300 else None
+    for B1, B2, target, transposed in (
+        (model.basis1, model.basis2, A, False),
+        ([C.T for C in model.basis2], [B.T for B in model.basis1], A.T, True),
+    ):
+        S1 = subspace_from_matrices(B1, field=field)
+        S2 = subspace_from_matrices(B2, field=field)
+        try:
+            V1, V2 = factor_via_inverse_closed(target, S1, S2, seed)
+        except (NoFactorization, SingularWitness):
+            continue
+        if transposed:
+            V1, V2 = V2.T, V1.T
+        z = np.linalg.lstsq(_vec_columns(model.basis1), vec(V1), rcond=None)[0]
+        w = np.linalg.lstsq(_vec_columns(model.basis2), vec(V2), rcond=None)[0]
+        nz = np.linalg.norm(z)
+        if nz <= 1e-300:
+            continue
+        z, w = z / nz, w * nz
+        rnorm = float(np.linalg.norm((np.asarray(model.M) @ w) @ z - b))
+        if rnorm < tol:
+            return SolveReport(z, w, residual=rnorm, iterations=0, restarts_used=0,
+                               stop="inverse_closed")
+    return None
 
 
 def factor_via_inverse_closed(
@@ -334,7 +329,8 @@ def factor_via_inverse_closed(
     Finds a nonzero Y in S2 with A Y in S1 (the nullspace of the linear map
     Y -> (I - P_S1)(A Y) on S2), then returns (A Y, Y^{-1}).  The second
     factor stays in S2 exactly when S2 is inverse-closed, which the caller
-    asserts; catalog constructors flag which structures guarantee it.
+    asserts (catalog constructors flag which structures guarantee it) or
+    checks, as :func:`solve_bilinear` does by its residual.
 
     Raises NoFactorization when the nullspace is empty and SingularWitness
     when every sampled nullspace member is numerically singular (e.g. A on
@@ -347,8 +343,7 @@ def factor_via_inverse_closed(
     # The columns of L are the vectorized A C over the basis C of S2, less
     # their projections onto S1.
     P = _vec_columns(_products(Aa, _basis_array(S2)))
-    Q = S1.ortho_basis
-    L = P - Q @ (Q.conj().T @ P)
+    L = P - _projection(S1, P)
     # L is n² by dim2 with dim2 <= n², so the thin Vh is the full square one.
     _, s, Vh = np.linalg.svd(L, full_matrices=False)
     rank = rank_from_singular_values(s, S1.tols)

@@ -173,11 +173,20 @@ class MatrixSubspace:
 
     def project(self, A: np.ndarray) -> np.ndarray:
         """Orthogonal projection of A onto the subspace."""
-        return unvec(self.ortho_basis @ self.coefficients(A), self.n)
+        return unvec(_projection(self, vec(A)), self.n)
 
     def project_out(self, A: np.ndarray) -> np.ndarray:
         """Component of A orthogonal to the subspace."""
         return np.asarray(A, dtype=self.ortho_basis.dtype) - self.project(A)
+
+
+def _projection(S: MatrixSubspace, X: np.ndarray) -> np.ndarray:
+    """The orthogonal projection onto S of each column of X (vectorized
+    matrices); over the real field the coefficients keep their real part."""
+    coef = S.ortho_basis.conj().T @ X
+    if S.field == REAL:
+        coef = coef.real
+    return S.ortho_basis @ coef
 
 
 def _basis_array(S: MatrixSubspace) -> np.ndarray:
@@ -306,11 +315,8 @@ def membership(S: MatrixSubspace, A) -> Membership:
     if arr.shape[0] != S.n:
         raise SizeMismatch(f"matrix side {arr.shape[0]} does not match subspace side {S.n}")
     v = vec(arr).astype(np.complex128)
-    coef = S.ortho_basis.conj().T @ v
-    if S.field == REAL:
-        coef = coef.real
     # BLAS nrm2 scales as it sums: squaring entries would overflow past 1e154.
-    residual = float(linalg.norm(v - S.ortho_basis @ coef, check_finite=False))
+    residual = float(linalg.norm(v - _projection(S, v), check_finite=False))
     scale = max(1.0, float(linalg.norm(v, check_finite=False)))
     return Membership(inside=residual < S.tol * scale, residual=residual)
 
@@ -409,13 +415,7 @@ def subspaces_equal(S1: MatrixSubspace, S2: MatrixSubspace) -> bool:
     """
     if S1.n != S2.n or S1.field != S2.field or S1.dim != S2.dim:
         return False
-    return _columns_inside(S2, S1.ortho_basis) and _columns_inside(S1, S2.ortho_basis)
-
-
-def _columns_inside(S: MatrixSubspace, Q: np.ndarray) -> bool:
-    """Whether every unit column of Q lies in S by the membership rule."""
-    coef = S.ortho_basis.conj().T @ Q
-    if S.field == REAL:
-        coef = coef.real
-    residual = np.linalg.norm(Q - S.ortho_basis @ coef, axis=0)
-    return bool(np.all(residual < S.tol))
+    return all(
+        bool(np.all(np.linalg.norm(Q - _projection(S, Q), axis=0) < S.tol))
+        for S, Q in ((S2, S1.ortho_basis), (S1, S2.ortho_basis))
+    )

@@ -172,7 +172,8 @@ def _from_pairs(value, shape: tuple, path: str, field: Optional[str] = None) -> 
 
 
 def _check_side(n, path: str) -> None:
-    _require(isinstance(n, int) and n >= 1, path, "expected a positive integer")
+    # Not isinstance: JSON true and false load as bool, a subclass of int.
+    _require(type(n) is int and n >= 1, path, "expected a positive integer")
 
 
 def _check_field(field, path: str) -> None:
@@ -240,7 +241,7 @@ def model_from_obj(obj, path: str = "model"):
     _check_side(n, f"{path}.n")
     _check_field(field, f"{path}.field")
     for name, val in (("j", j), ("kmj", kmj), ("l", l)):
-        _require(isinstance(val, int) and val >= 0, f"{path}.{name}", "expected a nonnegative integer")
+        _require(type(val) is int and val >= 0, f"{path}.{name}", "expected a nonnegative integer")
     M = _from_pairs(M, (l, j, kmj), f"{path}.M", field)
 
     def basis(key, count):

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -7,6 +8,7 @@ from subspace_products import (
     BadParameters,
     BilinearModel,
     NoFactorization,
+    NonFiniteInput,
     SingularWitness,
     SizeMismatch,
     UnsupportedDegree,
@@ -19,6 +21,7 @@ from subspace_products import (
     subspace_from_matrices,
     vec,
 )
+from subspace_products import bilinear
 from helpers import catalog, cell, crout_lu, random_complex, strongly_nonsingular
 
 
@@ -242,6 +245,17 @@ class TestSolveBilinear:
         assert rep.residual == 0.0
         assert np.all(rep.z == 0) and np.all(rep.w == 0)
 
+    @pytest.mark.parametrize("bases", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, bases, bad):
+        model = extract_bilinear(catalog("diagonal", 2), catalog("diagonal", 2))
+        if not bases:
+            model = dataclasses.replace(model, basis1=(), basis2=(), lin_basis=())
+        b = np.ones(model.l)
+        b[1] = bad
+        with pytest.raises(NonFiniteInput, match="^b contains NaN or Inf"):
+            solve_bilinear(model, b)
+
     def test_wrong_length_rejected(self):
         D = catalog("diagonal", 2)
         model = extract_bilinear(D, D)
@@ -288,6 +302,47 @@ class TestSolveInverseClosed:
         assert (rep.stop, rep.iterations, rep.restarts_used) == ("inverse_closed", 0, 0)
         assert_factors(model, rep, A, b)
         assert elapsed < 1.0
+
+    @pytest.fixture(scope="class")
+    def lu24(self):
+        n = 24
+        model = extract_bilinear(catalog(LU[0], n, "real"), catalog(LU[1], n, "real"))
+        A = np.random.default_rng(0).standard_normal((n, n)) + n * np.eye(n)
+        return model, A, coordinates(model, A)
+
+    # Ill-conditioned draws at n = 24: the direct step must not depend on
+    # judging the factors inverse-closed.  One short restart keeps a fallback
+    # to Gauss-Newton from stalling the run.
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lu24_solves_directly_for_every_seed(self, lu24, seed):
+        model, A, b = lu24
+        rep = solve_bilinear(model, b, restarts=1, max_iter=20, seed=seed)
+        assert rep.stop == "inverse_closed"
+        assert_factors(model, rep, A, b)
+
+    def test_model_orientation_is_tried_first(self, monkeypatch):
+        # Real LU at n = 6, seed 0: the seeded random member of the second
+        # factor is ill-conditioned, yet one factorization of A itself solves.
+        n = 6
+        L, U = catalog(LU[0], n, "real"), catalog(LU[1], n, "real")
+        model = extract_bilinear(L, U)
+        A = np.random.default_rng(0).standard_normal((n, n)) + n * np.eye(n)
+        b = coordinates(model, A)
+        targets = []
+
+        def spy(target, S1, S2, seed=0):
+            targets.append(target)
+            return factor_via_inverse_closed(target, S1, S2, seed)
+
+        monkeypatch.setattr(bilinear, "factor_via_inverse_closed", spy)
+        rep = solve_bilinear(model, b, seed=0)
+        assert rep.stop == "inverse_closed"
+        assert len(targets) == 1
+        np.testing.assert_array_equal(targets[0], model.product_from_coordinates(b))
+        assert_factors(model, rep, A, b)
+        V1 = np.tensordot(rep.z, np.array(model.basis1), axes=1)
+        V2 = np.tensordot(rep.w, np.array(model.basis2), axes=1)
+        assert membership(L, V1).inside and membership(U, V2).inside
 
     def test_only_first_factor_closed(self):
         # span{U0, R1, R2} is not inverse-closed; lower triangular is, so the
@@ -337,6 +392,33 @@ class TestSolveInverseClosed:
         assert first.stop == "inverse_closed"
         np.testing.assert_array_equal(first.z, again.z)
         np.testing.assert_array_equal(first.w, again.w)
+
+
+class TestGaussNewtonUnchanged:
+    """Where the direct step finds no answer, the report is the one that
+    Gauss-Newton alone gives, to the last bit."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kinds, params", [
+        (("rank_cols", "rank_rows"), {"k": 2}),
+        (("circulant", "diagonal"), {}),
+    ])
+    def test_report_equals_gauss_newton_alone(self, monkeypatch, field, kinds, params):
+        n = 6
+        model = extract_bilinear(catalog(kinds[0], n, field, **params),
+                                 catalog(kinds[1], n, field, **params))
+        rng = np.random.default_rng(8)
+        b = rng.standard_normal(model.l)
+        if field == "complex":
+            b = b + 1j * rng.standard_normal(model.l)
+        rep = solve_bilinear(model, b, restarts=3, max_iter=60, seed=2)
+        monkeypatch.setattr(bilinear, "_solve_inverse_closed", lambda *args: None)
+        alone = solve_bilinear(model, b, restarts=3, max_iter=60, seed=2)
+        assert rep.stop != "inverse_closed"
+        np.testing.assert_array_equal(rep.z, alone.z)
+        np.testing.assert_array_equal(rep.w, alone.w)
+        assert (rep.residual, rep.iterations, rep.restarts_used, rep.stop) == (
+            alone.residual, alone.iterations, alone.restarts_used, alone.stop)
 
 
 class TestGaussNewtonStop:

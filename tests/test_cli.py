@@ -406,6 +406,13 @@ class TestInputErrors:
         assert f"{rhs}.entries[0]: number too large for a float" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_boolean_side_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "f.json"
+        bad.write_text('{"n": true, "field": "real", "basis": [[[1.0]]]}')
+        code = main(["minrank", str(bad)])
+        assert code == 1
+        assert f"{bad}.n: expected a positive integer" in capsys.readouterr().err
+
     def test_real_field_rejects_complex_entries(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(

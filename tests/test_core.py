@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg
 
 from subspace_products import (
     EmptyInput,
@@ -23,6 +24,7 @@ from subspace_products import (
 from subspace_products.core import (
     _basis_array,
     _products,
+    _projection,
     _subspace_from_stack,
     _subspace_unless_full,
     _vec_columns,
@@ -141,6 +143,46 @@ class TestMembership:
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         P = S.project(A)
         assert membership(S, P).residual < S.tol
+
+
+class TestProjectionKernel:
+    """Every projection onto a subspace goes through ``_projection``, bit for
+    bit the expressions each caller used to spell out."""
+
+    @staticmethod
+    def spelled_out(S, X):
+        coef = S.ortho_basis.conj().T @ X
+        if S.field == "real":
+            coef = coef.real
+        return S.ortho_basis @ coef
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_callers_match_their_expressions(self, field):
+        rng = np.random.default_rng(12)
+        S = catalog("lower_triangular", 4, field)
+        T = catalog("symmetric", 4, field)
+        Q = S.ortho_basis
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        if field == "real":
+            A = A.real
+        np.testing.assert_array_equal(_projection(S, Q), self.spelled_out(S, Q))
+        project = (Q @ S.coefficients(A)).reshape((4, 4), order="F")
+        np.testing.assert_array_equal(S.project(A), project)
+        np.testing.assert_array_equal(S.project_out(A), np.asarray(A, dtype=Q.dtype) - project)
+        # membership on a complex matrix too, which a real subspace admits.
+        for M in (A, A + 1j * rng.standard_normal((4, 4))):
+            v = M.reshape(-1, order="F").astype(np.complex128)
+            residual = float(linalg.norm(v - self.spelled_out(S, v), check_finite=False))
+            assert membership(S, M).residual == residual
+        # subspaces_equal projects one orthonormal basis onto the other span.
+        np.testing.assert_array_equal(
+            T.ortho_basis - _projection(S, T.ortho_basis),
+            T.ortho_basis - self.spelled_out(S, T.ortho_basis),
+        )
+        # factor_via_inverse_closed projects A C over the basis C of a
+        # same-field subspace, without the real-part rule: a no-op there.
+        P = _vec_columns(_products(A, _basis_array(T)))
+        np.testing.assert_array_equal(_projection(S, P), Q @ (Q.conj().T @ P))
 
 
 class TestNumericalRank:

@@ -192,6 +192,28 @@ class TestModelReaderChecks:
             assert {B.dtype for B in basis} == {np.dtype(dtype)}
 
 
+class TestBooleanSizesRejected:
+    """JSON ``true`` loads as a Python bool, an int subclass; no reader takes it as a size."""
+
+    def test_matrix_n(self):
+        with pytest.raises(ParseError, match=r"^matrix\.n: expected a positive integer"):
+            matrix_from_obj({"n": True, "entries": [[1.0]]})
+
+    def test_subspace_n(self):
+        obj = json.loads('{"n": true, "field": "real", "basis": [[[1.0]]]}')
+        with pytest.raises(ParseError, match=r"^subspace\.n: expected a positive integer"):
+            subspace_from_obj(obj)
+
+    @pytest.mark.parametrize("key, msg", [
+        ("n", "positive"), ("j", "nonnegative"), ("kmj", "nonnegative"), ("l", "nonnegative"),
+    ])
+    def test_model_sizes(self, key, msg):
+        obj = _model_obj()
+        obj[key] = True
+        with pytest.raises(ParseError, match=rf"^model\.{key}: expected a {msg} integer"):
+            model_from_obj(obj)
+
+
 class TestFormatPinned:
     """The exact bytes of each file format; a codec change must not move one."""
 
