@@ -26,7 +26,7 @@ from .bilinear import (
     solve_bilinear,
 )
 from .catalog import KINDS, CatalogSpec, make_subspace
-from .core import Tolerances, _check_count, membership
+from .core import Tolerances, _check_count, membership, random_element
 from .errors import NoFactorization, SingularWitness, SubspaceProductsError
 from .geometry import (
     curvature_measure,
@@ -158,7 +158,8 @@ def _curvature(args, tols, S1, S2):
     V1, V2 = sample_pair(S1, S2, args.seed)
     norms = []
     for t in range(args.directions):
-        W1, W2 = sample_pair(S1, S2, args.seed + 1000 + 2 * t)
+        s = args.seed + 1000 + 2 * t
+        W1, W2 = random_element(S1, s), random_element(S2, s + 1)
         W1 = W1 / np.linalg.norm(W1)
         W2 = W2 / np.linalg.norm(W2)
         sample = curvature_measure(S1, S2, V1, V2, W1, W2)

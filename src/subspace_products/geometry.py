@@ -29,6 +29,7 @@ from .core import (
     check_same_space,
     dtype_for,
     matrix_rank,
+    membership,
     random_element,
     require_member,
     subspaces_equal,
@@ -52,7 +53,11 @@ class ProductAnalysis:
 
     ``flat`` is true exactly when some sampled point attains the
     linearization dimension; a curved verdict is a sampled claim backed by
-    at least three trials agreeing on the maximal observed rank.
+    at least three trials agreeing on the maximal observed rank.  The
+    points are those of :func:`sample_pair`, near I in each factor that
+    contains I.  ``sampled_ranks`` lists every trial as (seed, rank); it
+    ends at the first of rank n^2, so ``trials`` can fall below the number
+    requested.
 
     ``lin_basis_ref`` is the linearization.  When a trial's rank is n^2 it
     is the whole matrix space: its ``raw_basis`` holds the n^2 matrix units
@@ -250,9 +255,36 @@ def second_fundamental_form(
     return T.project_out(W1a @ W2b + W1b @ W2a)
 
 
+def _contains_identity(S: MatrixSubspace) -> bool:
+    return membership(S, np.eye(S.n)).inside
+
+
+def _generic_point(S: MatrixSubspace, seed: int) -> np.ndarray:
+    """The seeded Gaussian member X of S, shifted to P + X / (2 ||X||_2)
+    when S contains the identity, with P the projection of I onto S.
+
+    The shifted point has singular values in [1/2, 3/2], so a generic rank
+    survives the relative rank cutoff even where Gaussian members are
+    ill-conditioned, as triangular ones are (condition number ~ 2^n).  It
+    is still generic: a rank drops only on a proper algebraic set, which a
+    random line through I meets in finitely many points.
+    """
+    X = random_element(S, seed)
+    if not _contains_identity(S):
+        return X
+    return S.project(np.eye(S.n)) + X / (2.0 * np.linalg.norm(X, 2))
+
+
 def sample_pair(S1: MatrixSubspace, S2: MatrixSubspace, seed: int):
-    """Deterministic generic point of the pair: seeds (seed, seed + 1)."""
-    return random_element(S1, seed), random_element(S2, seed + 1)
+    """Deterministic generic point of the pair, the one a flatness trial
+    samples: seeds (seed, seed + 1).
+
+    Each factor is its seeded Gaussian member (:func:`random_element`),
+    shifted toward the identity when the factor contains I (see
+    :func:`_generic_point`); for isotropic directions use
+    :func:`random_element` directly.
+    """
+    return _generic_point(S1, seed), _generic_point(S2, seed + 1)
 
 
 def flatness_test(
@@ -265,15 +297,19 @@ def flatness_test(
     ``trials`` (bounded) until at least three points agree on the maximal
     observed rank.  Per-trial seeds are ``seed + 2 t`` for the first factor
     and ``seed + 2 t + 1`` for the second, so reports are reproducible and
-    individual points can be regenerated with :func:`sample_pair`.
+    individual points can be regenerated with :func:`sample_pair`: a
+    factor that contains the identity is sampled near it, at
+    P + X / (2 ||X||_2), and any other factor at its Gaussian member X.
 
     The first ``trials`` trials run before the linearization is spanned.
     Their tangent spaces V1 S2 + S1 V2 are spanned by products of members,
     so they lie in the linearization: a trial of rank n^2 settles it as the
     whole matrix space, with the matrix units as basis, and no product is
-    spanned.  Otherwise the linearization is spanned by sampled products
-    drawn from a generator of its own, seeded with ``seed``, so the trial
-    ranks do not depend on it (see :class:`ProductAnalysis`).
+    spanned.  Since no rank exceeds n^2, sampling stops at that trial, and
+    ``sampled_ranks`` ends with it.  Otherwise the linearization is spanned
+    by sampled products drawn from a generator of its own, seeded with
+    ``seed``, so the trial ranks do not depend on it (see
+    :class:`ProductAnalysis`).
     """
     _check_count("trials", trials)
     if S1.dim == 0 or S2.dim == 0:
@@ -287,13 +323,22 @@ def flatness_test(
         ranks.append((s_t, r))
         return r
 
+    for k, S in enumerate((S1, S2), 1):
+        if _contains_identity(S):
+            _log.debug("S%d contains I: its trial points are P(I) + X / (2 ||X||_2)", k)
+    full = S1.n**2
     for t in range(trials):
-        run_trial(t)
-    full_seed = next((s for s, r in ranks if r == S1.n**2), None)
-    if full_seed is None:
+        if run_trial(t) == full:
+            if t + 1 < trials:
+                _log.debug(
+                    "trial seed %d has rank n^2 = %d: the other %d trials are skipped",
+                    ranks[-1][0], full, trials - t - 1,
+                )
+            break
+    if ranks[-1][1] < full:
         lin = _sketched_linearization(S1, S2, np.random.default_rng(seed))
     else:
-        _log.debug("trial seed %d has rank n^2 = %d: the linearization is M_n", full_seed, S1.n**2)
+        _log.debug("trial seed %d has rank n^2 = %d: the linearization is M_n", ranks[-1][0], full)
         lin = _full_space(S1.n, S1.field, S1.tols)
     flat = any(r == lin.dim for _, r in ranks)
     t = trials

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from subspace_products import CatalogSpec, linearization, make_subspace, membership, vec
+from subspace_products import (
+    CatalogSpec,
+    linearization,
+    make_subspace,
+    membership,
+    random_element,
+    vec,
+)
 from subspace_products.catalog import KINDS
 from subspace_products.core import (
     _basis_array,
@@ -231,36 +238,24 @@ def sequential_probe(S1, S2, budget=100, seed=0):
     return best
 
 
-def sketch_first_flatness(S1, S2, trials=5, seed=0):
-    """Reference flatness report: the linearization is spanned before any
-    trial, by sampled products in blocks of d1 + d2 + 8, then n^2 + 8, each
-    spanned by one SVD with singular vectors, or by every basis product when
-    there are no more of them than a block would draw."""
-    d1, d2 = S1.dim, S2.dim
-    rng = np.random.default_rng(seed)
-    P = np.zeros((0, S1.n, S1.n), dtype=S1.ortho_basis.dtype)
-    for count in (d1 + d2 + 8, S1.n**2 + 8):
-        if d1 * d2 <= count:
-            lin = linearization(S1, S2)
-            break
-        C = _gaussian_coefficients(rng, (count - len(P), d1 + d2), S1.field)
-        X = np.tensordot(C[:, :d1], _basis_array(S1), axes=1)
-        Y = np.tensordot(C[:, d1:], _basis_array(S2), axes=1)
-        P = np.concatenate([P, _products(X, Y)])
-        lin = _subspace_from_stack(_vec_columns(P), S1.n, S1.field, tuple(P), S1.tols)
-        if lin.dim <= len(P) - 8:
-            break
+def _sampled_verdict(S1, S2, lin, trials, seed, point, stop_at_full):
+    """The trial loop of a flatness report against a given linearization:
+    ``trials`` trials at the points ``point(S1, S2, seed + 2 t)``, cut short
+    at the first of rank n^2 when ``stop_at_full``, then up to 25 more until
+    one is flat or three agree on the maximal rank."""
     ranks = []
 
     def run_trial(t):
         s_t = seed + 2 * t
-        r = product_map_rank(S1, S2, *sample_pair(S1, S2, s_t))
+        r = product_map_rank(S1, S2, *point(S1, S2, s_t))
         ranks.append((s_t, r))
         return r
 
     flat = False
     for t in range(trials):
         flat = run_trial(t) == lin.dim or flat
+        if stop_at_full and ranks[-1][1] == S1.n**2:
+            break
     t = trials
     while not flat and t < trials + 25:
         max_rank = max(r for _, r in ranks)
@@ -277,4 +272,40 @@ def sketch_first_flatness(S1, S2, trials=5, seed=0):
         flat=generic_rank == lin.dim,
         trials=len(ranks),
         tol_used=S1.tol,
+    )
+
+
+def sketch_first_flatness(S1, S2, trials=5, seed=0):
+    """Reference flatness report: the linearization is spanned before any
+    trial, by sampled products in blocks of d1 + d2 + 8, then n^2 + 8, each
+    spanned by one SVD with singular vectors, or by every basis product when
+    there are no more of them than a block would draw.  Trials sample the
+    points of :func:`sample_pair` and stop at the first of rank n^2."""
+    d1, d2 = S1.dim, S2.dim
+    rng = np.random.default_rng(seed)
+    P = np.zeros((0, S1.n, S1.n), dtype=S1.ortho_basis.dtype)
+    for count in (d1 + d2 + 8, S1.n**2 + 8):
+        if d1 * d2 <= count:
+            lin = linearization(S1, S2)
+            break
+        C = _gaussian_coefficients(rng, (count - len(P), d1 + d2), S1.field)
+        X = np.tensordot(C[:, :d1], _basis_array(S1), axes=1)
+        Y = np.tensordot(C[:, d1:], _basis_array(S2), axes=1)
+        P = np.concatenate([P, _products(X, Y)])
+        lin = _subspace_from_stack(_vec_columns(P), S1.n, S1.field, tuple(P), S1.tols)
+        if lin.dim <= len(P) - 8:
+            break
+    return _sampled_verdict(S1, S2, lin, trials, seed, sample_pair, stop_at_full=True)
+
+
+def gaussian_flatness(S1, S2, trials=5, seed=0):
+    """Reference flatness verdict at plain Gaussian points: the enumerated
+    linearization, and every one of the first ``trials`` trials at
+    ``random_element`` draws with seeds (seed + 2 t, seed + 2 t + 1)."""
+
+    def gaussian_pair(S1, S2, s):
+        return random_element(S1, s), random_element(S2, s + 1)
+
+    return _sampled_verdict(
+        S1, S2, linearization(S1, S2), trials, seed, gaussian_pair, stop_at_full=False
     )

@@ -5,7 +5,13 @@ import logging
 import numpy as np
 import pytest
 
-from subspace_products import cli, serialization, subspace_from_matrices
+from subspace_products import (
+    cli,
+    curvature_measure,
+    random_element,
+    serialization,
+    subspace_from_matrices,
+)
 from subspace_products.cli import main
 from subspace_products.serialization import (
     dumps_canonical,
@@ -364,6 +370,28 @@ class TestCurvatureCommand:
         assert result["tangent_dim"] == 5
         assert len(result["q_norms"]) == 5
         assert result["max_q_norm"] > 0
+
+    def test_directions_are_gaussian_draws(self, capsys, segre_pair_files, monkeypatch):
+        # Base points sit near the identity (both factors contain it), but
+        # the directions stay the seeded Gaussian members, unit-normalized.
+        seen = []
+
+        def spy(S1, S2, V1, V2, W1, W2):
+            seen.append((S1, S2, W1, W2))
+            return curvature_measure(S1, S2, V1, V2, W1, W2)
+
+        monkeypatch.setattr(cli, "curvature_measure", spy)
+        code, _ = run(capsys, ["curvature", *segre_pair_files, "--directions", "3", "--seed", "4"])
+        assert code == 0 and len(seen) == 3
+        for t, (S1, S2, W1, W2) in enumerate(seen):
+            s = 4 + 1000 + 2 * t
+            X1, X2 = random_element(S1, s), random_element(S2, s + 1)
+            np.testing.assert_array_equal(W1, X1 / np.linalg.norm(X1))
+            np.testing.assert_array_equal(W2, X2 / np.linalg.norm(X2))
+            c = np.random.default_rng(s).standard_normal(2 * S1.dim)
+            np.testing.assert_allclose(
+                S1.coefficients(W1) * np.linalg.norm(X1), c[: S1.dim] + 1j * c[S1.dim:]
+            )
 
 
 class TestInputErrors:

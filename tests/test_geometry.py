@@ -17,6 +17,7 @@ from subspace_products import (
     membership,
     product_map,
     product_map_rank,
+    random_element,
     sample_pair,
     second_fundamental_form,
     solve_bilinear,
@@ -33,6 +34,7 @@ from helpers import (
     brute_tangent_rank,
     catalog,
     cell,
+    gaussian_flatness,
     sketch_first_flatness,
 )
 
@@ -336,6 +338,9 @@ class TestTrialsBeforeSketch:
             flatness_test(cols, rows, seed=0)
             flatness_test(rows, cols, seed=0)
         assert [r.getMessage() for r in caplog.records] == [
+            "S1 contains I: its trial points are P(I) + X / (2 ||X||_2)",
+            "S2 contains I: its trial points are P(I) + X / (2 ||X||_2)",
+            "trial seed 0 has rank n^2 = 16: the other 4 trials are skipped",
             "trial seed 0 has rank n^2 = 16: the linearization is M_n",
             "sketch block: 40 products, rank 40",
             "sketch span past n^2: 72 products, rank 64, full",
@@ -507,15 +512,17 @@ class TestFlatness:
     @pytest.mark.parametrize(
         "kind1,kind2,field,ranks",
         [
-            ("lower_triangular", "unit_upper_constant_diagonal", "real", (64, 64, 63, 58, 64)),
-            ("lower_triangular", "unit_upper_constant_diagonal", "complex", (62, 64, 64, 61, 64)),
-            ("symmetric", "persymmetric_constant_antidiagonal", "real", (64,) * 5),
-            ("symmetric", "persymmetric_constant_antidiagonal", "complex", (64,) * 5),
+            ("lower_triangular", "unit_upper_constant_diagonal", "real", (64,)),
+            ("lower_triangular", "unit_upper_constant_diagonal", "complex", (64,)),
+            ("symmetric", "persymmetric_constant_antidiagonal", "real", (64,)),
+            ("symmetric", "persymmetric_constant_antidiagonal", "complex", (64,)),
         ],
     )
     def test_sampled_ranks_pinned_at_n8(self, kind1, kind2, field, ranks):
-        # Ranks at seed 0 as computed by the per-pair product loop and the
-        # full SVD of each tangent stack; the batched kernel keeps them.
+        # Ranks at seed 0.  Each first factor contains I, so the trial point
+        # is well conditioned; its rank is n^2 and sampling stops there.  At
+        # plain Gaussian points LU ranked (64, 64, 63, 58, 64) over the reals
+        # and (62, 64, 64, 61, 64) over the complex field.
         report = flatness_test(catalog(kind1, 8, field), catalog(kind2, 8, field), seed=0)
         assert report.sampled_ranks == tuple(zip(range(0, 10, 2), ranks))
         assert report.flat and report.lin_dim == 64
@@ -523,16 +530,16 @@ class TestFlatness:
     @pytest.mark.parametrize(
         "kind1,kind2,field,ranks",
         [
-            ("lower_triangular", "unit_upper_constant_diagonal", "real", (139, 144, 142, 134, 142)),
-            ("lower_triangular", "unit_upper_constant_diagonal", "complex",
-             (141, 143, 142, 143, 142, 136, 144)),
-            ("symmetric", "persymmetric_constant_antidiagonal", "real", (144,) * 5),
-            ("symmetric", "persymmetric_constant_antidiagonal", "complex", (144,) * 5),
+            ("lower_triangular", "unit_upper_constant_diagonal", "real", (144,)),
+            ("lower_triangular", "unit_upper_constant_diagonal", "complex", (144,)),
+            ("symmetric", "persymmetric_constant_antidiagonal", "real", (144,)),
+            ("symmetric", "persymmetric_constant_antidiagonal", "complex", (144,)),
         ],
     )
     def test_sampled_ranks_pinned_at_n12(self, kind1, kind2, field, ranks):
-        # Ranks at seed 0 as computed with the enumerated linearization; the
-        # sketch draws from a generator of its own and leaves them unchanged.
+        # Ranks at seed 0, as at n = 8.  At plain Gaussian points LU ranked
+        # (139, 144, 142, 134, 142) over the reals and (141, 143, 142, 143,
+        # 142, 136, 144) over the complex field.
         report = flatness_test(catalog(kind1, 12, field), catalog(kind2, 12, field), seed=0)
         assert report.sampled_ranks == tuple(zip(range(0, 2 * len(ranks), 2), ranks))
         assert report.flat and report.lin_dim == 144
@@ -582,6 +589,69 @@ class TestFlatness:
             rep = solve_bilinear(model, b, restarts=10, seed=seed)
             hits += rep.residual < 1e-6
         assert hits >= 95
+
+
+class TestWellConditionedPoints:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["lower_triangular", "unit_upper_constant_diagonal"])
+    def test_point_near_identity_when_the_factor_contains_it(self, kind, field):
+        S = catalog(kind, 16, field)
+        for seed in range(3):
+            V = geometry._generic_point(S, seed)
+            assert membership(S, V).inside
+            s = np.linalg.svd(V, compute_uv=False)
+            assert 0.5 - 1e-12 <= s[-1] and s[0] <= 1.5 + 1e-12
+
+    def test_gaussian_point_when_the_factor_lacks_the_identity(self):
+        cols = catalog("rank_cols", 6, "real", k=2)
+        rows = catalog("rank_rows", 6, "real", k=2)
+        V1, V2 = sample_pair(cols, rows, 4)
+        np.testing.assert_array_equal(V1, random_element(cols, 4))
+        np.testing.assert_array_equal(V2, random_element(rows, 5))
+
+    @pytest.mark.parametrize("field,n", [("real", 16), ("real", 24), ("real", 32),
+                                         ("complex", 12), ("complex", 16)])
+    def test_lu_flat_in_one_trial(self, field, n):
+        # At plain Gaussian points real LU was called curved from n = 16.
+        L = catalog("lower_triangular", n, field)
+        U = catalog("unit_upper_constant_diagonal", n, field)
+        report = flatness_test(L, U, trials=5, seed=0)
+        assert report.flat and report.trials == 1
+        assert report.sampled_ranks == ((0, n * n),)
+
+    def test_verdicts_match_gaussian_points_on_catalog_pairs(self):
+        subs = [catalog(kind, 6, "real", **params) for kind, params in SKETCH_KINDS.items()]
+        for S1 in subs:
+            for S2 in subs:
+                got = flatness_test(S1, S2)
+                want = gaussian_flatness(S1, S2)
+                assert (got.lin_dim, got.generic_rank, got.flat) == (
+                    want.lin_dim, want.generic_rank, want.flat
+                )
+
+    @pytest.mark.parametrize("trials", [1, 5])
+    @pytest.mark.parametrize("kind1,kind2,params", [
+        ("circulant", "diagonal", {}), ("rank_cols", "rank_rows", {"k": 2}),
+    ])
+    def test_curved_pairs_run_every_trial_and_confirm(self, kind1, kind2, params, trials):
+        S1 = catalog(kind1, 6, "real", **params)
+        S2 = catalog(kind2, 6, "real", **params)
+        report = flatness_test(S1, S2, trials=trials, seed=0)
+        assert not report.flat
+        assert report.trials >= max(trials, 3)
+        assert sum(r == report.generic_rank for _, r in report.sampled_ranks) >= 3
+
+    @pytest.mark.parametrize("kind1,kind2", [("rank_cols", "rank_rows"), ("rank_rows", "rank_cols")])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_report_unchanged_without_the_identity(self, kind1, kind2, field):
+        # Neither factor contains I and no trial reaches n^2: every trial runs
+        # at its Gaussian point, as before.
+        S1 = catalog(kind1, 6, field, k=2)
+        S2 = catalog(kind2, 6, field, k=2)
+        for seed in range(3):
+            assert flatness_test(S1, S2, seed=seed).to_dict() == gaussian_flatness(
+                S1, S2, seed=seed
+            ).to_dict()
 
 
 class TestFactorizability:
