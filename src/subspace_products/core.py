@@ -11,6 +11,8 @@ real part, which for real matrices is the plain trace form.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -29,6 +31,8 @@ from .errors import (
     SizeMismatch,
     ZeroSubspace,
 )
+
+_log = logging.getLogger("subspace_products")
 
 REAL = "real"
 COMPLEX = "complex"
@@ -111,6 +115,49 @@ def rank_from_singular_values(s: np.ndarray, tols: Tolerances) -> int:
     if s.size == 0 or s[0] < tols.abs_floor:
         return 0
     return int(np.sum(s > tols.rel_rank_tol * s[0]))
+
+
+def _certified_full_rank(stack: np.ndarray, tols: Tolerances) -> bool:
+    """True only if the (m, N) ``stack`` provably has rank m under ``tols``
+    (so N >= m): the singular values of :func:`matrix_rank` would count m.
+    False proves nothing; callers then compute the rank as before.
+
+    With A the stack divided by its largest |entry| (so its Gram matrix
+    cannot overflow), s = trace(A A^H) = ||A||_F^2 and
+
+        t = (2 rel_rank_tol)^2 + 4 (N + m + 2) eps,
+
+    a Cholesky factorization that runs to completion on fl(A A^H) - t s I
+    shows lambda_min(A A^H) > (2 rel_rank_tol)^2 s: the 4 (N + m + 2) eps
+    term covers the rounding of the Gram product (gamma_N), of the trace
+    and the shift, and of the factorization (gamma_{m+1}; S. M. Rump,
+    Acta Numerica 19, 2010), with room for complex arithmetic.
+    Then sigma_m > 2 rel_rank_tol ||A||_F >= 2 rel_rank_tol sigma_1, and
+    sigma_m > sqrt(8 (m + 1) eps) sigma_1 > 5e-8 sigma_1 whatever the
+    tolerance, far above the rounding of an SVD, so the computed singular
+    values clear the cutoff too.  The floor gets the same factor of 2:
+    ||stack||_F^2 >= 4 m abs_floor^2 gives sigma_1 >= 2 abs_floor.  A zero
+    or non-finite largest entry gives False.
+    """
+    m, N = stack.shape
+    with np.errstate(over="ignore"):
+        scale = float(np.max(np.abs(stack), initial=0.0))
+    if not 0.0 < scale < np.inf:
+        return False
+    A = stack / scale
+    G = A @ A.conj().T
+    s = float(np.trace(G).real)
+    if math.sqrt(s) * scale < 2.0 * math.sqrt(m) * tols.abs_floor:
+        return False
+    t = (2.0 * tols.rel_rank_tol) ** 2 + 4.0 * (N + m + 2) * np.finfo(np.float64).eps
+    G[np.diag_indices(m)] -= t * s
+    # G.T (the conjugate of G, with the same eigenvalues) is Fortran-ordered,
+    # so LAPACK factors it in place.
+    potrf = linalg.get_lapack_funcs("potrf", (G,))
+    if potrf(G.T, overwrite_a=True, clean=False)[1] != 0:
+        return False
+    _log.debug("rank n^2 = %d certified by Cholesky of the shifted Gram matrix", m)
+    return True
 
 
 def matrix_rank(M, tols: Optional[Tolerances] = None) -> int:
@@ -275,11 +322,16 @@ def _subspace_unless_full(
     stack: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
 ) -> MatrixSubspace:
     """:func:`_subspace_from_stack` for a stack that may span every n-by-n
-    matrix.  The rank comes from the singular values of the reduced stack
-    alone; a full rank gives :func:`_full_space` over ``raw_basis``, and
-    only a proper span pays for the singular vectors."""
+    matrix.  A stack at least n*n wide first tries
+    :func:`_certified_full_rank`, one Gram product and one Cholesky; if that
+    proves nothing, the rank comes from the singular values of the reduced
+    stack alone.  A full rank gives :func:`_full_space` over ``raw_basis``,
+    and only a proper span pays for the singular vectors."""
+    wide = stack.shape[1] >= n * n
+    if wide and _certified_full_rank(stack, tols):
+        return _full_space(n, field, tols, raw_basis)
     F = _reduced_stack(stack)
-    if F.shape[1] >= n * n and matrix_rank(F, tols) == n * n:
+    if wide and matrix_rank(F, tols) == n * n:
         return _full_space(n, field, tols, raw_basis)
     return _span_of_reduced(F, n, field, raw_basis, tols)
 

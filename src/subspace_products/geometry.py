@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     MatrixSubspace,
     _basis_array,
+    _certified_full_rank,
     _check_count,
     _full_space,
     _gaussian_coefficients,
@@ -169,9 +170,12 @@ def _sketched_linearization(
     n^2 + ``_SKETCH_OVERSAMPLING``, past the largest possible rank.  When
     there are no more basis products than a block would draw, every basis
     product is used instead.  Those last two spans exist to reach past n^2,
-    so their rank comes from singular values alone: a span of every n-by-n
-    matrix gets the identity as ``ortho_basis`` (its ``raw_basis`` still
-    holds the products), and only a proper span pays for singular vectors.
+    so :func:`~subspace_products.core._subspace_unless_full` spans them:
+    rank n^2 is first tried by one Cholesky of the shifted Gram matrix, and
+    otherwise the rank comes from singular values alone.  A span of every
+    n-by-n matrix gets the identity as ``ortho_basis`` (its ``raw_basis``
+    still holds the products), and only a proper span pays for singular
+    vectors.
     """
     check_same_space(S1, S2)
     n, d1, d2 = S1.n, S1.dim, S2.dim
@@ -218,9 +222,20 @@ def tangent_space(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> MatrixSubsp
 
 
 def product_map_rank(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> int:
-    """Rank of the product map at (V1, V2): the tangent space dimension,
-    from the singular values of the tangent stack alone."""
-    return matrix_rank(_vec_columns(_tangent_products(S1, S2, V1, V2)), S1.tols)
+    """Rank of the product map at (V1, V2): the tangent space dimension.
+
+    A tangent stack with more than n^2 columns first tries
+    :func:`~subspace_products.core._certified_full_rank`, which proves rank
+    n^2 by one Cholesky of its shifted Gram matrix; with n^2 columns or
+    fewer the rank is below n^2, since (V1, -V2) is in the kernel of the
+    tangent map.  Any rank not proved that way comes from the singular
+    values of the tangent stack alone.
+    """
+    stack = _vec_columns(_tangent_products(S1, S2, V1, V2))
+    full = S1.n**2
+    if stack.shape[1] > full and _certified_full_rank(stack, S1.tols):
+        return full
+    return matrix_rank(stack, S1.tols)
 
 
 def curvature_measure(

@@ -21,8 +21,11 @@ from subspace_products import (
     subspace_sum,
     subspaces_equal,
 )
+from subspace_products import core
 from subspace_products.core import (
     _basis_array,
+    _certified_full_rank,
+    _gaussian_coefficients,
     _products,
     _projection,
     _subspace_from_stack,
@@ -221,6 +224,48 @@ class TestMatrixRank:
         assert matrix_rank(1e-13 * np.eye(2)) == 0
 
 
+def stack_with_singular_values(sigma, N, field, seed=0):
+    """U diag(sigma) V^H with Haar-like U (m x m) and V (N x m)."""
+    rng = np.random.default_rng(seed)
+    m = len(sigma)
+    U, _ = np.linalg.qr(_gaussian_coefficients(rng, (m, m), field))
+    V, _ = np.linalg.qr(_gaussian_coefficients(rng, (N, m), field))
+    return (U * sigma) @ V.conj().T
+
+
+@pytest.mark.filterwarnings("error")
+class TestCertifiedFullRank:
+    M = 12
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("N", [M, M + 1, 2 * M])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("ratio", [1e-9, 1e-8, 2e-8, 1e-7, 1e-6, 1e-3, 3e-3])
+    @pytest.mark.parametrize("tols", [Tolerances(), Tolerances(rel_rank_tol=1e-3)])
+    def test_proves_only_the_rank_the_svd_gives(self, ratio, scale, N, field, tols):
+        sigma = np.logspace(0.0, np.log10(ratio), self.M)
+        stack = scale * stack_with_singular_values(sigma, N, field)
+        proved = _certified_full_rank(stack, tols)
+        if proved:
+            assert matrix_rank(stack, tols) == self.M
+        if ratio >= 1e-6 and ratio > 10 * tols.rel_rank_tol and scale >= 1.0:
+            assert proved
+        if scale < tols.abs_floor:
+            assert not proved
+
+    def test_below_the_floor_or_zero_proves_nothing(self):
+        stack = stack_with_singular_values(np.ones(4), 8, "real")
+        assert _certified_full_rank(stack, Tolerances())
+        for tiny in (1e-13 * stack, np.zeros((4, 8))):
+            assert matrix_rank(tiny) == 0
+            assert not _certified_full_rank(tiny, Tolerances())
+
+    def test_rank_deficient_and_tall_stacks_prove_nothing(self):
+        sigma = np.array([1.0, 0.5, 0.0])
+        assert not _certified_full_rank(stack_with_singular_values(sigma, 6, "real"), Tolerances())
+        assert not _certified_full_rank(np.eye(4)[:, :3], Tolerances())
+
+
 class TestSubspaceFromStack:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(
@@ -269,11 +314,15 @@ class TestSubspaceUnlessFull:
         np.testing.assert_array_equal(got.ortho_basis, want.ortho_basis)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_qr_falls_back_to_the_svd(self):
+    def test_overflowing_qr_falls_back_to_the_svd(self, monkeypatch):
         # Entries near the float maximum: Householder QR overflows R here
         # (with OpenBLAS), while the SVD, which scales its input, keeps
-        # every singular value finite and decides the rank.
+        # every singular value finite and decides the rank.  The full-rank
+        # certificate, which scales first, would settle this stack before
+        # the QR, so it is turned off.
         stack = 7e307 * np.random.default_rng(0).uniform(-1.0, 1.0, (4, 8))
+        assert _certified_full_rank(stack, Tolerances())
+        monkeypatch.setattr(core, "_certified_full_rank", lambda stack, tols: False)
         S = _subspace_unless_full(stack, 2, "real", (), Tolerances())
         assert S.dim == 4
         np.testing.assert_array_equal(S.ortho_basis, np.eye(4))

@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -26,8 +27,10 @@ from subspace_products import (
     tangent_space,
     vec,
 )
-from subspace_products import geometry
+from subspace_products import core, geometry
+from subspace_products.cli import main
 from subspace_products.geometry import _sketched_linearization
+from subspace_products.serialization import save_obj, subspace_to_obj
 from helpers import (
     SKETCH_KINDS,
     brute_span_rank,
@@ -340,9 +343,11 @@ class TestTrialsBeforeSketch:
         assert [r.getMessage() for r in caplog.records] == [
             "S1 contains I: its trial points are P(I) + X / (2 ||X||_2)",
             "S2 contains I: its trial points are P(I) + X / (2 ||X||_2)",
+            "rank n^2 = 16 certified by Cholesky of the shifted Gram matrix",
             "trial seed 0 has rank n^2 = 16: the other 4 trials are skipped",
             "trial seed 0 has rank n^2 = 16: the linearization is M_n",
             "sketch block: 40 products, rank 40",
+            "rank n^2 = 64 certified by Cholesky of the shifted Gram matrix",
             "sketch span past n^2: 72 products, rank 64, full",
             "sketch block: 40 products, rank 4",
         ]
@@ -702,3 +707,70 @@ class TestFactorizability:
         one = subspace_from_matrices([np.eye(2)])
         verdict, _ = factorizability_check(full, one, full, trials=3, seed=0)
         assert not verdict
+
+
+class TestFullRankCertificate:
+    """A rank that ``core._certified_full_rank`` proves is the rank the SVD
+    gives, so every report is byte-identical with the certificate off."""
+
+    @staticmethod
+    def reports(subs, pairs, tmp_path, capsys):
+        files = {}
+        for kind, S in subs.items():
+            files[kind] = str(tmp_path / f"{kind}.json")
+            save_obj(subspace_to_obj(S), files[kind])
+        n, field = next((S.n, S.field) for S in subs.values())
+        W = subspace_from_matrices([cell(n, i, j) for i in range(n) for j in range(n)], field=field)
+        out = []
+        for k1, k2 in pairs:
+            S1, S2 = subs[k1], subs[k2]
+            report = flatness_test(S1, S2, seed=3)
+            lin = report.lin_basis_ref
+            verdict, again = factorizability_check(W, S1, S2, seed=3)
+            out += [
+                json.dumps(report.to_dict()),
+                lin.ortho_basis.tobytes() + b"".join(B.tobytes() for B in lin.raw_basis),
+                (verdict, json.dumps(again.to_dict())),
+            ]
+            for argv in (["flatness"], ["analyze", "--budget", "1"]):
+                main([*argv, files[k1], files[k2], "--seed", "3"])
+                out.append(capsys.readouterr().out)
+        return out
+
+    def assert_same_without_certificate(self, subs, pairs, tmp_path, capsys, monkeypatch):
+        """Compare the reports with the certificate on and off; return what
+        each call of the certificate proved."""
+        proved = []
+
+        def spy(stack, tols):
+            proved.append(certify(stack, tols))
+            return proved[-1]
+
+        certify = core._certified_full_rank
+        for module in (core, geometry):
+            monkeypatch.setattr(module, "_certified_full_rank", spy)
+        with_certificate = self.reports(subs, pairs, tmp_path, capsys)
+        for module in (core, geometry):
+            monkeypatch.setattr(module, "_certified_full_rank", lambda stack, tols: False)
+        assert self.reports(subs, pairs, tmp_path, capsys) == with_certificate
+        return proved
+
+    def test_catalog_pairs(self, tmp_path, capsys, monkeypatch):
+        subs = {kind: catalog(kind, 6, "real", **params) for kind, params in SKETCH_KINDS.items()}
+        pairs = [(k1, k2) for k1 in subs for k2 in subs]
+        assert len(pairs) == 196
+        proved = self.assert_same_without_certificate(subs, pairs, tmp_path, capsys, monkeypatch)
+        assert any(proved) and not all(proved)
+
+    @pytest.mark.parametrize("field,n", [("real", 16), ("complex", 12)])
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("lower_triangular", "unit_upper_constant_diagonal"),
+            ("symmetric", "persymmetric_constant_antidiagonal"),
+        ],
+    )
+    def test_flat_pairs_at_large_n(self, kinds, field, n, tmp_path, capsys, monkeypatch):
+        subs = {kind: catalog(kind, n, field) for kind in kinds}
+        proved = self.assert_same_without_certificate(subs, [kinds], tmp_path, capsys, monkeypatch)
+        assert any(proved)
