@@ -26,7 +26,7 @@ from .bilinear import (
     solve_bilinear,
 )
 from .catalog import KINDS, CatalogSpec, make_subspace
-from .core import Tolerances, _check_count, membership, random_element
+from .core import Tolerances, _check_count, membership, random_unit_element
 from .errors import NoFactorization, SingularWitness, SubspaceProductsError
 from .geometry import (
     curvature_measure,
@@ -159,9 +159,7 @@ def _curvature(args, tols, S1, S2):
     norms = []
     for t in range(args.directions):
         s = args.seed + 1000 + 2 * t
-        W1, W2 = random_element(S1, s), random_element(S2, s + 1)
-        W1 = W1 / np.linalg.norm(W1)
-        W2 = W2 / np.linalg.norm(W2)
+        W1, W2 = random_unit_element(S1, s), random_unit_element(S2, s + 1)
         sample = curvature_measure(S1, S2, V1, V2, W1, W2)
         norms.append(sample.q_norm)
     return {

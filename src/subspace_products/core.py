@@ -119,8 +119,8 @@ def rank_from_singular_values(s: np.ndarray, tols: Tolerances) -> int:
 
 def _certified_full_rank(stack: np.ndarray, tols: Tolerances) -> bool:
     """True only if the (m, N) ``stack`` provably has rank m under ``tols``
-    (so N >= m): the singular values of :func:`matrix_rank` would count m.
-    False proves nothing; callers then compute the rank as before.
+    (so N >= m): :func:`rank_from_singular_values` would count m singular
+    values.  False proves nothing; callers then compute the rank by an SVD.
 
     With A the stack divided by its largest |entry| (so its Gram matrix
     cannot overflow), s = trace(A A^H) = ||A||_F^2 and
@@ -156,14 +156,23 @@ def _certified_full_rank(stack: np.ndarray, tols: Tolerances) -> bool:
     potrf = linalg.get_lapack_funcs("potrf", (G,))
     if potrf(G.T, overwrite_a=True, clean=False)[1] != 0:
         return False
-    _log.debug("rank n^2 = %d certified by Cholesky of the shifted Gram matrix", m)
+    _log.debug("full rank %d certified by Cholesky of the shifted Gram matrix", m)
     return True
 
 
 def matrix_rank(M, tols: Optional[Tolerances] = None) -> int:
-    """Numerical rank of a matrix: its singular values judged by ``tols``."""
-    s = np.linalg.svd(np.asarray(M), compute_uv=False)
-    return rank_from_singular_values(s, tols or Tolerances())
+    """Numerical rank of a matrix: its singular values judged by ``tols``.
+
+    An (m, N) matrix wider than tall (N > m) first tries
+    :func:`_certified_full_rank`, one Gram product and one Cholesky, and a
+    proof gives m; otherwise, and for square or tall matrices, one SVD
+    decides, without singular vectors.
+    """
+    M = np.asarray(M)
+    tols = tols or Tolerances()
+    if M.shape[1] > M.shape[0] and _certified_full_rank(M, tols):
+        return M.shape[0]
+    return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), tols)
 
 
 class Membership(NamedTuple):
@@ -281,11 +290,13 @@ def _reduced_stack(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _span_of_reduced(
-    F: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
+def _subspace_from_stack(
+    stack: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
 ) -> MatrixSubspace:
-    """The span of the columns of a reduced stack (see :func:`_reduced_stack`)."""
-    U, s, _ = np.linalg.svd(F, full_matrices=False)
+    """The span of the columns of a validated (n*n, N) stack of vectorized
+    members, with ``raw_basis`` the N members as matrices, from one SVD of
+    the reduced stack (see :func:`_reduced_stack`)."""
+    U, s, _ = np.linalg.svd(_reduced_stack(stack), full_matrices=False)
     dim = rank_from_singular_values(s, tols)
     Q = np.array(U[:, :dim])
     if field == REAL:
@@ -295,24 +306,15 @@ def _span_of_reduced(
     )
 
 
-def _subspace_from_stack(
-    stack: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
-) -> MatrixSubspace:
-    """The span of the columns of a validated (n*n, N) stack of vectorized
-    members, with ``raw_basis`` the N members as matrices, from one SVD of
-    the reduced stack (see :func:`_reduced_stack`)."""
-    return _span_of_reduced(_reduced_stack(stack), n, field, raw_basis, tols)
-
-
 def _full_space(
     n: int, field: str, tols: Tolerances, raw_basis: Optional[tuple] = None
 ) -> MatrixSubspace:
     """All n-by-n matrices, with the identity as ``ortho_basis`` (the
     vectorized matrix units).  ``raw_basis`` defaults to the n*n matrix
-    units in column-major order."""
+    units in column-major order, as views of the identity."""
     identity = np.eye(n * n, dtype=dtype_for(field))
     if raw_basis is None:
-        raw_basis = tuple(unvec(e, n) for e in identity.T)
+        raw_basis = tuple(identity.reshape(n * n, n, n).transpose(0, 2, 1))
     return MatrixSubspace(
         n=n, field=field, raw_basis=raw_basis, dim=n * n, ortho_basis=identity, tols=tols
     )
@@ -322,18 +324,14 @@ def _subspace_unless_full(
     stack: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
 ) -> MatrixSubspace:
     """:func:`_subspace_from_stack` for a stack that may span every n-by-n
-    matrix.  A stack at least n*n wide first tries
-    :func:`_certified_full_rank`, one Gram product and one Cholesky; if that
-    proves nothing, the rank comes from the singular values of the reduced
-    stack alone.  A full rank gives :func:`_full_space` over ``raw_basis``,
-    and only a proper span pays for the singular vectors."""
-    wide = stack.shape[1] >= n * n
-    if wide and _certified_full_rank(stack, tols):
+    matrix, with the identity as ``ortho_basis`` when it does.  A stack at
+    least n*n wide first tries :func:`_certified_full_rank`, one Gram
+    product and one Cholesky; if that proves nothing, one SVD spans it.
+    Either way a span of dim n*n is :func:`_full_space` over ``raw_basis``."""
+    if stack.shape[1] >= n * n and _certified_full_rank(stack, tols):
         return _full_space(n, field, tols, raw_basis)
-    F = _reduced_stack(stack)
-    if wide and matrix_rank(F, tols) == n * n:
-        return _full_space(n, field, tols, raw_basis)
-    return _span_of_reduced(F, n, field, raw_basis, tols)
+    S = _subspace_from_stack(stack, n, field, raw_basis, tols)
+    return _full_space(n, field, tols, raw_basis) if S.dim == n * n else S
 
 
 def subspace_from_matrices(

@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     MatrixSubspace,
     _basis_array,
-    _certified_full_rank,
     _check_count,
     _full_space,
     _gaussian_coefficients,
@@ -62,14 +61,13 @@ class ProductAnalysis:
 
     ``lin_basis_ref`` is the linearization.  When a trial's rank is n^2 it
     is the whole matrix space: its ``raw_basis`` holds the n^2 matrix units
-    in column-major order and its ``ortho_basis`` is the identity.
-    Otherwise it is spanned by sampled products of Gaussian members, drawn
-    in blocks until their rank stalls at least ``_SKETCH_OVERSAMPLING`` (8)
-    below their number; its ``raw_basis`` holds those products, not the
-    basis products ``B_s C_t`` of :func:`linearization`, except when there
-    are no more basis products than a block would draw and every one of
-    them is used.  Such a span of every n-by-n matrix also has the identity
-    as ``ortho_basis``, unless the first sampled block already stalled there.
+    in column-major order.  Otherwise it is spanned by sampled products of
+    Gaussian members, drawn in blocks until their rank stalls at least
+    ``_SKETCH_OVERSAMPLING`` (8) below their number; its ``raw_basis``
+    holds those products, not the basis products ``B_s C_t`` of
+    :func:`linearization`, except when there are no more basis products
+    than a block would draw and every one of them is used.  Whenever it
+    spans every n-by-n matrix, its ``ortho_basis`` is the identity.
     """
 
     lin_dim: int
@@ -166,16 +164,14 @@ def _sketched_linearization(
     so a block of products whose rank stays at least ``_SKETCH_OVERSAMPLING``
     below their number has stalled at the full dimension.  The first block
     draws S1.dim + S2.dim + ``_SKETCH_OVERSAMPLING`` products and is spanned
-    by one SVD.  If it has not stalled, a second block tops it up to
+    by :func:`~subspace_products.core._subspace_unless_full`, like every
+    span here.  If it has not stalled, a second block tops it up to
     n^2 + ``_SKETCH_OVERSAMPLING``, past the largest possible rank.  When
     there are no more basis products than a block would draw, every basis
-    product is used instead.  Those last two spans exist to reach past n^2,
-    so :func:`~subspace_products.core._subspace_unless_full` spans them:
-    rank n^2 is first tried by one Cholesky of the shifted Gram matrix, and
-    otherwise the rank comes from singular values alone.  A span of every
+    product is used instead.  A span at least n^2 wide first tries the
+    full-rank certificate, and otherwise one SVD spans it; a span of every
     n-by-n matrix gets the identity as ``ortho_basis`` (its ``raw_basis``
-    still holds the products), and only a proper span pays for singular
-    vectors.
+    still holds the products).
     """
     check_same_space(S1, S2)
     n, d1, d2 = S1.n, S1.dim, S2.dim
@@ -185,7 +181,7 @@ def _sketched_linearization(
         P = _basis_products(S1, S2)
     else:
         P = _sampled_products(S1, S2, rng, first)
-        lin = _subspace_from_stack(_vec_columns(P), n, S1.field, tuple(P), S1.tols)
+        lin = _subspace_unless_full(_vec_columns(P), n, S1.field, tuple(P), S1.tols)
         _log.debug("sketch block: %d products, rank %d", len(P), lin.dim)
         if lin.dim <= first - _SKETCH_OVERSAMPLING:
             return lin
@@ -224,18 +220,12 @@ def tangent_space(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> MatrixSubsp
 def product_map_rank(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> int:
     """Rank of the product map at (V1, V2): the tangent space dimension.
 
-    A tangent stack with more than n^2 columns first tries
-    :func:`~subspace_products.core._certified_full_rank`, which proves rank
-    n^2 by one Cholesky of its shifted Gram matrix; with n^2 columns or
-    fewer the rank is below n^2, since (V1, -V2) is in the kernel of the
-    tangent map.  Any rank not proved that way comes from the singular
-    values of the tangent stack alone.
+    It is :func:`~subspace_products.core.matrix_rank` of the tangent stack,
+    so a stack with more than n^2 columns first tries the full-rank
+    certificate.  With n^2 columns or fewer the rank is below n^2, since
+    (V1, -V2) is in the kernel of the tangent map.
     """
-    stack = _vec_columns(_tangent_products(S1, S2, V1, V2))
-    full = S1.n**2
-    if stack.shape[1] > full and _certified_full_rank(stack, S1.tols):
-        return full
-    return matrix_rank(stack, S1.tols)
+    return matrix_rank(_vec_columns(_tangent_products(S1, S2, V1, V2)), S1.tols)
 
 
 def curvature_measure(

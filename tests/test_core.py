@@ -266,6 +266,56 @@ class TestCertifiedFullRank:
         assert not _certified_full_rank(np.eye(4)[:, :3], Tolerances())
 
 
+@pytest.mark.filterwarnings("error")
+class TestMatrixRankWithCertificate:
+    """``matrix_rank`` tries the full-rank certificate on wide matrices only
+    and always gives the rank of the singular values."""
+
+    def test_certificate_is_consulted_only_for_wide_matrices(self, monkeypatch):
+        shapes = []
+
+        def spy(stack, tols):
+            shapes.append(stack.shape)
+            return certify(stack, tols)
+
+        certify = core._certified_full_rank
+        monkeypatch.setattr(core, "_certified_full_rank", spy)
+        rng = np.random.default_rng(0)
+        for shape in [(4, 4), (4, 3), (1, 1), (4, 5), (4, 8), (1, 3)]:
+            assert matrix_rank(rng.standard_normal(shape)) == min(shape)
+        assert shapes == [(4, 5), (4, 8), (1, 3)]
+        # The pencil routines ask only about square matrices.
+        shapes.clear()
+        for kind in ("diagonal", "upper_triangular", "circulant"):
+            S = catalog(kind, 4, "real")
+            minrank(S, seed=0)
+            equivalence_transform(S, np.eye(4) + cell(4, 0, 3), np.eye(4) + cell(4, 2, 1))
+        assert shapes == []
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("N", [12, 13, 24])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_rank_is_the_singular_value_rank(self, scale, N, field):
+        for ratio in [1e-9, 1e-8, 2e-8, 1e-7, 1e-6, 1e-3, 3e-3]:
+            sigma = np.logspace(0.0, np.log10(ratio), 12)
+            stack = scale * stack_with_singular_values(sigma, N, field)
+            for tols in (Tolerances(), Tolerances(rel_rank_tol=1e-3)):
+                s = np.linalg.svd(stack, compute_uv=False)
+                assert matrix_rank(stack, tols) == rank_from_singular_values(s, tols)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_numerical_rank_of_more_vectors_than_entries(self, field):
+        rng = np.random.default_rng(1)
+        spanning = _gaussian_coefficients(rng, (10, 4), field)
+        assert numerical_rank(list(spanning)) == 4
+        basis = _gaussian_coefficients(rng, (2, 4), field)
+        plane = _gaussian_coefficients(rng, (10, 2), field) @ basis
+        assert numerical_rank(list(plane)) == 2
+        assert numerical_rank(list(1e-13 * spanning)) == 0
+        assert numerical_rank([(1, 0), (0, 1), (1, 1)]) == 2
+        assert numerical_rank([(1, 1), (2, 2), (3, 3)]) == 1
+
+
 class TestSubspaceFromStack:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(

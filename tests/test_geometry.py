@@ -315,6 +315,19 @@ class TestTrialsBeforeSketch:
             np.array(lin.raw_basis), np.array(want.lin_basis_ref.raw_basis)
         )
 
+    @pytest.mark.parametrize("field,n", [("real", 4), ("complex", 5)])
+    def test_every_span_of_the_whole_space_has_the_identity_basis(self, field, n):
+        subs = [catalog(kind, n, field, **params) for kind, params in SKETCH_KINDS.items()]
+        identity = np.eye(n * n, dtype=subs[0].ortho_basis.dtype)
+        full = 0
+        for S1 in subs:
+            for S2 in subs:
+                lin = flatness_test(S1, S2, seed=3).lin_basis_ref
+                if lin.dim == n * n:
+                    full += 1
+                    np.testing.assert_array_equal(lin.ortho_basis, identity)
+        assert full > 0
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_factorizability_verdicts_unchanged_for_lu(self, field):
         L = catalog("lower_triangular", 4, field)
@@ -343,11 +356,11 @@ class TestTrialsBeforeSketch:
         assert [r.getMessage() for r in caplog.records] == [
             "S1 contains I: its trial points are P(I) + X / (2 ||X||_2)",
             "S2 contains I: its trial points are P(I) + X / (2 ||X||_2)",
-            "rank n^2 = 16 certified by Cholesky of the shifted Gram matrix",
+            "full rank 16 certified by Cholesky of the shifted Gram matrix",
             "trial seed 0 has rank n^2 = 16: the other 4 trials are skipped",
             "trial seed 0 has rank n^2 = 16: the linearization is M_n",
             "sketch block: 40 products, rank 40",
-            "rank n^2 = 64 certified by Cholesky of the shifted Gram matrix",
+            "full rank 64 certified by Cholesky of the shifted Gram matrix",
             "sketch span past n^2: 72 products, rank 64, full",
             "sketch block: 40 products, rank 4",
         ]
@@ -732,7 +745,9 @@ class TestFullRankCertificate:
                 lin.ortho_basis.tobytes() + b"".join(B.tobytes() for B in lin.raw_basis),
                 (verdict, json.dumps(again.to_dict())),
             ]
-            for argv in (["flatness"], ["analyze", "--budget", "1"]):
+            for argv in (
+                ["flatness"], ["analyze", "--budget", "1"], ["curvature", "--directions", "2"]
+            ):
                 main([*argv, files[k1], files[k2], "--seed", "3"])
                 out.append(capsys.readouterr().out)
         return out
@@ -747,11 +762,9 @@ class TestFullRankCertificate:
             return proved[-1]
 
         certify = core._certified_full_rank
-        for module in (core, geometry):
-            monkeypatch.setattr(module, "_certified_full_rank", spy)
+        monkeypatch.setattr(core, "_certified_full_rank", spy)
         with_certificate = self.reports(subs, pairs, tmp_path, capsys)
-        for module in (core, geometry):
-            monkeypatch.setattr(module, "_certified_full_rank", lambda stack, tols: False)
+        monkeypatch.setattr(core, "_certified_full_rank", lambda stack, tols: False)
         assert self.reports(subs, pairs, tmp_path, capsys) == with_certificate
         return proved
 
