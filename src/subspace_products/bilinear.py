@@ -23,10 +23,13 @@ from .core import (
     _basis_array,
     _check_count,
     _gaussian_coefficients,
+    _least_squares,
     _products,
     _projection,
+    _svd,
     _vec_columns,
     as_square_matrix,
+    check_field,
     check_same_space,
     rank_from_singular_values,
     subspace_from_matrices,
@@ -125,10 +128,13 @@ def model_from_bases(
 ) -> BilinearModel:
     """Structure constants in user-supplied (possibly non-orthonormal) bases.
 
-    Coefficients are least-squares expansions of each basis product in the
-    given linearization basis; a product that falls outside that span raises
-    NotMember.
+    Coefficients are least-squares expansions of each basis product within
+    the numerical range of ``lin_basis``, one SVD judged by ``tols``; a
+    product outside it raises NotMember exactly where :func:`membership` in
+    ``subspace_from_matrices(lin_basis)`` says outside.  An unknown ``field``
+    raises BadParameters.
     """
+    check_field(field)
     tols = tols or Tolerances()
     b1 = [as_square_matrix(B, field=field, name=f"basis1[{i}]") for i, B in enumerate(basis1)]
     b2 = [as_square_matrix(B, field=field, name=f"basis2[{i}]") for i, B in enumerate(basis2)]
@@ -141,10 +147,8 @@ def model_from_bases(
             if B.shape[0] != n:
                 raise SizeMismatch(f"{name}[{i}] has side {B.shape[0]}, expected {n}")
     j, kmj, l = len(b1), len(b2), len(lb)
-    W = _vec_columns(lb)
     P = _vec_columns(_products(np.array(b1)[:, None], np.array(b2)[None]))
-    coef, *_ = np.linalg.lstsq(W, P, rcond=None)
-    resid = np.linalg.norm(W @ coef - P, axis=0)
+    coef, resid = _least_squares(_vec_columns(lb), P, tols)
     bad = np.flatnonzero(resid > tols.rel_rank_tol * np.maximum(1.0, np.linalg.norm(P, axis=0)))
     if bad.size:
         s, t = divmod(int(bad[0]), kmj)
@@ -193,11 +197,11 @@ def solve_bilinear(
     ``A = sum_r b_r lin_basis[r]`` is factored by
     :func:`factor_via_inverse_closed`, first over the model's pair and, if
     that fails, over the transposed pair (``A^T = V2^T V1^T``); z and w are
-    read off the factors by least squares on the model bases.  The first
-    answer whose residual is below 1e-10 (1 + ||b||) is returned, with no
-    iterations or restarts and ``stop`` ``inverse_closed``: the residual is
-    the only judge of whether the pair factors the target.  Otherwise
-    Gauss-Newton runs as if the step had not been tried.
+    read off the factors by least squares within the model bases' numerical
+    rank.  The first answer whose residual is below 1e-10 (1 + ||b||) is
+    returned, with no iterations or restarts and ``stop`` ``inverse_closed``:
+    the residual is the only judge of whether the pair factors the target.
+    Otherwise Gauss-Newton runs as if the step had not been tried.
 
     Gauss-Newton: the scale gauge (s z, w / s) is fixed by renormalizing z to
     unit length after every accepted step (the direct answer is normalized the
@@ -308,8 +312,8 @@ def _solve_inverse_closed(
             continue
         if transposed:
             V1, V2 = V2.T, V1.T
-        z = np.linalg.lstsq(_vec_columns(model.basis1), vec(V1), rcond=None)[0]
-        w = np.linalg.lstsq(_vec_columns(model.basis2), vec(V2), rcond=None)[0]
+        z = _least_squares(_vec_columns(model.basis1), vec(V1)[:, None], S1.tols)[0][:, 0]
+        w = _least_squares(_vec_columns(model.basis2), vec(V2)[:, None], S1.tols)[0][:, 0]
         nz = np.linalg.norm(z)
         if nz <= 1e-300:
             continue
@@ -327,10 +331,11 @@ def factor_via_inverse_closed(
     """Factor A = V1 V2 with V1 in S1 and V2 in S2, for inverse-closed S2.
 
     Finds a nonzero Y in S2 with A Y in S1 (the nullspace of the linear map
-    Y -> (I - P_S1)(A Y) on S2), then returns (A Y, Y^{-1}).  The second
-    factor stays in S2 exactly when S2 is inverse-closed, which the caller
-    asserts (catalog constructors flag which structures guarantee it) or
-    checks, as :func:`solve_bilinear` does by its residual.
+    Y -> (I - P_S1)(A Y) on S2, read from one SVD judged by ``S1.tols``),
+    then returns (A Y, Y^{-1}).  The second factor stays in S2 exactly when
+    S2 is inverse-closed, which the caller asserts (catalog constructors flag
+    which structures guarantee it) or checks, as :func:`solve_bilinear` does
+    by its residual.
 
     Raises NoFactorization when the nullspace is empty and SingularWitness
     when every sampled nullspace member is numerically singular (e.g. A on
@@ -344,13 +349,11 @@ def factor_via_inverse_closed(
     # their projections onto S1.
     P = _vec_columns(_products(Aa, _basis_array(S2)))
     L = P - _projection(S1, P)
-    # L is n² by dim2 with dim2 <= n², so the thin Vh is the full square one.
-    _, s, Vh = np.linalg.svd(L, full_matrices=False)
-    rank = rank_from_singular_values(s, S1.tols)
-    null_dim = S2.dim - rank
+    # L is n² by dim2 with dim2 <= n², so its null space is complete.
+    N = _svd(L, S1.tols).null  # (dim2, null_dim)
+    null_dim = N.shape[1]
     if null_dim == 0:
         raise NoFactorization("no nonzero Y in S2 maps A into S1")
-    N = Vh[rank:].conj().T  # (dim2, null_dim)
 
     cands = [S2.element(N[:, i]) for i in range(null_dim)]
     rng = np.random.default_rng(seed)
@@ -361,12 +364,9 @@ def factor_via_inverse_closed(
     # candidate has unit Frobenius norm, so no largest singular value is zero.
     sv = np.linalg.svd(np.array(cands), compute_uv=False)
     best = int(np.argmax(sv[:, -1] / sv[:, 0]))
-    Y = cands[best]
     if rank_from_singular_values(sv[best], S1.tols) < S1.n:
-        raise SingularWitness(
-            "all sampled nullspace members are numerically singular"
-        )
-    Y = Y / np.linalg.norm(Y)
+        raise SingularWitness("all sampled nullspace members are numerically singular")
+    Y = cands[best] / np.linalg.norm(cands[best])
     return Aa @ Y, np.linalg.inv(Y)
 
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import linalg
@@ -95,9 +96,7 @@ def as_square_matrix(A, field: Optional[str] = None, name: str = "matrix") -> np
     arr = np.asarray(A)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise SizeMismatch(f"{name} must be square and nonempty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or (
-        np.iscomplexobj(arr) and not np.all(np.isfinite(arr.imag))
-    ):
+    if not np.all(np.isfinite(arr)):
         raise NonFiniteInput(f"{name} contains NaN or Inf entries")
     if field == REAL:
         if np.iscomplexobj(arr) and np.any(arr.imag != 0):
@@ -173,6 +172,29 @@ def matrix_rank(M, tols: Optional[Tolerances] = None) -> int:
     if M.shape[1] > M.shape[0] and _certified_full_rank(M, tols):
         return M.shape[0]
     return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), tols)
+
+
+_Svd = namedtuple("_Svd", "rank range s vh null")
+
+
+def _svd(M: np.ndarray, tols: Tolerances) -> _Svd:
+    """The one SVD with singular vectors, behind every range, null space and
+    least-squares solve.  For an (m, N) matrix: the rank r, orthonormal
+    columns of the range (m, r) and null space (N, N - r; m - r when N > m),
+    and the kept singular values s (r,) with their right singular vectors vh."""
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    r = rank_from_singular_values(s, tols)
+    return _Svd(r, U[:, :r], s[:r], Vh[:r], Vh[r:].conj().T)
+
+
+def _least_squares(A: np.ndarray, B: np.ndarray, tols: Tolerances) -> Tuple[np.ndarray, ...]:
+    """Coordinates X of the columns of B against those of A within A's numerical
+    range, and each column's residual ||A X - B||, taken before X is scaled."""
+    d = _svd(A, tols)
+    C = d.range.conj().T @ B
+    resid = np.linalg.norm(d.range @ C - B, axis=0)
+    C /= d.s[:, None]
+    return d.vh.conj().T @ C, resid
 
 
 class Membership(NamedTuple):
@@ -295,14 +317,11 @@ def _subspace_from_stack(
 ) -> MatrixSubspace:
     """The span of the columns of a validated (n*n, N) stack of vectorized
     members, with ``raw_basis`` the N members as matrices, from one SVD of
-    the reduced stack (see :func:`_reduced_stack`)."""
-    U, s, _ = np.linalg.svd(_reduced_stack(stack), full_matrices=False)
-    dim = rank_from_singular_values(s, tols)
-    Q = np.array(U[:, :dim])
-    if field == REAL:
-        Q = np.array(Q.real, dtype=np.float64)
+    the reduced stack (see :func:`_reduced_stack`) by :func:`_svd`."""
+    d = _svd(_reduced_stack(stack), tols)
+    Q = np.array(d.range.real if field == REAL else d.range)
     return MatrixSubspace(
-        n=n, field=field, raw_basis=raw_basis, dim=dim, ortho_basis=Q, tols=tols
+        n=n, field=field, raw_basis=raw_basis, dim=d.rank, ortho_basis=Q, tols=tols
     )
 
 
@@ -389,9 +408,7 @@ def numerical_rank(vectors: Sequence, tols: Optional[Tolerances] = None) -> int:
     for i, v in enumerate(arrs):
         if v.size != m:
             raise MixedSizes(f"vectors[{i}] has length {v.size}, expected {m}")
-        if not np.all(np.isfinite(v.real)) or (
-            np.iscomplexobj(v) and not np.all(np.isfinite(v.imag))
-        ):
+        if not np.all(np.isfinite(v)):
             raise NonFiniteInput(f"vectors[{i}] contains NaN or Inf")
     return matrix_rank(np.column_stack(arrs), tols)
 

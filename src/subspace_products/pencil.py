@@ -23,10 +23,10 @@ from .core import (
     _basis_array,
     _check_count,
     _gaussian_coefficients,
+    _svd,
     as_square_matrix,
     check_same_space,
     matrix_rank,
-    rank_from_singular_values,
     random_unit_element,
     vec,
 )
@@ -167,6 +167,8 @@ def find_lft_witness(X1, X2, tols: Optional[Tolerances] = None) -> Optional[LftW
     A witness exists exactly when {I, X1, X2, X1 X2} are linearly dependent,
     i.e. when the stacked columns [-X2, I, X1 X2, -X1] have numerical rank at
     most three.  The returned quadruple is the corresponding null direction.
+    At n = 1 any four scalars are dependent: zero rows pad the stack to four,
+    so a witness is always found.
     """
     tols = tols or Tolerances()
     A = as_square_matrix(X1, name="X1")
@@ -179,11 +181,10 @@ def find_lft_witness(X1, X2, tols: Optional[Tolerances] = None) -> Optional[LftW
     # Unit column scaling stabilizes the rank decision for badly scaled pairs.
     scales = np.linalg.norm(K, axis=0)
     scales[scales < tols.abs_floor] = 1.0
-    Ks = K / scales
-    _, s, Vh = np.linalg.svd(Ks, full_matrices=False)
-    if rank_from_singular_values(s, tols) >= 4:
+    null = _svd(np.vstack([K / scales, np.zeros((max(0, 4 - n * n), 4))]), tols).null
+    if null.shape[1] == 0:
         return None
-    coeffs = Vh[-1].conj() / scales
+    coeffs = null[:, -1] / scales
     coeffs = coeffs / np.linalg.norm(coeffs)
     sig = np.abs(coeffs)
     lead = int(np.argmax(sig > 1e-8 * sig.max()))
@@ -277,12 +278,6 @@ def _minrank_dim2_eigen(S: MatrixSubspace, seed: int) -> MinrankReport:
     )
 
 
-def _sigma_k(M: np.ndarray, k: int) -> float:
-    """k-th largest singular value (1-based)."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[k - 1])
-
-
 def _minrank_sampled(S: MatrixSubspace, seed: int) -> MinrankReport:
     """Uncertified upper bound by sampling plus local descent on sigma_{r+1}.
 
@@ -315,7 +310,7 @@ def _minrank_sampled(S: MatrixSubspace, seed: int) -> MinrankReport:
             V = unit_member(theta)
             if V is None:
                 return 1e6
-            return _sigma_k(V, target + 1)
+            return float(np.linalg.svd(V, compute_uv=False)[target])
 
         improved = False
         for rs in range(_MINRANK_RESTARTS):

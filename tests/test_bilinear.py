@@ -9,6 +9,7 @@ from subspace_products import (
     BilinearModel,
     NoFactorization,
     NonFiniteInput,
+    NotMember,
     SingularWitness,
     SizeMismatch,
     UnsupportedDegree,
@@ -138,6 +139,64 @@ class TestModelFromBases:
             model_from_bases(
                 [np.eye(2), cell(2, 1, 0)], [cell(2, 0, 1), cell(2, 1, 1)], [cell(2, 0, 1)]
             )
+
+    def test_unknown_field_rejected_up_front(self):
+        I = np.eye(2)
+        with pytest.raises(BadParameters, match="unknown field 'bogus'"):
+            model_from_bases([I], [I], [I], field="bogus")
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_not_member_exactly_where_membership_says_outside(self, field):
+        # The linearization basis has singular values 1, 0.5, 1e-6 and 1e-10:
+        # the 1e-6 direction is kept and the 1e-10 one is dropped by the 1e-8
+        # cutoff, as subspace_from_matrices drops it.
+        n = 2
+        rng = np.random.default_rng(12)
+        U, _ = np.linalg.qr(rng.standard_normal((n * n, n * n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n * n, n * n)))
+        if field == "complex":
+            U = U * np.exp(1j * rng.uniform(0, 2 * np.pi, n * n))
+        W = U @ np.diag([1.0, 0.5, 1e-6, 1e-10]) @ V.T
+        lin_basis = [W[:, r].reshape(n, n, order="F") for r in range(n * n)]
+        span = subspace_from_matrices(lin_basis, field=field)
+        assert span.dim == 3
+        u = [U[:, r].reshape(n, n, order="F") for r in range(n * n)]
+        targets = [u[0], 3.0 * u[2], u[3], u[0] + 1e-9 * u[3], u[1] + 1e-7 * u[3],
+                   2.0 * u[1] - u[2] + 5e-9 * u[3], 4.0 * u[0] + 3e-8 * u[3]]
+        outside = [not membership(span, T).inside for T in targets]
+        # The last target is inside only through the cutoff's max(1, ||T||_F).
+        assert outside == [False, False, True, False, True, False, False]
+        I = np.eye(n)
+        for T, out in zip(targets, outside):
+            if out:
+                with pytest.raises(NotMember):
+                    model_from_bases([I], [T], lin_basis, field=field)
+            else:
+                model = model_from_bases([I], [T], lin_basis, field=field)
+                recon = model.product_from_coordinates(model.M[:, 0, 0])
+                assert np.linalg.norm(recon - T) < 1e-8 * max(1.0, np.linalg.norm(T))
+        with pytest.raises(NotMember, match=r"basis1\[0\] and basis2\[2\]"):
+            model_from_bases([I], targets, lin_basis, field=field)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_non_orthonormal_bases_reproduce_every_product(self, field):
+        # Random well-conditioned combinations of the unit cells of each basis.
+        n = 6
+        rng = np.random.default_rng(13)
+
+        def mix(mats):
+            d = len(mats)
+            G = np.eye(d) + 0.2 * rng.standard_normal((d, d)) / np.sqrt(d)
+            return list(np.tensordot(G, np.array(mats), axes=1))
+
+        b1 = mix(catalog(LU[0], n, field).raw_basis)
+        b2 = mix(catalog(LU[1], n, field).raw_basis)
+        lin = mix([cell(n, i, j).real for j in range(n) for i in range(n)])
+        model = model_from_bases(b1, b2, lin, field=field)
+        recon = np.tensordot(model.M, np.array(lin), axes=(0, 0))
+        for s, B in enumerate(b1):
+            for t, C in enumerate(b2):
+                assert np.linalg.norm(recon[s, t] - B @ C) <= 1e-12 * np.linalg.norm(B @ C)
 
 
 def test_solve_restarts_zero():
@@ -453,6 +512,39 @@ class TestGaussNewtonStop:
         monkeypatch.setattr(np.linalg, "solve", singular)
         rep = solve_bilinear(self.model([[[1.0]], [[0.0]]]), np.array([1.0, 1.0]), restarts=1)
         assert (rep.stop, rep.iterations) == ("singular", 1)
+
+
+class TestNoLstsq:
+    """Every least-squares solve reads the core SVD kernel, judged by
+    Tolerances, so none of them reaches np.linalg.lstsq."""
+
+    @pytest.fixture(autouse=True)
+    def no_lstsq(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+
+    @pytest.mark.parametrize("kinds", [LU, ("symmetric", "symmetric")])
+    def test_model_from_bases(self, kinds):
+        n = 4
+        S1, S2 = catalog(kinds[0], n), catalog(kinds[1], n)
+        cells = [cell(n, i, j) for j in range(n) for i in range(n)]
+        model = model_from_bases(S1.raw_basis, S2.raw_basis, cells)
+        for s, B in enumerate(S1.raw_basis):
+            for t, C in enumerate(S2.raw_basis):
+                recon = model.product_from_coordinates(model.M[:, s, t])
+                assert np.linalg.norm(recon - B @ C) < 1e-12 * max(1.0, np.linalg.norm(B @ C))
+
+    @pytest.mark.parametrize("kinds", [LU, ("symmetric", "symmetric")])
+    def test_direct_step(self, kinds):
+        n = 4
+        model = extract_bilinear(catalog(kinds[0], n), catalog(kinds[1], n))
+        A = random_complex(np.random.default_rng(14), n) + n * np.eye(n)
+        b = coordinates(model, A)
+        rep = solve_bilinear(model, b)
+        assert rep.stop == "inverse_closed"
+        assert_factors(model, rep, A, b)
 
 
 class TestFactorViaInverseClosed:

@@ -191,6 +191,16 @@ class TestGlft:
         assert witness["residual"] < 1e-10
 
 
+    @pytest.mark.parametrize("x1, x2", [(2.0, -3.0), (1 + 2j, 0.5 - 1j), (0.0, 0.0)])
+    def test_scalar_matrices_have_a_witness(self, capsys, tmp_path, x1, x2):
+        f1, f2 = tmp_path / "x1.json", tmp_path / "x2.json"
+        save_obj(matrix_to_obj(np.array([[x1]])), str(f1))
+        save_obj(matrix_to_obj(np.array([[x2]])), str(f2))
+        code, out = run(capsys, ["glft", str(f1), str(f2)])
+        assert code == 0
+        assert json.loads(out)["result"]["witness"]["residual"] < 1e-10
+
+
 class TestCs:
     def test_zero_product_pair(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"

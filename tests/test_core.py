@@ -26,10 +26,12 @@ from subspace_products.core import (
     _basis_array,
     _certified_full_rank,
     _gaussian_coefficients,
+    _least_squares,
     _products,
     _projection,
     _subspace_from_stack,
     _subspace_unless_full,
+    _svd,
     _vec_columns,
     matrix_rank,
     rank_from_singular_values,
@@ -314,6 +316,47 @@ class TestMatrixRankWithCertificate:
         assert numerical_rank(list(1e-13 * spanning)) == 0
         assert numerical_rank([(1, 0), (0, 1), (1, 1)]) == 2
         assert numerical_rank([(1, 1), (2, 2), (3, 3)]) == 1
+
+
+class TestSvdKernel:
+    """``core._svd``, the one SVD with singular vectors, judged by Tolerances."""
+
+    SIGMA = [1.0, 0.3, 1e-6, 1e-10, 0.0]  # rank 3 under the 1e-8 cutoff
+
+    def matrix(self, shape, field):
+        if shape == "wide":
+            return stack_with_singular_values(self.SIGMA, 9, field)
+        A = stack_with_singular_values(self.SIGMA, 9 if shape == "tall" else 5, field)
+        return A.conj().T if shape == "tall" else A
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("shape", ["tall", "square", "wide"])
+    def test_rank_range_and_null_space(self, field, shape):
+        A = self.matrix(shape, field)
+        m, N = A.shape
+        d = _svd(A, Tolerances())
+        assert d.rank == 3
+        np.testing.assert_allclose(d.s, self.SIGMA[:3], atol=1e-14)
+        np.testing.assert_allclose(d.range.conj().T @ d.range, np.eye(3), atol=1e-14)
+        assert np.linalg.norm(A - (d.range * d.s) @ d.vh) < 1e-9
+        # The null space is complete unless A is wider than tall.
+        assert d.null.shape == (N, N - 3 if N <= m else m - 3)
+        np.testing.assert_allclose(d.null.conj().T @ d.null, np.eye(d.null.shape[1]), atol=1e-14)
+        assert np.linalg.norm(A @ d.null) < 1e-9
+        assert np.linalg.norm(d.vh @ d.null) < 1e-14
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("shape", ["tall", "square", "wide"])
+    def test_least_squares_within_the_numerical_range(self, field, shape):
+        A = self.matrix(shape, field)
+        rng = np.random.default_rng(3)
+        B = _gaussian_coefficients(rng, (A.shape[0], 4), field)
+        X, resid = _least_squares(A, B, Tolerances())
+        # numpy's pseudo-inverse applies the same relative cutoff.
+        np.testing.assert_allclose(X, np.linalg.pinv(A, rcond=1e-8) @ B, rtol=1e-9, atol=1e-12)
+        Q = _svd(A, Tolerances()).range
+        np.testing.assert_allclose(resid, np.linalg.norm(B - Q @ (Q.conj().T @ B), axis=0))
+        assert np.all(resid <= np.linalg.norm(B, axis=0))
 
 
 class TestSubspaceFromStack:

@@ -143,6 +143,19 @@ class TestLftWitness:
                 else:
                     assert gram_det > 1e-12
 
+    @pytest.mark.parametrize("x1, x2", [
+        (2.0, -3.0), (0.5, 0.5), (1 + 2j, 0.5 - 1j), (3j, 1e-3),
+        (0.0, 0.0), (0.0, 5.0), (-4.0, 0.0),
+    ])
+    def test_scalars_always_have_a_witness(self, x1, x2):
+        # At n = 1 any four scalars are dependent, so a witness always exists.
+        X1, X2 = np.array([[x1]]), np.array([[x2]])
+        w = find_lft_witness(X1, X2)
+        assert w is not None
+        assert w.residual < 1e-8 * (1 + abs(x1)) * (1 + abs(x2))
+        assert abs(np.linalg.norm(w.as_vector()) - 1.0) < 1e-12
+        assert abs(x1 * (w.c * x2 - w.d) - (w.a * x2 - w.b)) == pytest.approx(w.residual)
+
     def test_round_trip_with_flatness(self):
         rng = np.random.default_rng(4)
         n = 3
