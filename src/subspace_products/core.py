@@ -144,16 +144,18 @@ def _certified_full_rank(stack: np.ndarray, tols: Tolerances) -> bool:
     if not 0.0 < scale < np.inf:
         return False
     A = stack / scale
-    G = A @ A.conj().T
+    # One rank-N update writes the upper triangle of conj(A A^H), which has
+    # the eigenvalues of A A^H, as a Fortran-ordered array that potrf reads
+    # and factors in place.
+    rank_update = linalg.get_blas_funcs("herk" if np.iscomplexobj(A) else "syrk", (A,))
+    G = rank_update(1.0, A.T, trans=2)
     s = float(np.trace(G).real)
     if math.sqrt(s) * scale < 2.0 * math.sqrt(m) * tols.abs_floor:
         return False
     t = (2.0 * tols.rel_rank_tol) ** 2 + 4.0 * (N + m + 2) * np.finfo(np.float64).eps
     G[np.diag_indices(m)] -= t * s
-    # G.T (the conjugate of G, with the same eigenvalues) is Fortran-ordered,
-    # so LAPACK factors it in place.
     potrf = linalg.get_lapack_funcs("potrf", (G,))
-    if potrf(G.T, overwrite_a=True, clean=False)[1] != 0:
+    if potrf(G, overwrite_a=True, clean=False)[1] != 0:
         return False
     _log.debug("full rank %d certified by Cholesky of the shifted Gram matrix", m)
     return True

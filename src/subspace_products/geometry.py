@@ -56,10 +56,10 @@ class ProductAnalysis:
     at least three trials agreeing on the maximal observed rank.  The
     points are those of :func:`sample_pair`, near I in each factor that
     contains I.  ``sampled_ranks`` lists every trial as (seed, rank); it
-    ends at the first of rank n^2, so ``trials`` can fall below the number
-    requested.
+    ends at the first of rank ``lin_dim``, so on a flat pair ``trials`` can
+    fall below the number requested.
 
-    ``lin_basis_ref`` is the linearization.  When a trial's rank is n^2 it
+    ``lin_basis_ref`` is the linearization.  When trial 0 has rank n^2 it
     is the whole matrix space: its ``raw_basis`` holds the n^2 matrix units
     in column-major order.  Otherwise it is spanned by sampled products of
     Gaussian members, drawn in blocks until their rank stalls at least
@@ -297,70 +297,54 @@ def flatness_test(
 ) -> ProductAnalysis:
     """Sampled flatness verdict for the product set of (S1, S2).
 
-    One sampled point whose rank reaches the linearization dimension proves
-    flatness.  Otherwise the verdict is curved, and sampling continues past
-    ``trials`` (bounded) until at least three points agree on the maximal
-    observed rank.  Per-trial seeds are ``seed + 2 t`` for the first factor
-    and ``seed + 2 t + 1`` for the second, so reports are reproducible and
-    individual points can be regenerated with :func:`sample_pair`: a
-    factor that contains the identity is sampled near it, at
-    P + X / (2 ||X||_2), and any other factor at its Gaussian member X.
+    Sampling stops at the first trial whose rank reaches the linearization
+    dimension ``lin_dim``, which proves flatness.  Otherwise the verdict is
+    curved, and sampling continues past ``trials`` (at most 25 more)
+    until three points agree on the maximal observed rank.  Trial t
+    samples the point of :func:`sample_pair` at seed ``seed + 2 t``, so
+    reports are reproducible: near I in a factor that contains I, at
+    P + X / (2 ||X||_2), and at its Gaussian member X in any other factor.
 
-    The first ``trials`` trials run before the linearization is spanned.
-    Their tangent spaces V1 S2 + S1 V2 are spanned by products of members,
-    so they lie in the linearization: a trial of rank n^2 settles it as the
-    whole matrix space, with the matrix units as basis, and no product is
-    spanned.  Since no rank exceeds n^2, sampling stops at that trial, and
-    ``sampled_ranks`` ends with it.  Otherwise the linearization is spanned
-    by sampled products drawn from a generator of its own, seeded with
-    ``seed``, so the trial ranks do not depend on it (see
+    The linearization is fixed after trial 0, whose tangent space
+    V1 S2 + S1 V2 lies in it.  A rank of n^2 settles it as the whole matrix
+    space, with the matrix units as basis, and no sketch is needed.
+    Otherwise sampled products drawn from a generator of its own, seeded
+    with ``seed``, span it, so the trial ranks do not depend on it (see
     :class:`ProductAnalysis`).
     """
     _check_count("trials", trials)
     if S1.dim == 0 or S2.dim == 0:
         raise ZeroSubspace("flatness analysis requires nonzero subspaces")
-    ranks = []
-
-    def run_trial(t: int) -> int:
-        s_t = seed + 2 * t
-        V1, V2 = sample_pair(S1, S2, s_t)
-        r = product_map_rank(S1, S2, V1, V2)
-        ranks.append((s_t, r))
-        return r
-
     for k, S in enumerate((S1, S2), 1):
         if _contains_identity(S):
             _log.debug("S%d contains I: its trial points are P(I) + X / (2 ||X||_2)", k)
-    full = S1.n**2
-    for t in range(trials):
-        if run_trial(t) == full:
-            if t + 1 < trials:
-                _log.debug(
-                    "trial seed %d has rank n^2 = %d: the other %d trials are skipped",
-                    ranks[-1][0], full, trials - t - 1,
-                )
+    ranks = []
+    for t in range(trials + _MAX_EXTRA_TRIALS):
+        s_t = seed + 2 * t
+        r = product_map_rank(S1, S2, *sample_pair(S1, S2, s_t))
+        ranks.append((s_t, r))
+        if t == 0:
+            lin = (
+                _full_space(S1.n, S1.field, S1.tols)
+                if r == S1.n**2
+                else _sketched_linearization(S1, S2, np.random.default_rng(seed))
+            )
+        top = max(q for _, q in ranks)
+        if r == lin.dim:
+            stop = f"trial seed {s_t} reaches rank lin_dim = {lin.dim}"
             break
-    if ranks[-1][1] < full:
-        lin = _sketched_linearization(S1, S2, np.random.default_rng(seed))
+        if t + 1 >= trials and sum(q == top for _, q in ranks) >= _CURVED_CONFIRMATIONS:
+            stop = f"{_CURVED_CONFIRMATIONS} trials agree on rank {top}"
+            break
     else:
-        _log.debug("trial seed %d has rank n^2 = %d: the linearization is M_n", ranks[-1][0], full)
-        lin = _full_space(S1.n, S1.field, S1.tols)
-    flat = any(r == lin.dim for _, r in ranks)
-    t = trials
-    while not flat and t < trials + _MAX_EXTRA_TRIALS:
-        max_rank = max(r for _, r in ranks)
-        if sum(1 for _, r in ranks if r == max_rank) >= _CURVED_CONFIRMATIONS:
-            break
-        flat = run_trial(t) == lin.dim
-        t += 1
-
-    generic_rank = max(r for _, r in ranks)
+        stop = f"the cap of {len(ranks)} trials is reached"
+    _log.debug("sampling stops: %s", stop)
     return ProductAnalysis(
         lin_dim=lin.dim,
         lin_basis_ref=lin,
         sampled_ranks=tuple(ranks),
-        generic_rank=generic_rank,
-        flat=generic_rank == lin.dim,
+        generic_rank=top,
+        flat=top == lin.dim,
         trials=len(ranks),
         tol_used=S1.tol,
     )

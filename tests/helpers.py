@@ -238,38 +238,26 @@ def sequential_probe(S1, S2, budget=100, seed=0):
     return best
 
 
-def _sampled_verdict(S1, S2, lin, trials, seed, point, stop_at_full):
+def _sampled_verdict(S1, S2, lin, trials, seed, point):
     """The trial loop of a flatness report against a given linearization:
-    ``trials`` trials at the points ``point(S1, S2, seed + 2 t)``, cut short
-    at the first of rank n^2 when ``stop_at_full``, then up to 25 more until
-    one is flat or three agree on the maximal rank."""
+    trials at the points ``point(S1, S2, seed + 2 t)`` until one has rank
+    ``lin.dim`` or, from the ``trials``-th on, three agree on the maximal
+    rank, and at most ``trials + 25`` in all."""
     ranks = []
-
-    def run_trial(t):
-        s_t = seed + 2 * t
-        r = product_map_rank(S1, S2, *point(S1, S2, s_t))
-        ranks.append((s_t, r))
-        return r
-
-    flat = False
-    for t in range(trials):
-        flat = run_trial(t) == lin.dim or flat
-        if stop_at_full and ranks[-1][1] == S1.n**2:
-            break
-    t = trials
-    while not flat and t < trials + 25:
+    while len(ranks) < trials + 25:
+        s_t = seed + 2 * len(ranks)
+        ranks.append((s_t, product_map_rank(S1, S2, *point(S1, S2, s_t))))
         max_rank = max(r for _, r in ranks)
-        if sum(1 for _, r in ranks if r == max_rank) >= 3:
+        if ranks[-1][1] == lin.dim:
             break
-        flat = run_trial(t) == lin.dim
-        t += 1
-    generic_rank = max(r for _, r in ranks)
+        if len(ranks) >= trials and sum(1 for _, r in ranks if r == max_rank) >= 3:
+            break
     return ProductAnalysis(
         lin_dim=lin.dim,
         lin_basis_ref=lin,
         sampled_ranks=tuple(ranks),
-        generic_rank=generic_rank,
-        flat=generic_rank == lin.dim,
+        generic_rank=max_rank,
+        flat=max_rank == lin.dim,
         trials=len(ranks),
         tol_used=S1.tol,
     )
@@ -280,7 +268,7 @@ def sketch_first_flatness(S1, S2, trials=5, seed=0):
     trial, by sampled products in blocks of d1 + d2 + 8, then n^2 + 8, each
     spanned by one SVD with singular vectors, or by every basis product when
     there are no more of them than a block would draw.  Trials sample the
-    points of :func:`sample_pair` and stop at the first of rank n^2."""
+    points of :func:`sample_pair` and stop at the first of rank ``lin_dim``."""
     d1, d2 = S1.dim, S2.dim
     rng = np.random.default_rng(seed)
     P = np.zeros((0, S1.n, S1.n), dtype=S1.ortho_basis.dtype)
@@ -295,17 +283,15 @@ def sketch_first_flatness(S1, S2, trials=5, seed=0):
         lin = _subspace_from_stack(_vec_columns(P), S1.n, S1.field, tuple(P), S1.tols)
         if lin.dim <= len(P) - 8:
             break
-    return _sampled_verdict(S1, S2, lin, trials, seed, sample_pair, stop_at_full=True)
+    return _sampled_verdict(S1, S2, lin, trials, seed, sample_pair)
 
 
 def gaussian_flatness(S1, S2, trials=5, seed=0):
     """Reference flatness verdict at plain Gaussian points: the enumerated
-    linearization, and every one of the first ``trials`` trials at
-    ``random_element`` draws with seeds (seed + 2 t, seed + 2 t + 1)."""
+    linearization, and trials at ``random_element`` draws with seeds
+    (seed + 2 t, seed + 2 t + 1)."""
 
     def gaussian_pair(S1, S2, s):
         return random_element(S1, s), random_element(S2, s + 1)
 
-    return _sampled_verdict(
-        S1, S2, linearization(S1, S2), trials, seed, gaussian_pair, stop_at_full=False
-    )
+    return _sampled_verdict(S1, S2, linearization(S1, S2), trials, seed, gaussian_pair)

@@ -11,6 +11,7 @@ from subspace_products import (
     SizeMismatch,
     ZeroSubspace,
     curvature_measure,
+    equivalence_transform,
     extract_bilinear,
     factorizability_check,
     flatness_test,
@@ -247,6 +248,15 @@ def assert_same_report(S1, S2, seed):
     return got, want
 
 
+def transported_lu(n):
+    """Real LU moved by the orthogonal Q of ``default_rng(1)``: S1 = L Q^T
+    and S2 = Q U.  Its product set is LU's, which is flat."""
+    L = catalog("lower_triangular", n, "real")
+    U = catalog("unit_upper_constant_diagonal", n, "real")
+    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((n, n)))
+    return equivalence_transform(L, np.eye(n), Q), equivalence_transform(U, Q, np.eye(n))
+
+
 def spy_on_sketch(monkeypatch):
     calls = []
 
@@ -353,16 +363,23 @@ class TestTrialsBeforeSketch:
             flatness_test(L, U, seed=0)
             flatness_test(cols, rows, seed=0)
             flatness_test(rows, cols, seed=0)
+            flatness_test(*transported_lu(16), seed=0)
         assert [r.getMessage() for r in caplog.records] == [
             "S1 contains I: its trial points are P(I) + X / (2 ||X||_2)",
             "S2 contains I: its trial points are P(I) + X / (2 ||X||_2)",
             "full rank 16 certified by Cholesky of the shifted Gram matrix",
-            "trial seed 0 has rank n^2 = 16: the other 4 trials are skipped",
-            "trial seed 0 has rank n^2 = 16: the linearization is M_n",
+            "sampling stops: trial seed 0 reaches rank lin_dim = 16",
             "sketch block: 40 products, rank 40",
             "full rank 64 certified by Cholesky of the shifted Gram matrix",
             "sketch span past n^2: 72 products, rank 64, full",
+            "sampling stops: 3 trials agree on rank 28",
             "sketch block: 40 products, rank 4",
+            "sampling stops: trial seed 0 reaches rank lin_dim = 4",
+            # Real LU moved by an orthogonal Q is flat, but neither factor
+            # contains I, and its Gaussian points fall short of 256 (F1).
+            "full rank 256 certified by Cholesky of the shifted Gram matrix",
+            "sketch block: 265 products, rank 256",
+            "sampling stops: the cap of 30 trials is reached",
         ]
         assert all(r.name == "subspace_products" for r in caplog.records)
         # Without a configured handler, debug events print nothing.
@@ -670,6 +687,49 @@ class TestWellConditionedPoints:
             assert flatness_test(S1, S2, seed=seed).to_dict() == gaussian_flatness(
                 S1, S2, seed=seed
             ).to_dict()
+
+
+class TestStopAtLinDim:
+    @pytest.mark.parametrize(
+        "kind1,kind2,params,field,n,lin_dim",
+        [
+            ("rank_rows", "rank_cols", {"k": 2}, "real", 6, 4),
+            ("rank_rows", "rank_cols", {"k": 2}, "complex", 6, 4),
+            ("rank_rows", "rank_cols", {"k": 2}, "real", 8, 4),
+            ("rank_rows", "rank_cols", {"k": 2}, "complex", 8, 4),
+            ("diagonal", "lower_triangular", {}, "real", 6, 21),
+            ("upper_triangular", "upper_triangular", {}, "real", 24, 300),
+        ],
+    )
+    def test_flat_pair_with_a_proper_linearization_stops_at_trial_0(
+        self, kind1, kind2, params, field, n, lin_dim
+    ):
+        S1 = catalog(kind1, n, field, **params)
+        S2 = catalog(kind2, n, field, **params)
+        report = flatness_test(S1, S2, trials=5, seed=0)
+        assert report.flat and report.trials == 1
+        assert report.sampled_ranks == ((0, lin_dim),)
+
+    def test_reported_ranks_are_the_ranks_at_the_sampled_points(self):
+        subs = [catalog(kind, 6, "real", **params) for kind, params in SKETCH_KINDS.items()]
+        for S1 in subs:
+            for S2 in subs:
+                report = flatness_test(S1, S2)
+                for s, r in report.sampled_ranks:
+                    assert r == product_map_rank(S1, S2, *sample_pair(S1, S2, s))
+                assert all(r != report.lin_dim for _, r in report.sampled_ranks[:-1])
+
+    @pytest.mark.parametrize(
+        "kind1,kind2,params,rank",
+        [("circulant", "diagonal", {}, 15), ("rank_cols", "rank_rows", {"k": 2}, 28)],
+    )
+    def test_curved_reports_are_unchanged(self, kind1, kind2, params, rank):
+        # Ranks at seed 0 as reported before sampling stopped at lin_dim.
+        S1 = catalog(kind1, 8, "real", **params)
+        S2 = catalog(kind2, 8, "real", **params)
+        report = flatness_test(S1, S2, seed=0)
+        assert report.sampled_ranks == tuple((s, rank) for s in range(0, 10, 2))
+        assert (report.lin_dim, report.generic_rank, report.flat) == (64, rank, False)
 
 
 class TestFactorizability:
