@@ -169,7 +169,10 @@ def extract_bilinear(S1: MatrixSubspace, S2: MatrixSubspace) -> BilinearModel:
     Frobenius inner product of a basis product with a linearization basis
     matrix: all of them come from one product ``Q^H P`` of the orthonormal
     linearization basis ``Q`` with the basis products ``P`` that
-    :func:`linearization` spans (first-factor index major).
+    :func:`linearization` spans (first-factor index major).  When the
+    linearization is every n-by-n matrix, its basis is the matrix units in
+    column-major order, so the coordinates of a product are its entries in
+    column-major order: ``vec`` of the product.
     """
     check_same_space(S1, S2)
     lin, P = _linearization(S1, S2)

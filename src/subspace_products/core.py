@@ -314,19 +314,6 @@ def _reduced_stack(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _subspace_from_stack(
-    stack: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
-) -> MatrixSubspace:
-    """The span of the columns of a validated (n*n, N) stack of vectorized
-    members, with ``raw_basis`` the N members as matrices, from one SVD of
-    the reduced stack (see :func:`_reduced_stack`) by :func:`_svd`."""
-    d = _svd(_reduced_stack(stack), tols)
-    Q = np.array(d.range.real if field == REAL else d.range)
-    return MatrixSubspace(
-        n=n, field=field, raw_basis=raw_basis, dim=d.rank, ortho_basis=Q, tols=tols
-    )
-
-
 def _full_space(
     n: int, field: str, tols: Tolerances, raw_basis: Optional[tuple] = None
 ) -> MatrixSubspace:
@@ -341,18 +328,26 @@ def _full_space(
     )
 
 
-def _subspace_unless_full(
+def _subspace_from_stack(
     stack: np.ndarray, n: int, field: str, raw_basis: tuple, tols: Tolerances
 ) -> MatrixSubspace:
-    """:func:`_subspace_from_stack` for a stack that may span every n-by-n
-    matrix, with the identity as ``ortho_basis`` when it does.  A stack at
-    least n*n wide first tries :func:`_certified_full_rank`, one Gram
-    product and one Cholesky; if that proves nothing, one SVD spans it.
-    Either way a span of dim n*n is :func:`_full_space` over ``raw_basis``."""
+    """The span of the columns of a validated (n*n, N) stack of vectorized
+    members, with ``raw_basis`` the N members as matrices: the one span
+    kernel.  A stack at least n*n wide first tries
+    :func:`_certified_full_rank`, one Gram product and one Cholesky; if that
+    proves nothing, one SVD of the reduced stack (see :func:`_reduced_stack`)
+    by :func:`_svd` spans it.  Either way a span of dim n*n is
+    :func:`_full_space` over ``raw_basis``, with the identity as
+    ``ortho_basis``."""
     if stack.shape[1] >= n * n and _certified_full_rank(stack, tols):
         return _full_space(n, field, tols, raw_basis)
-    S = _subspace_from_stack(stack, n, field, raw_basis, tols)
-    return _full_space(n, field, tols, raw_basis) if S.dim == n * n else S
+    d = _svd(_reduced_stack(stack), tols)
+    if d.rank == n * n:
+        return _full_space(n, field, tols, raw_basis)
+    Q = np.array(d.range.real if field == REAL else d.range)
+    return MatrixSubspace(
+        n=n, field=field, raw_basis=raw_basis, dim=d.rank, ortho_basis=Q, tols=tols
+    )
 
 
 def subspace_from_matrices(

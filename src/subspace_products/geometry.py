@@ -23,7 +23,6 @@ from .core import (
     _gaussian_coefficients,
     _products,
     _subspace_from_stack,
-    _subspace_unless_full,
     _vec_columns,
     as_square_matrix,
     check_same_space,
@@ -66,8 +65,7 @@ class ProductAnalysis:
     ``_SKETCH_OVERSAMPLING`` (8) below their number; its ``raw_basis``
     holds those products, not the basis products ``B_s C_t`` of
     :func:`linearization`, except when there are no more basis products
-    than a block would draw and every one of them is used.  Whenever it
-    spans every n-by-n matrix, its ``ortho_basis`` is the identity.
+    than a block would draw and every one of them is used.
     """
 
     lin_dim: int
@@ -137,7 +135,9 @@ def linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
 
     Computed as the span of all pairwise products of the orthonormal basis
     matrices of the factors; ``raw_basis[s * S2.dim + t]`` is the product of
-    the s-th and t-th of them.
+    the s-th and t-th of them.  Like every span, one of all n-by-n matrices
+    has the identity as ``ortho_basis``: the matrix units in column-major
+    order.
     """
     return _linearization(S1, S2)[0]
 
@@ -163,15 +163,12 @@ def _sketched_linearization(
     product set) are linearly independent up to the dimension of its span,
     so a block of products whose rank stays at least ``_SKETCH_OVERSAMPLING``
     below their number has stalled at the full dimension.  The first block
-    draws S1.dim + S2.dim + ``_SKETCH_OVERSAMPLING`` products and is spanned
-    by :func:`~subspace_products.core._subspace_unless_full`, like every
-    span here.  If it has not stalled, a second block tops it up to
-    n^2 + ``_SKETCH_OVERSAMPLING``, past the largest possible rank.  When
-    there are no more basis products than a block would draw, every basis
-    product is used instead.  A span at least n^2 wide first tries the
-    full-rank certificate, and otherwise one SVD spans it; a span of every
-    n-by-n matrix gets the identity as ``ortho_basis`` (its ``raw_basis``
-    still holds the products).
+    draws S1.dim + S2.dim + ``_SKETCH_OVERSAMPLING`` products.  If it has
+    not stalled, a second block tops it up to n^2 + ``_SKETCH_OVERSAMPLING``,
+    past the largest possible rank.  When there are no more basis products
+    than a block would draw, every basis product is used instead.  The one
+    span kernel, :func:`~subspace_products.core._subspace_from_stack`,
+    spans each block, so the span's ``raw_basis`` holds the products.
     """
     check_same_space(S1, S2)
     n, d1, d2 = S1.n, S1.dim, S2.dim
@@ -181,7 +178,7 @@ def _sketched_linearization(
         P = _basis_products(S1, S2)
     else:
         P = _sampled_products(S1, S2, rng, first)
-        lin = _subspace_unless_full(_vec_columns(P), n, S1.field, tuple(P), S1.tols)
+        lin = _subspace_from_stack(_vec_columns(P), n, S1.field, tuple(P), S1.tols)
         _log.debug("sketch block: %d products, rank %d", len(P), lin.dim)
         if lin.dim <= first - _SKETCH_OVERSAMPLING:
             return lin
@@ -189,7 +186,7 @@ def _sketched_linearization(
             P = _basis_products(S1, S2)
         else:
             P = np.concatenate([P, _sampled_products(S1, S2, rng, top_up - first)])
-    lin = _subspace_unless_full(_vec_columns(P), n, S1.field, tuple(P), S1.tols)
+    lin = _subspace_from_stack(_vec_columns(P), n, S1.field, tuple(P), S1.tols)
     _log.debug(
         "sketch span past n^2: %d products, rank %d, %s",
         len(P), lin.dim, "full" if lin.dim == n * n else "proper",

@@ -14,11 +14,12 @@ from subspace_products import (
 )
 from subspace_products.catalog import KINDS
 from subspace_products.core import (
+    MatrixSubspace,
     _basis_array,
     _gaussian_coefficients,
     _products,
-    _subspace_from_stack,
     _vec_columns,
+    rank_from_singular_values,
 )
 from subspace_products.geometry import ProductAnalysis, product_map_rank, sample_pair
 from subspace_products.pencil import _PROBE_ALTERNATIONS
@@ -263,24 +264,36 @@ def _sampled_verdict(S1, S2, lin, trials, seed, point):
     )
 
 
+def svd_span(P, S):
+    """The span of the matrices P over the field of S, judged by its
+    tolerances: the left singular vectors of one ``np.linalg.svd`` of the
+    vectorized stack, with no full-rank certificate, QR or identity basis."""
+    U, s, _ = np.linalg.svd(_vec_columns(P), full_matrices=False)
+    r = rank_from_singular_values(s, S.tols)
+    Q = np.array(U[:, :r].real if S.field == "real" else U[:, :r])
+    return MatrixSubspace(
+        n=S.n, field=S.field, raw_basis=tuple(P), dim=r, ortho_basis=Q, tols=S.tols
+    )
+
+
 def sketch_first_flatness(S1, S2, trials=5, seed=0):
     """Reference flatness report: the linearization is spanned before any
-    trial, by sampled products in blocks of d1 + d2 + 8, then n^2 + 8, each
-    spanned by one SVD with singular vectors, or by every basis product when
-    there are no more of them than a block would draw.  Trials sample the
-    points of :func:`sample_pair` and stop at the first of rank ``lin_dim``."""
+    trial, by sampled products in blocks of d1 + d2 + 8, then n^2 + 8, or by
+    every basis product when there are no more of them than a block would
+    draw, each spanned by :func:`svd_span`.  Trials sample the points of
+    :func:`sample_pair` and stop at the first of rank ``lin_dim``."""
     d1, d2 = S1.dim, S2.dim
     rng = np.random.default_rng(seed)
     P = np.zeros((0, S1.n, S1.n), dtype=S1.ortho_basis.dtype)
     for count in (d1 + d2 + 8, S1.n**2 + 8):
         if d1 * d2 <= count:
-            lin = linearization(S1, S2)
+            lin = svd_span(_products(_basis_array(S1)[:, None], _basis_array(S2)[None]), S1)
             break
         C = _gaussian_coefficients(rng, (count - len(P), d1 + d2), S1.field)
         X = np.tensordot(C[:, :d1], _basis_array(S1), axes=1)
         Y = np.tensordot(C[:, d1:], _basis_array(S2), axes=1)
         P = np.concatenate([P, _products(X, Y)])
-        lin = _subspace_from_stack(_vec_columns(P), S1.n, S1.field, tuple(P), S1.tols)
+        lin = svd_span(P, S1)
         if lin.dim <= len(P) - 8:
             break
     return _sampled_verdict(S1, S2, lin, trials, seed, sample_pair)

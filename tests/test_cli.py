@@ -333,10 +333,14 @@ class TestSolveCommand:
 
     def test_gauss_newton_stop_reported(self, capsys, tmp_path, segre_pair_files):
         # circulant x diagonal products fill a 5-dimensional set of 3 x 3
-        # matrices: this target is off it, so the direct step fails and
+        # matrices whose columns are scaled cyclic shifts c, Sc, S^2 c of one
+        # vector. The linearization is M_3, so the rhs e0 + e3 is the matrix
+        # with ones at (0, 0) and (0, 1) (column-major matrix units). Its
+        # columns 0 and 1 are both e0, but c ~ e0 makes Sc ~ e1, so it lies
+        # off the closure of that set: the direct step fails and
         # Gauss-Newton runs.
         fb = tmp_path / "b.json"
-        save_obj(vector_to_obj(np.ones(9)), str(fb))
+        save_obj(vector_to_obj(np.eye(9)[0] + np.eye(9)[3]), str(fb))
         argv = ["solve", *segre_pair_files, str(fb), "--restarts", "2", "--max-iter", "3"]
         code, out = run(capsys, argv)
         assert code == 0

@@ -29,8 +29,8 @@ from subspace_products.core import (
     _least_squares,
     _products,
     _projection,
+    _reduced_stack,
     _subspace_from_stack,
-    _subspace_unless_full,
     _svd,
     _vec_columns,
     matrix_rank,
@@ -362,19 +362,24 @@ class TestSvdKernel:
 class TestSubspaceFromStack:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(
-        "kinds",
+        "kinds,params,dim",
         [
-            ("lower_triangular", "unit_upper_constant_diagonal"),
-            ("symmetric", "persymmetric_constant_antidiagonal"),
+            (("lower_triangular", "unit_upper_constant_diagonal"), {}, 36),
+            (("symmetric", "persymmetric_constant_antidiagonal"), {}, 36),
+            # 36 x 144 of rank 4: the certificate proves nothing, so the
+            # QR-first SVD spans it.
+            (("rank_rows", "rank_cols"), {"k": 2}, 4),
         ],
     )
-    def test_qr_first_span_matches_direct_svd(self, kinds, field):
-        S1, S2 = (catalog(kind, 6, field) for kind in kinds)
+    def test_qr_first_span_matches_direct_svd(self, kinds, params, dim, field):
+        S1, S2 = (catalog(kind, 6, field, **params) for kind in kinds)
         P = _products(_basis_array(S1)[:, None], _basis_array(S2)[None])
         stack = _vec_columns(P)
-        assert stack.shape[1] > stack.shape[0]  # wide: the QR-first path
+        # Wide: the certificate first, then the QR-first path if it fails.
+        assert stack.shape[1] > stack.shape[0]
+        assert _certified_full_rank(stack, S1.tols) is (dim == 36)
         U, s, _ = np.linalg.svd(stack, full_matrices=False)
-        dim = rank_from_singular_values(s, S1.tols)
+        assert rank_from_singular_values(s, S1.tols) == dim
         S = _subspace_from_stack(stack, 6, field, tuple(P), S1.tols)
         assert S.dim == dim
         np.testing.assert_allclose(
@@ -382,14 +387,14 @@ class TestSubspaceFromStack:
             U[:, :dim] @ U[:, :dim].conj().T,
             atol=1e-12,
         )
+        if dim == 36:
+            np.testing.assert_array_equal(S.ortho_basis, np.eye(36, dtype=S1.ortho_basis.dtype))
 
-
-class TestSubspaceUnlessFull:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_full_span_gets_the_identity_basis(self, field):
         S1, S2 = (catalog(kind, 4, field) for kind in ("circulant", "diagonal"))
         P = np.concatenate([_products(_basis_array(S1)[:, None], _basis_array(S2)[None])] * 2)
-        S = _subspace_unless_full(_vec_columns(P), 4, field, tuple(P), S1.tols)
+        S = _subspace_from_stack(_vec_columns(P), 4, field, tuple(P), S1.tols)
         assert S.dim == 16
         np.testing.assert_array_equal(S.ortho_basis, np.eye(16, dtype=S1.ortho_basis.dtype))
         assert len(S.raw_basis) == 32
@@ -401,10 +406,12 @@ class TestSubspaceUnlessFull:
         P = _products(_basis_array(S1)[:, None], _basis_array(S2)[None])
         stack = _vec_columns(P)
         assert stack.shape[1] >= stack.shape[0]
-        got = _subspace_unless_full(stack, 4, field, tuple(P), S1.tols)
-        want = _subspace_from_stack(stack, 4, field, tuple(P), S1.tols)
-        assert got.dim == want.dim == 1
-        np.testing.assert_array_equal(got.ortho_basis, want.ortho_basis)
+        got = _subspace_from_stack(stack, 4, field, tuple(P), S1.tols)
+        want = _svd(_reduced_stack(stack), S1.tols)
+        assert got.dim == want.rank == 1
+        np.testing.assert_array_equal(
+            got.ortho_basis, want.range.real if field == "real" else want.range
+        )
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_qr_falls_back_to_the_svd(self, monkeypatch):
@@ -416,7 +423,7 @@ class TestSubspaceUnlessFull:
         stack = 7e307 * np.random.default_rng(0).uniform(-1.0, 1.0, (4, 8))
         assert _certified_full_rank(stack, Tolerances())
         monkeypatch.setattr(core, "_certified_full_rank", lambda stack, tols: False)
-        S = _subspace_unless_full(stack, 2, "real", (), Tolerances())
+        S = _subspace_from_stack(stack, 2, "real", (), Tolerances())
         assert S.dim == 4
         np.testing.assert_array_equal(S.ortho_basis, np.eye(4))
 

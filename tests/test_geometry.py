@@ -24,6 +24,7 @@ from subspace_products import (
     second_fundamental_form,
     solve_bilinear,
     subspace_from_matrices,
+    subspace_sum,
     subspaces_equal,
     tangent_space,
     vec,
@@ -385,6 +386,58 @@ class TestTrialsBeforeSketch:
         # Without a configured handler, debug events print nothing.
         flatness_test(L, U, seed=0)
         assert capsys.readouterr() == ("", "")
+
+
+class TestOneSpanKernel:
+    """Every span of all n-by-n matrices, whichever function builds it, has
+    the identity (the column-major matrix units) as ``ortho_basis``."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_spans_of_dimension_n_squared_are_the_identity(self, field):
+        subs = [catalog(kind, 4, field, **params) for kind, params in SKETCH_KINDS.items()]
+        identity = np.eye(16, dtype=subs[0].ortho_basis.dtype)
+        full = set()
+        for S1 in subs:
+            for S2 in subs:
+                spans = {
+                    "linearization": linearization(S1, S2),
+                    "tangent_space": tangent_space(S1, S2, *sample_pair(S1, S2, 0)),
+                    "subspace_sum": subspace_sum(S1, S2),
+                }
+                for name, S in spans.items():
+                    if S.dim == 16:
+                        full.add(name)
+                        np.testing.assert_array_equal(S.ortho_basis, identity)
+        assert full == {"linearization", "tangent_space", "subspace_sum"}
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_shuffled_matrix_units_span_by_the_identity(self, field):
+        units = [cell(4, i, j) for j in range(4) for i in range(4)]
+        order = np.random.default_rng(0).permutation(16)
+        S = subspace_from_matrices([units[k] for k in order], field=field)
+        assert S.dim == 16
+        np.testing.assert_array_equal(S.ortho_basis, np.eye(16, dtype=S.ortho_basis.dtype))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_lu_curvature_is_exactly_zero(self, field):
+        L = catalog("lower_triangular", 4, field)
+        U = catalog("unit_upper_constant_diagonal", 4, field)
+        V1, V2 = sample_pair(L, U, 0)
+        for seed in (10, 12, 14):
+            got = curvature_measure(
+                L, U, V1, V2, random_element(L, seed), random_element(U, seed + 1)
+            )
+            assert got.tangent_dim == 16
+            assert got.q_norm == 0.0
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_lu_coordinates_are_the_column_major_entries(self, field):
+        L = catalog("lower_triangular", 4, field)
+        U = catalog("unit_upper_constant_diagonal", 4, field)
+        model = extract_bilinear(L, U)
+        A = random_element(subspace_sum(L, U), 5)
+        assert model.l == 16
+        np.testing.assert_array_equal(model.product_from_coordinates(vec(A)), A)
 
 
 class TestTangentSpace:
