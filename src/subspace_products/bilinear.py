@@ -20,7 +20,7 @@ from .core import (
     REAL,
     MatrixSubspace,
     Tolerances,
-    _basis_array,
+    _as_square_stack,
     _check_count,
     _gaussian_coefficients,
     _least_squares,
@@ -28,7 +28,6 @@ from .core import (
     _projection,
     _svd,
     _vec_columns,
-    as_square_matrix,
     check_field,
     check_same_space,
     rank_from_singular_values,
@@ -45,7 +44,7 @@ from .errors import (
     SizeMismatch,
     UnsupportedDegree,
 )
-from .geometry import _linearization
+from .geometry import linearization
 
 # Relative residual at which a Gauss-Newton restart counts as solved, and the
 # members of the solution space tried as the invertible factor.
@@ -60,7 +59,8 @@ class BilinearModel:
     ``M`` is an ``(l, j, kmj)`` array: ``M[r, s, t]`` (also ``M[r][s, t]``)
     is the coefficient of the r-th linearization basis matrix in the product
     of the s-th first-factor and t-th second-factor basis matrices, so every
-    product reconstructs as ``sum_r (z^T M[r] w) lin_basis[r]``.
+    product reconstructs as ``sum_r (z^T M[r] w) lin_basis[r]``.  The bases
+    are read-only (j, n, n), (kmj, n, n) and (l, n, n) arrays, or ``()``.
     """
 
     n: int
@@ -69,9 +69,14 @@ class BilinearModel:
     kmj: int
     l: int
     M: np.ndarray
-    basis1: tuple
-    basis2: tuple
-    lin_basis: tuple
+    basis1: np.ndarray
+    basis2: np.ndarray
+    lin_basis: np.ndarray
+
+    def __post_init__(self):
+        for B in (self.basis1, self.basis2, self.lin_basis):
+            if isinstance(B, np.ndarray):
+                B.setflags(write=False)
 
     def matrix_at(self, z: np.ndarray) -> np.ndarray:
         """The l-by-(k-j) matrix M(z) whose r-th row is z^T M_r."""
@@ -92,12 +97,12 @@ class BilinearModel:
         coords = np.asarray(coords).reshape(-1)
         if coords.size != self.l:
             raise SizeMismatch(f"coords has length {coords.size}, expected {self.l}")
-        return _combine(coords, self.lin_basis, self.n, self.field)
+        return _combine(coords, self.lin_basis, self.field)
 
 
-def _combine(coeffs: np.ndarray, mats: Sequence, n: int, field: str) -> np.ndarray:
+def _combine(coeffs: np.ndarray, mats: np.ndarray, field: str) -> np.ndarray:
     """The matrix sum_r coeffs[r] * mats[r], stored for ``field``."""
-    out = np.tensordot(coeffs, np.reshape(mats, (len(mats), n, n)), axes=1)
+    out = np.tensordot(coeffs, mats, axes=1)
     return out.real if field == REAL else np.asarray(out, dtype=np.complex128)
 
 
@@ -136,18 +141,12 @@ def model_from_bases(
     """
     check_field(field)
     tols = tols or Tolerances()
-    b1 = [as_square_matrix(B, field=field, name=f"basis1[{i}]") for i, B in enumerate(basis1)]
-    b2 = [as_square_matrix(B, field=field, name=f"basis2[{i}]") for i, B in enumerate(basis2)]
-    lb = [as_square_matrix(B, field=field, name=f"lin_basis[{i}]") for i, B in enumerate(lin_basis)]
-    if not b1 or not b2 or not lb:
-        raise SizeMismatch("all three bases must be nonempty")
-    n = b1[0].shape[0]
-    for name, mats in (("basis1", b1), ("basis2", b2), ("lin_basis", lb)):
-        for i, B in enumerate(mats):
-            if B.shape[0] != n:
-                raise SizeMismatch(f"{name}[{i}] has side {B.shape[0]}, expected {n}")
+    b1 = _as_square_stack(basis1, field, "basis1")
+    n = b1.shape[-1]
+    b2 = _as_square_stack(basis2, field, "basis2", side=n)
+    lb = _as_square_stack(lin_basis, field, "lin_basis", side=n)
     j, kmj, l = len(b1), len(b2), len(lb)
-    P = _vec_columns(_products(np.array(b1)[:, None], np.array(b2)[None]))
+    P = _vec_columns(_products(b1[:, None], b2[None]))
     coef, resid = _least_squares(_vec_columns(lb), P, tols)
     bad = np.flatnonzero(resid > tols.rel_rank_tol * np.maximum(1.0, np.linalg.norm(P, axis=0)))
     if bad.size:
@@ -158,7 +157,7 @@ def model_from_bases(
         )
     return BilinearModel(
         n=n, field=field, j=j, kmj=kmj, l=l,
-        M=coef.reshape(l, j, kmj), basis1=tuple(b1), basis2=tuple(b2), lin_basis=tuple(lb),
+        M=coef.reshape(l, j, kmj), basis1=b1, basis2=b2, lin_basis=lb,
     )
 
 
@@ -168,21 +167,21 @@ def extract_bilinear(S1: MatrixSubspace, S2: MatrixSubspace) -> BilinearModel:
     The linearization basis is orthonormal, so each coefficient is a plain
     Frobenius inner product of a basis product with a linearization basis
     matrix: all of them come from one product ``Q^H P`` of the orthonormal
-    linearization basis ``Q`` with the basis products ``P`` that
-    :func:`linearization` spans (first-factor index major).  When the
-    linearization is every n-by-n matrix, its basis is the matrix units in
-    column-major order, so the coordinates of a product are its entries in
-    column-major order: ``vec`` of the product.
+    linearization basis ``Q`` with the vectorized basis products ``P``, the
+    ``raw_basis`` of :func:`linearization` (first-factor index major).  Over
+    every n-by-n matrix ``Q`` is the identity (the matrix units in
+    column-major order), so ``Q^H P`` is ``P + 0.0``, which turns -0.0 into
+    0.0 as the product does, and no product is formed.
     """
     check_same_space(S1, S2)
-    lin, P = _linearization(S1, S2)
-    j, kmj, l = S1.dim, S2.dim, lin.dim
+    lin = linearization(S1, S2)
+    n, j, kmj, l = S1.n, S1.dim, S2.dim, lin.dim
     # With a zero factor the linearization spans one placeholder zero matrix.
-    M = (lin.ortho_basis.conj().T @ P[:, : j * kmj]).reshape(l, j, kmj)
+    stack = _vec_columns(lin.raw_basis[: j * kmj])
+    M = stack + 0.0 if l == n * n else lin.ortho_basis.conj().T @ stack
     return BilinearModel(
-        n=S1.n, field=S1.field, j=j, kmj=kmj, l=l, M=M,
-        basis1=tuple(S1.basis_matrices()), basis2=tuple(S2.basis_matrices()),
-        lin_basis=tuple(lin.basis_matrices()),
+        n=n, field=S1.field, j=j, kmj=kmj, l=l, M=M.reshape(l, j, kmj),
+        basis1=S1.basis_matrices(), basis2=S2.basis_matrices(), lin_basis=lin.basis_matrices(),
     )
 
 
@@ -302,10 +301,10 @@ def _solve_inverse_closed(
     if not (len(model.basis1) and len(model.basis2) and len(model.lin_basis)):
         return None
     field = model.field
-    A = _combine(b, model.lin_basis, model.n, field)
+    A = _combine(b, model.lin_basis, field)
     for B1, B2, target, transposed in (
         (model.basis1, model.basis2, A, False),
-        ([C.T for C in model.basis2], [B.T for B in model.basis1], A.T, True),
+        (model.basis2.transpose(0, 2, 1), model.basis1.transpose(0, 2, 1), A.T, True),
     ):
         S1 = subspace_from_matrices(B1, field=field)
         S2 = subspace_from_matrices(B2, field=field)
@@ -345,12 +344,10 @@ def factor_via_inverse_closed(
     the boundary of the product set).
     """
     check_same_space(S1, S2)
-    Aa = as_square_matrix(A, field=S1.field if S1.field == REAL else None, name="A")
-    if Aa.shape[0] != S1.n:
-        raise SizeMismatch(f"A has side {Aa.shape[0]}, expected {S1.n}")
+    Aa = _as_square_stack((A,), S1.field if S1.field == REAL else None, ("A",), S1.n)[0]
     # The columns of L are the vectorized A C over the basis C of S2, less
     # their projections onto S1.
-    P = _vec_columns(_products(Aa, _basis_array(S2)))
+    P = _vec_columns(_products(Aa, S2.basis_matrices()))
     L = P - _projection(S1, P)
     # L is n² by dim2 with dim2 <= n², so its null space is complete.
     N = _svd(L, S1.tols).null  # (dim2, null_dim)

@@ -49,16 +49,17 @@ class CatalogSpec:
     max_power: Optional[int] = None
 
 
-def _cells(keep: np.ndarray, dtype, mirror: bool = False) -> list:
+def _cells(keep: np.ndarray, dtype, mirror: bool = False, lead=None) -> np.ndarray:
     """The unit matrices E_ij of the cells kept by the boolean n x n mask, in
-    row-major order; E_ij + E_ji with ``mirror`` (E_ii on the diagonal)."""
+    row-major order, as a (count, n, n) array; E_ij + E_ji with ``mirror``
+    (E_ii on the diagonal); after the matrix ``lead`` when one is given."""
     i, j = np.nonzero(keep)
     E = np.zeros((i.size,) + keep.shape, dtype=dtype)
     r = np.arange(i.size)
     E[r, i, j] = 1.0
     if mirror:
         E[r, j, i] = 1.0
-    return list(E)
+    return E if lead is None else np.concatenate([lead[None], E])
 
 
 def _in_range(attr: str, lo: int, hi: int):
@@ -89,9 +90,9 @@ _KINDS = {
     "lower_triangular": (lambda s, i, j, dt: _cells(j <= i, dt), True, None),
     "upper_triangular": (lambda s, i, j, dt: _cells(j >= i, dt), True, None),
     "unit_upper_constant_diagonal": (
-        lambda s, i, j, dt: [np.eye(s.n, dtype=dt)] + _cells(j > i, dt), True, None),
+        lambda s, i, j, dt: _cells(j > i, dt, lead=np.eye(s.n, dtype=dt)), True, None),
     "unit_lower_constant_diagonal": (
-        lambda s, i, j, dt: [np.eye(s.n, dtype=dt)] + _cells(j < i, dt), True, None),
+        lambda s, i, j, dt: _cells(j < i, dt, lead=np.eye(s.n, dtype=dt)), True, None),
     "band_lower": (lambda s, i, j, dt: _cells((j <= i) & (i - j <= s.p), dt),
                    lambda s: s.p in (0, s.n - 1), _in_range("p", 0, -1)),
     "band_upper": (lambda s, i, j, dt: _cells((j >= i) & (j - i <= s.q), dt),
@@ -104,8 +105,8 @@ _KINDS = {
     # Symmetric matrices whose antidiagonal entries are all equal: the free
     # antidiagonal cells collapse onto the exchange matrix J.
     "persymmetric_constant_antidiagonal": (
-        lambda s, i, j, dt: [np.fliplr(np.eye(s.n, dtype=dt))]
-        + _cells((j >= i) & (i + j != s.n - 1), dt, mirror=True), False, None),
+        lambda s, i, j, dt: _cells((j >= i) & (i + j != s.n - 1), dt, mirror=True,
+                                   lead=np.fliplr(np.eye(s.n, dtype=dt))), False, None),
     "rank_cols": (lambda s, i, j, dt: _cells(j < s.k, dt), False, _in_range("k", 1, 0)),
     "rank_rows": (lambda s, i, j, dt: _cells(i < s.k, dt), False, _in_range("k", 1, 0)),
     "hurwitz_radon_2": (

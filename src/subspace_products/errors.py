@@ -17,12 +17,12 @@ class EmptyInput(SubspaceProductsError):
     """An operation received an empty collection where data is required."""
 
 
-class MixedSizes(SubspaceProductsError):
-    """Input matrices do not share a common side length."""
-
-
 class SizeMismatch(SubspaceProductsError):
     """Operands have incompatible shapes."""
+
+
+class MixedSizes(SizeMismatch):
+    """Input matrices differ in side from each other or from their subspace."""
 
 
 class FieldMismatch(SubspaceProductsError):

@@ -17,14 +17,13 @@ import numpy as np
 
 from .core import (
     MatrixSubspace,
-    _basis_array,
+    _as_square_stack,
     _check_count,
     _full_space,
     _gaussian_coefficients,
     _products,
     _subspace_from_stack,
     _vec_columns,
-    as_square_matrix,
     check_same_space,
     dtype_for,
     matrix_rank,
@@ -104,10 +103,7 @@ class CurvatureSample:
 
 def product_map(V1, V2) -> np.ndarray:
     """The plain matrix product, with shape validation."""
-    A = as_square_matrix(V1, name="V1")
-    B = as_square_matrix(V2, name="V2")
-    if A.shape != B.shape:
-        raise SizeMismatch(f"factor shapes differ: {A.shape} vs {B.shape}")
+    A, B = _as_square_stack((V1, V2), name=("V1", "V2"))
     return A @ B
 
 
@@ -116,18 +112,10 @@ def _basis_products(S1: MatrixSubspace, S2: MatrixSubspace) -> np.ndarray:
     as a (count, n, n) array in the order of :func:`linearization`'s
     ``raw_basis``; one zero matrix when either factor is zero."""
     check_same_space(S1, S2)
-    P = _products(_basis_array(S1)[:, None], _basis_array(S2)[None])
+    P = _products(S1.basis_matrices()[:, None], S2.basis_matrices()[None])
     if not len(P):
         P = np.zeros((1, S1.n, S1.n), dtype=dtype_for(S1.field))
     return P
-
-
-def _linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> Tuple[MatrixSubspace, np.ndarray]:
-    """The linearization and its (n*n, S1.dim * S2.dim) stack of vectorized
-    basis products, in the order of its ``raw_basis``."""
-    P = _basis_products(S1, S2)
-    stack = _vec_columns(P)
-    return _subspace_from_stack(stack, S1.n, S1.field, tuple(P), S1.tols), stack
 
 
 def linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
@@ -139,7 +127,7 @@ def linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
     has the identity as ``ortho_basis``: the matrix units in column-major
     order.
     """
-    return _linearization(S1, S2)[0]
+    return _subspace_from_stack(_basis_products(S1, S2), S1.field, S1.tols)
 
 
 def _sampled_products(
@@ -148,8 +136,8 @@ def _sampled_products(
     """``count`` products X_i Y_i of Gaussian members of S1 and S2."""
     d1 = S1.dim
     C = _gaussian_coefficients(rng, (count, d1 + S2.dim), S1.field)
-    X = np.tensordot(C[:, :d1], _basis_array(S1), axes=1)
-    Y = np.tensordot(C[:, d1:], _basis_array(S2), axes=1)
+    X = np.tensordot(C[:, :d1], S1.basis_matrices(), axes=1)
+    Y = np.tensordot(C[:, d1:], S2.basis_matrices(), axes=1)
     return _products(X, Y)
 
 
@@ -178,7 +166,7 @@ def _sketched_linearization(
         P = _basis_products(S1, S2)
     else:
         P = _sampled_products(S1, S2, rng, first)
-        lin = _subspace_from_stack(_vec_columns(P), n, S1.field, tuple(P), S1.tols)
+        lin = _subspace_from_stack(P, S1.field, S1.tols)
         _log.debug("sketch block: %d products, rank %d", len(P), lin.dim)
         if lin.dim <= first - _SKETCH_OVERSAMPLING:
             return lin
@@ -186,7 +174,7 @@ def _sketched_linearization(
             P = _basis_products(S1, S2)
         else:
             P = np.concatenate([P, _sampled_products(S1, S2, rng, top_up - first)])
-    lin = _subspace_from_stack(_vec_columns(P), n, S1.field, tuple(P), S1.tols)
+    lin = _subspace_from_stack(P, S1.field, S1.tols)
     _log.debug(
         "sketch span past n^2: %d products, rank %d, %s",
         len(P), lin.dim, "full" if lin.dim == n * n else "proper",
@@ -194,15 +182,16 @@ def _sketched_linearization(
     return lin
 
 
+def _member_point(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> Tuple[np.ndarray, ...]:
+    """The point (V1, V2), each validated once as a member of its factor."""
+    check_same_space(S1, S2)
+    return require_member(S1, V1, name="V1"), require_member(S2, V2, name="V2")
+
+
 def _tangent_products(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> np.ndarray:
     """The products V1 C_t, then B_s V2, over the orthonormal basis matrices
-    C_t of S2 and B_s of S1, at a validated member point (V1, V2)."""
-    check_same_space(S1, S2)
-    V1a = as_square_matrix(require_member(S1, V1, name="V1"), field=S1.field, name="V1")
-    V2a = as_square_matrix(require_member(S2, V2, name="V2"), field=S1.field, name="V2")
-    return np.concatenate(
-        [_products(V1a, _basis_array(S2)), _products(_basis_array(S1), V2a)]
-    )
+    C_t of S2 and B_s of S1, at a point (V1, V2) from :func:`_member_point`."""
+    return np.concatenate([_products(V1, S2.basis_matrices()), _products(S1.basis_matrices(), V2)])
 
 
 def tangent_space(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> MatrixSubspace:
@@ -210,8 +199,8 @@ def tangent_space(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> MatrixSubsp
 
     Its dimension is the rank of the product map at the point.
     """
-    P = _tangent_products(S1, S2, V1, V2)
-    return _subspace_from_stack(_vec_columns(P), S1.n, S1.field, tuple(P), S1.tols)
+    P = _tangent_products(S1, S2, *_member_point(S1, S2, V1, V2))
+    return _subspace_from_stack(P, S1.field, S1.tols)
 
 
 def product_map_rank(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> int:
@@ -222,19 +211,21 @@ def product_map_rank(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> int:
     certificate.  With n^2 columns or fewer the rank is below n^2, since
     (V1, -V2) is in the kernel of the tangent map.
     """
-    return matrix_rank(_vec_columns(_tangent_products(S1, S2, V1, V2)), S1.tols)
+    P = _tangent_products(S1, S2, *_member_point(S1, S2, V1, V2))
+    return matrix_rank(_vec_columns(P), S1.tols)
 
 
 def curvature_measure(
     S1: MatrixSubspace, S2: MatrixSubspace, V1, V2, W1, W2
 ) -> CurvatureSample:
     """Twice the component of W1 W2 orthogonal to the tangent space at (V1, V2)."""
+    point = _member_point(S1, S2, V1, V2)
+    T = _subspace_from_stack(_tangent_products(S1, S2, *point), S1.field, S1.tols)
     W1a = require_member(S1, W1, name="W1")
     W2a = require_member(S2, W2, name="W2")
-    T = tangent_space(S1, S2, V1, V2)
     q = 2.0 * T.project_out(W1a @ W2a)
     return CurvatureSample(
-        base_point=(as_square_matrix(V1), as_square_matrix(V2)),
+        base_point=point,
         tangent_dim=T.dim,
         q_value=q,
         q_norm=float(np.linalg.norm(q)),
@@ -249,11 +240,11 @@ def second_fundamental_form(
     Symmetric under swapping (W1, W2) with (W1t, W2t); at equal arguments it
     reproduces the curvature measure.
     """
+    T = tangent_space(S1, S2, V1, V2)
     W1a = require_member(S1, W1, name="W1")
     W2a = require_member(S2, W2, name="W2")
     W1b = require_member(S1, W1t, name="W1t")
     W2b = require_member(S2, W2t, name="W2t")
-    T = tangent_space(S1, S2, V1, V2)
     return T.project_out(W1a @ W2b + W1b @ W2a)
 
 

@@ -20,11 +20,10 @@ from .core import (
     REAL,
     MatrixSubspace,
     Tolerances,
-    _basis_array,
+    _as_square_stack,
     _check_count,
     _gaussian_coefficients,
     _svd,
-    as_square_matrix,
     check_same_space,
     matrix_rank,
     random_unit_element,
@@ -34,7 +33,6 @@ from .errors import (
     ChainConditionViolated,
     NoInvertibleElementFound,
     NotSymmetric,
-    SizeMismatch,
     WrongDimension,
     ZeroScalar,
     ZeroSubspace,
@@ -103,8 +101,7 @@ class ClosednessCertificate:
 def _candidates(S: MatrixSubspace, samples: int, seed: int):
     """Members to try in turn: the raw basis, the orthonormal basis, then
     ``samples`` seeded unit Gaussian members (seeds ``seed``, ``seed + 1``, ...)."""
-    for B in S.raw_basis:
-        yield B.astype(S.ortho_basis.dtype)
+    yield from S.raw_basis.astype(S.ortho_basis.dtype)
     yield from S.basis_matrices()
     for t in range(samples):
         yield random_unit_element(S, seed + t)
@@ -171,10 +168,7 @@ def find_lft_witness(X1, X2, tols: Optional[Tolerances] = None) -> Optional[LftW
     so a witness is always found.
     """
     tols = tols or Tolerances()
-    A = as_square_matrix(X1, name="X1")
-    B = as_square_matrix(X2, name="X2")
-    if A.shape != B.shape:
-        raise SizeMismatch(f"shapes differ: {A.shape} vs {B.shape}")
+    A, B = _as_square_stack((X1, X2), name=("X1", "X2"))
     n = A.shape[0]
     I = np.eye(n)
     K = np.column_stack([vec(-B), vec(I), vec(A @ B), vec(-A)]).astype(np.complex128)
@@ -213,10 +207,7 @@ def craig_sakamoto_check(
     """
     tols = tols or Tolerances()
     _check_count("grid", grid)
-    A = as_square_matrix(X1, field=REAL, name="X1")
-    B = as_square_matrix(X2, field=REAL, name="X2")
-    if A.shape != B.shape:
-        raise SizeMismatch(f"shapes differ: {A.shape} vs {B.shape}")
+    A, B = _as_square_stack((X1, X2), REAL, ("X1", "X2"))
     for name, M in (("X1", A), ("X2", B)):
         scale = max(1.0, np.linalg.norm(M))
         if np.linalg.norm(M - M.T) >= tols.rel_rank_tol * scale:
@@ -392,8 +383,8 @@ def _probe_block(
 
     Returns each start's final value and its pair of members.
     """
-    T1 = _basis_array(S1)
-    T2 = _basis_array(S2)
+    T1 = S1.basis_matrices()
+    T2 = S2.basis_matrices()
     C1 = np.array([_unit_coefficients(S1, seed + start) for start in starts])
     val = np.full(len(C1), np.inf)
     V2 = np.empty((len(C1), S2.n, S2.n), dtype=S2.ortho_basis.dtype)
@@ -492,13 +483,8 @@ def chain_factor(t, X: Sequence, tols: Optional[Tolerances] = None) -> list:
     t = complex(t)
     if t == 0:
         raise ZeroScalar("chain factorization needs a nonzero scalar")
-    if len(X) == 0:
-        raise SizeMismatch("need at least one chain block")
-    mats = [as_square_matrix(M, name=f"X[{j}]") for j, M in enumerate(X)]
-    n = mats[0].shape[0]
-    for j, M in enumerate(mats):
-        if M.shape[0] != n:
-            raise SizeMismatch(f"X[{j}] has side {M.shape[0]}, expected {n}")
+    mats = _as_square_stack(X, name="X")
+    n = mats.shape[-1]
     for j in range(len(mats)):
         for l in range(j + 1, len(mats)):
             bound = tols.rel_rank_tol * max(
@@ -508,13 +494,10 @@ def chain_factor(t, X: Sequence, tols: Optional[Tolerances] = None) -> list:
                 raise ChainConditionViolated(
                     f"X[{j}] X[{l}] is not numerically zero"
                 )
-    if t.imag == 0 and all(not np.iscomplexobj(M) for M in mats):
+    if t.imag == 0 and not np.iscomplexobj(mats):
         t_eff: complex = t.real
         I = np.eye(n)
     else:
         t_eff = t
         I = np.eye(n, dtype=np.complex128)
-        mats = [M.astype(np.complex128) for M in mats]
-    factors = [t_eff * I + mats[0]]
-    factors.extend(I + M / t_eff for M in mats[1:])
-    return factors
+    return [t_eff * I + mats[0], *(I + mats[1:] / t_eff)]

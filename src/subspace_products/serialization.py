@@ -206,7 +206,7 @@ def subspace_from_obj(
     _check_side(n, f"{path}.n")
     _check_field(field, f"{path}.field")
     mats = _from_pairs(basis, (None, n, n), f"{path}.basis", field)
-    return subspace_from_matrices(list(mats), field=field, tols=tols)
+    return subspace_from_matrices(mats, field=field, tols=tols)
 
 
 def vector_to_obj(v: np.ndarray) -> dict:
@@ -247,7 +247,7 @@ def model_from_obj(obj, path: str = "model"):
     def basis(key, count):
         sub = obj[key]
         _require(isinstance(sub, dict) and "basis" in sub, f"{path}.{key}", "expected an embedded subspace object")
-        return tuple(_from_pairs(sub["basis"], (count, n, n), f"{path}.{key}.basis", field))
+        return _from_pairs(sub["basis"], (count, n, n), f"{path}.{key}.basis", field)
 
     return BilinearModel(
         n=n, field=field, j=j, kmj=kmj, l=l, M=M,

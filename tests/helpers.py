@@ -15,7 +15,6 @@ from subspace_products import (
 from subspace_products.catalog import KINDS
 from subspace_products.core import (
     MatrixSubspace,
-    _basis_array,
     _gaussian_coefficients,
     _products,
     _vec_columns,
@@ -218,8 +217,8 @@ def sequential_probe(S1, S2, budget=100, seed=0):
     Returns the best value and its pair of members, the first start's on a
     tie.
     """
-    T1 = _basis_array(S1)
-    T2 = _basis_array(S2)
+    T1 = S1.basis_matrices()
+    T2 = S2.basis_matrices()
     best = (np.inf, None)
     for start in range(budget):
         c1 = _gaussian_coefficients(np.random.default_rng(seed + start), S1.dim, S1.field)
@@ -272,7 +271,7 @@ def svd_span(P, S):
     r = rank_from_singular_values(s, S.tols)
     Q = np.array(U[:, :r].real if S.field == "real" else U[:, :r])
     return MatrixSubspace(
-        n=S.n, field=S.field, raw_basis=tuple(P), dim=r, ortho_basis=Q, tols=S.tols
+        n=S.n, field=S.field, raw_basis=P, dim=r, ortho_basis=Q, tols=S.tols
     )
 
 
@@ -287,11 +286,11 @@ def sketch_first_flatness(S1, S2, trials=5, seed=0):
     P = np.zeros((0, S1.n, S1.n), dtype=S1.ortho_basis.dtype)
     for count in (d1 + d2 + 8, S1.n**2 + 8):
         if d1 * d2 <= count:
-            lin = svd_span(_products(_basis_array(S1)[:, None], _basis_array(S2)[None]), S1)
+            lin = svd_span(_products(S1.basis_matrices()[:, None], S2.basis_matrices()[None]), S1)
             break
         C = _gaussian_coefficients(rng, (count - len(P), d1 + d2), S1.field)
-        X = np.tensordot(C[:, :d1], _basis_array(S1), axes=1)
-        Y = np.tensordot(C[:, d1:], _basis_array(S2), axes=1)
+        X = np.tensordot(C[:, :d1], S1.basis_matrices(), axes=1)
+        Y = np.tensordot(C[:, d1:], S2.basis_matrices(), axes=1)
         P = np.concatenate([P, _products(X, Y)])
         lin = svd_span(P, S1)
         if lin.dim <= len(P) - 8:

@@ -15,6 +15,7 @@ from subspace_products import (
     UnsupportedDegree,
     extract_bilinear,
     factor_via_inverse_closed,
+    linearization,
     membership,
     model_from_bases,
     nullstellensatz_degree_bound,
@@ -85,8 +86,24 @@ class TestExtractBilinear:
             model = extract_bilinear(S1, S2)
             assert (model.j, model.kmj, model.l) == dims
             assert model.M.shape == (0, model.j, model.kmj) and len(model.M) == 0
-            assert model.lin_basis == ()
+            assert model.lin_basis.shape == (0, 2, 2)
             assert len(model.basis1) == model.j and len(model.basis2) == model.kmj
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_full_linearization_reads_the_product_stack(self, field):
+        # Over M_n the orthonormal basis is the identity: the coordinates are
+        # the vectorized products, the bytes of the product Q^H P with Q = I.
+        # Complex LU at n = 3 has -0.0 entries there, which Q^H P turns to 0.0.
+        S1 = catalog("lower_triangular", 3, field)
+        S2 = catalog("unit_upper_constant_diagonal", 3, field)
+        lin = linearization(S1, S2)
+        assert lin.dim == 9
+        stack = bilinear._vec_columns(lin.raw_basis)
+        model = extract_bilinear(S1, S2)
+        want = (lin.ortho_basis.conj().T @ stack).reshape(model.M.shape)
+        assert model.M.tobytes() == want.tobytes()
+        negative_zeros = np.signbit(stack.view(np.float64)) & (stack.view(np.float64) == 0)
+        assert negative_zeros.any() == (field == "complex")
 
     def test_model_matches_product_map(self):
         rng = np.random.default_rng(1)

@@ -23,7 +23,6 @@ from subspace_products import (
 )
 from subspace_products import core
 from subspace_products.core import (
-    _basis_array,
     _certified_full_rank,
     _gaussian_coefficients,
     _least_squares,
@@ -186,7 +185,7 @@ class TestProjectionKernel:
         )
         # factor_via_inverse_closed projects A C over the basis C of a
         # same-field subspace, without the real-part rule: a no-op there.
-        P = _vec_columns(_products(A, _basis_array(T)))
+        P = _vec_columns(_products(A, T.basis_matrices()))
         np.testing.assert_array_equal(_projection(S, P), Q @ (Q.conj().T @ P))
 
 
@@ -360,6 +359,17 @@ class TestSvdKernel:
 
 
 class TestSubspaceFromStack:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("count", [0, 1, 128, 300])
+    def test_blocked_vec_columns_is_the_strided_copy(self, count, dtype):
+        # 300 = two full blocks of 128 and a partial one.
+        rng = np.random.default_rng(count)
+        P = rng.standard_normal((count, 3, 3)).astype(dtype)
+        want = np.reshape(P, (count, 9), order="F").T
+        got = _vec_columns(P)
+        assert got.shape == (9, count) and got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(
         "kinds,params,dim",
@@ -373,14 +383,14 @@ class TestSubspaceFromStack:
     )
     def test_qr_first_span_matches_direct_svd(self, kinds, params, dim, field):
         S1, S2 = (catalog(kind, 6, field, **params) for kind in kinds)
-        P = _products(_basis_array(S1)[:, None], _basis_array(S2)[None])
+        P = _products(S1.basis_matrices()[:, None], S2.basis_matrices()[None])
         stack = _vec_columns(P)
         # Wide: the certificate first, then the QR-first path if it fails.
         assert stack.shape[1] > stack.shape[0]
         assert _certified_full_rank(stack, S1.tols) is (dim == 36)
         U, s, _ = np.linalg.svd(stack, full_matrices=False)
         assert rank_from_singular_values(s, S1.tols) == dim
-        S = _subspace_from_stack(stack, 6, field, tuple(P), S1.tols)
+        S = _subspace_from_stack(P, field, S1.tols)
         assert S.dim == dim
         np.testing.assert_allclose(
             S.ortho_basis @ S.ortho_basis.conj().T,
@@ -393,8 +403,9 @@ class TestSubspaceFromStack:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_full_span_gets_the_identity_basis(self, field):
         S1, S2 = (catalog(kind, 4, field) for kind in ("circulant", "diagonal"))
-        P = np.concatenate([_products(_basis_array(S1)[:, None], _basis_array(S2)[None])] * 2)
-        S = _subspace_from_stack(_vec_columns(P), 4, field, tuple(P), S1.tols)
+        P = _products(S1.basis_matrices()[:, None], S2.basis_matrices()[None])
+        P = np.concatenate([P, P])
+        S = _subspace_from_stack(P, field, S1.tols)
         assert S.dim == 16
         np.testing.assert_array_equal(S.ortho_basis, np.eye(16, dtype=S1.ortho_basis.dtype))
         assert len(S.raw_basis) == 32
@@ -403,10 +414,10 @@ class TestSubspaceFromStack:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_proper_span_is_the_one_svd_span(self, field):
         S1, S2 = (catalog(kind, 4, field, k=1) for kind in ("rank_rows", "rank_cols"))
-        P = _products(_basis_array(S1)[:, None], _basis_array(S2)[None])
+        P = _products(S1.basis_matrices()[:, None], S2.basis_matrices()[None])
         stack = _vec_columns(P)
         assert stack.shape[1] >= stack.shape[0]
-        got = _subspace_from_stack(stack, 4, field, tuple(P), S1.tols)
+        got = _subspace_from_stack(P, field, S1.tols)
         want = _svd(_reduced_stack(stack), S1.tols)
         assert got.dim == want.rank == 1
         np.testing.assert_array_equal(
@@ -423,7 +434,10 @@ class TestSubspaceFromStack:
         stack = 7e307 * np.random.default_rng(0).uniform(-1.0, 1.0, (4, 8))
         assert _certified_full_rank(stack, Tolerances())
         monkeypatch.setattr(core, "_certified_full_rank", lambda stack, tols: False)
-        S = _subspace_from_stack(stack, 2, "real", (), Tolerances())
+        # The members whose vectorizations are the columns of the stack.
+        P = stack.T.reshape(8, 2, 2).transpose(0, 2, 1)
+        np.testing.assert_array_equal(_vec_columns(P), stack)
+        S = _subspace_from_stack(P, "real", Tolerances())
         assert S.dim == 4
         np.testing.assert_array_equal(S.ortho_basis, np.eye(4))
 
