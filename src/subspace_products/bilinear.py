@@ -24,8 +24,10 @@ from .core import (
     _check_count,
     _gaussian_coefficients,
     _least_squares,
+    _members,
     _products,
     _projection,
+    _rng,
     _svd,
     _vec_columns,
     check_field,
@@ -244,7 +246,7 @@ def solve_bilinear(
     restarts_used = 0
     for rs in range(restarts):
         restarts_used = rs + 1
-        rng = np.random.default_rng(seed + rs)
+        rng = _rng(seed + rs)
         z = _gaussian_coefficients(rng, j, model.field)
         w = _gaussian_coefficients(rng, kmj, model.field)
         z = z / np.linalg.norm(z)
@@ -355,14 +357,17 @@ def factor_via_inverse_closed(
     if null_dim == 0:
         raise NoFactorization("no nonzero Y in S2 maps A into S1")
 
-    cands = [S2.element(N[:, i]) for i in range(null_dim)]
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, _FACTOR_CANDIDATES - null_dim)):
-        c = _gaussian_coefficients(rng, null_dim, S1.field)
-        cands.append(S2.element(N @ (c / np.linalg.norm(c))))
+    # The candidates: the members with the null basis columns as
+    # coefficients, then with unit Gaussian combinations of those columns,
+    # drawn one combination at a time.
+    rng = _rng(seed)
+    draws = [_gaussian_coefficients(rng, null_dim, S1.field)
+             for _ in range(_FACTOR_CANDIDATES - null_dim)]
+    U = np.array([c / np.linalg.norm(c) for c in draws]).reshape(-1, null_dim)
+    cands = _members(S2, np.concatenate([N.T, np.matmul(N, U[..., None])[..., 0]]))
     # The best-conditioned candidate, judged on one batched spectrum; every
     # candidate has unit Frobenius norm, so no largest singular value is zero.
-    sv = np.linalg.svd(np.array(cands), compute_uv=False)
+    sv = np.linalg.svd(cands, compute_uv=False)
     best = int(np.argmax(sv[:, -1] / sv[:, 0]))
     if rank_from_singular_values(sv[best], S1.tols) < S1.n:
         raise SingularWitness("all sampled nullspace members are numerically singular")

@@ -297,6 +297,16 @@ class MatrixSubspace:
         return np.asarray(A, dtype=self.ortho_basis.dtype) - self.project(A)
 
 
+def _members(S: MatrixSubspace, C: np.ndarray) -> np.ndarray:
+    """The members with the coefficient rows of C, as a (b, n, n) array.
+
+    One matrix-vector product per row, laid out as ``S.element`` lays out
+    its result, so each member is bit-identical to ``S.element`` of its row.
+    """
+    n = S.n
+    return np.matmul(S.ortho_basis, C[..., None]).reshape(len(C), n, n).transpose(0, 2, 1)
+
+
 def _projection(S: MatrixSubspace, X: np.ndarray) -> np.ndarray:
     """The orthogonal projection onto S of each column of X (vectorized
     matrices); over the real field the coefficients keep their real part."""
@@ -462,6 +472,15 @@ def _gaussian_coefficients(rng: np.random.Generator, size: int, field: str) -> n
     return c if field == REAL else c + 1j * rng.standard_normal(size)
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator behind every seeded draw: ``np.random.default_rng(seed)``
+    for a nonnegative integer seed (numpy integers too), else BadParameters
+    naming the seed."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadParameters(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def random_element(S: MatrixSubspace, seed: int) -> np.ndarray:
     """Seeded Gaussian element of S.
 
@@ -472,7 +491,7 @@ def random_element(S: MatrixSubspace, seed: int) -> np.ndarray:
     """
     if S.dim == 0:
         raise ZeroSubspace("cannot sample from the zero subspace")
-    return S.element(_gaussian_coefficients(np.random.default_rng(seed), S.dim, S.field))
+    return S.element(_gaussian_coefficients(_rng(seed), S.dim, S.field))
 
 
 def random_unit_element(S: MatrixSubspace, seed: int) -> np.ndarray:

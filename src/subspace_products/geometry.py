@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .core import (
     _full_space,
     _gaussian_coefficients,
     _products,
+    _rng,
     _subspace_from_stack,
     _vec_columns,
     check_same_space,
@@ -248,13 +249,15 @@ def second_fundamental_form(
     return T.project_out(W1a @ W2b + W1b @ W2a)
 
 
-def _contains_identity(S: MatrixSubspace) -> bool:
-    return membership(S, np.eye(S.n)).inside
+def _identity_part(S: MatrixSubspace) -> Optional[np.ndarray]:
+    """P, the projection of the identity onto S, when S contains I; else None."""
+    I = np.eye(S.n)
+    return S.project(I) if membership(S, I).inside else None
 
 
-def _generic_point(S: MatrixSubspace, seed: int) -> np.ndarray:
+def _generic_point(S: MatrixSubspace, seed: int, P: Optional[np.ndarray]) -> np.ndarray:
     """The seeded Gaussian member X of S, shifted to P + X / (2 ||X||_2)
-    when S contains the identity, with P the projection of I onto S.
+    when S contains the identity, with P from :func:`_identity_part`.
 
     The shifted point has singular values in [1/2, 3/2], so a generic rank
     survives the relative rank cutoff even where Gaussian members are
@@ -263,9 +266,9 @@ def _generic_point(S: MatrixSubspace, seed: int) -> np.ndarray:
     random line through I meets in finitely many points.
     """
     X = random_element(S, seed)
-    if not _contains_identity(S):
+    if P is None:
         return X
-    return S.project(np.eye(S.n)) + X / (2.0 * np.linalg.norm(X, 2))
+    return P + X / (2.0 * np.linalg.norm(X, 2))
 
 
 def sample_pair(S1: MatrixSubspace, S2: MatrixSubspace, seed: int):
@@ -277,7 +280,10 @@ def sample_pair(S1: MatrixSubspace, S2: MatrixSubspace, seed: int):
     :func:`_generic_point`); for isotropic directions use
     :func:`random_element` directly.
     """
-    return _generic_point(S1, seed), _generic_point(S2, seed + 1)
+    return (
+        _generic_point(S1, seed, _identity_part(S1)),
+        _generic_point(S2, seed + 1, _identity_part(S2)),
+    )
 
 
 def flatness_test(
@@ -303,19 +309,21 @@ def flatness_test(
     _check_count("trials", trials)
     if S1.dim == 0 or S2.dim == 0:
         raise ZeroSubspace("flatness analysis requires nonzero subspaces")
-    for k, S in enumerate((S1, S2), 1):
-        if _contains_identity(S):
+    # Each factor's identity test and P(I), once for every trial point.
+    P1, P2 = _identity_part(S1), _identity_part(S2)
+    for k, P in enumerate((P1, P2), 1):
+        if P is not None:
             _log.debug("S%d contains I: its trial points are P(I) + X / (2 ||X||_2)", k)
     ranks = []
     for t in range(trials + _MAX_EXTRA_TRIALS):
         s_t = seed + 2 * t
-        r = product_map_rank(S1, S2, *sample_pair(S1, S2, s_t))
+        r = product_map_rank(S1, S2, _generic_point(S1, s_t, P1), _generic_point(S2, s_t + 1, P2))
         ranks.append((s_t, r))
         if t == 0:
             lin = (
                 _full_space(S1.n, S1.field, S1.tols)
                 if r == S1.n**2
-                else _sketched_linearization(S1, S2, np.random.default_rng(seed))
+                else _sketched_linearization(S1, S2, _rng(seed))
             )
         top = max(q for _, q in ranks)
         if r == lin.dim:

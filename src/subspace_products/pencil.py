@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     REAL,
@@ -23,6 +22,8 @@ from .core import (
     _as_square_stack,
     _check_count,
     _gaussian_coefficients,
+    _members,
+    _rng,
     _svd,
     check_same_space,
     matrix_rank,
@@ -275,6 +276,10 @@ def _minrank_sampled(S: MatrixSubspace, seed: int) -> MinrankReport:
     The basis members are tried before the samples, so a rank-one basis
     member bounds the result by one.  The witness has unit norm.
     """
+    # The package's one use of scipy.optimize: importing it here keeps its
+    # import time and memory off every process that never searches.
+    from scipy import optimize
+
     best_rank = S.n + 1
     best_witness = None
     for V in _candidates(S, _MINRANK_SAMPLES, seed):
@@ -305,7 +310,7 @@ def _minrank_sampled(S: MatrixSubspace, seed: int) -> MinrankReport:
 
         improved = False
         for rs in range(_MINRANK_RESTARTS):
-            rng = np.random.default_rng(seed + 10_000 + rs)
+            rng = _rng(seed + 10_000 + rs)
             theta0 = rng.standard_normal(npar)
             res = optimize.minimize(
                 objective, theta0, method="Nelder-Mead",
@@ -351,19 +356,8 @@ def minrank(S: MatrixSubspace, seed: int = 0) -> MinrankReport:
 
 def _unit_coefficients(S: MatrixSubspace, seed: int) -> np.ndarray:
     """Seeded Gaussian coefficients against the orthonormal basis, unit norm."""
-    c = _gaussian_coefficients(np.random.default_rng(seed), S.dim, S.field)
+    c = _gaussian_coefficients(_rng(seed), S.dim, S.field)
     return c / np.linalg.norm(c)
-
-
-def _members(S: MatrixSubspace, C: np.ndarray) -> np.ndarray:
-    """The members with the coefficient rows of C, as a (b, n, n) array.
-
-    One matrix-vector product per row, laid out as ``S.element`` lays out
-    its result, so a block of starts does the arithmetic of one start at a
-    time.
-    """
-    n = S.n
-    return np.matmul(S.ortho_basis, C[..., None]).reshape(len(C), n, n).transpose(0, 2, 1)
 
 
 def _smallest_singular(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

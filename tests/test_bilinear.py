@@ -24,7 +24,7 @@ from subspace_products import (
     vec,
 )
 from subspace_products import bilinear
-from helpers import catalog, cell, crout_lu, random_complex, strongly_nonsingular
+from helpers import catalog, cell, crout_lu, loop_factor, random_complex, strongly_nonsingular
 
 
 def lft_pair(seed, n=3):
@@ -594,6 +594,27 @@ class TestFactorViaInverseClosed:
             V1, V2 = factor_via_inverse_closed(A, S, S, seed=seed)
             assert np.linalg.norm(A - V1 @ V2) < 1e-9 * np.linalg.norm(A)
             assert membership(S, V1).inside and membership(S, V2).inside
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("first, second, n, null_dim", [
+        (("lower_triangular", {}), ("unit_upper_constant_diagonal", {}), 6, 1),
+        (("lower_triangular", {}), ("upper_triangular", {}), 6, 6),
+        (("symmetric", {}), ("symmetric", {}), 6, 6),
+        # As many null directions as candidates, so nothing is drawn.
+        (("symmetric", {}), ("symmetric", {}), 25, 25),
+    ], ids=["lu", "lower-upper", "symmetric", "symmetric-25"])
+    def test_batched_candidates_equal_the_loop(self, field, first, second, n, null_dim):
+        S1, S2 = catalog(first[0], n, field, **first[1]), catalog(second[0], n, field, **second[1])
+        assert S1.dim + S2.dim - n * n == null_dim
+        rng = np.random.default_rng(3)
+        for seed in range(2):
+            A = rng.standard_normal((n, n)) + n * np.eye(n)
+            if field == "complex":
+                A = A + 1j * rng.standard_normal((n, n))
+            V1, V2 = factor_via_inverse_closed(A, S1, S2, seed=seed)
+            W1, W2 = loop_factor(A, S1, S2, seed=seed)
+            np.testing.assert_array_equal(V1, W1)
+            np.testing.assert_array_equal(V2, W2)
 
     def test_nilpotent_boundary_case(self):
         L = catalog("lower_triangular", 2)

@@ -1,10 +1,14 @@
 import argparse
 import json
 import logging
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subspace_products
 from subspace_products import (
     cli,
     curvature_measure,
@@ -269,6 +273,54 @@ class TestMinrankCommand:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["value"] == 1 and result["certified"]
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("command", ["flatness", "analyze", "curvature", "closedness"])
+    def test_negative_seed_is_an_input_error(self, capsys, lu_pair_files, command):
+        assert main([command, *lu_pair_files, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
+    def test_negative_seed_on_the_sampled_minrank(self, capsys, tmp_path):
+        f = tmp_path / "circulant.json"
+        save_obj(subspace_to_obj(catalog("circulant", 4, "real")), str(f))
+        assert main(["minrank", str(f), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+# Run in a fresh interpreter: the package's source directory, then a
+# subspace file whose minrank takes the sampled path.  It prints to stderr
+# whether scipy.optimize is loaded after the imports, then after the command.
+_LAZY_OPTIMIZE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import subspace_products, subspace_products.cli
+print("scipy.optimize" in sys.modules, file=sys.stderr)
+code = subspace_products.cli.main(["minrank", sys.argv[2]])
+print("scipy.optimize" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestImportPath:
+    def test_scipy_optimize_loads_at_the_first_sampled_minrank(self, capsys, tmp_path):
+        f = tmp_path / "circulant.json"
+        save_obj(subspace_to_obj(catalog("circulant", 4, "real")), str(f))
+        src = str(Path(subspace_products.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAZY_OPTIMIZE, src, str(f)],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stderr.split() == ["False", "True"]
+        # The descent finds the rank-one all-ones member, as it did when
+        # scipy.optimize was imported with the package.
+        code, out = run(capsys, ["minrank", str(f)])
+        assert code == 0 and proc.stdout == out
+        result = json.loads(out)["result"]
+        assert (result["value"], result["certified"], result["method"]) == (
+            1, False, "sampled_upper_bound")
 
 
 class TestClosednessCommand:

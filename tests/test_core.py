@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import linalg
 
 from subspace_products import (
+    BadParameters,
     EmptyInput,
     FieldMismatch,
     MixedSizes,
@@ -13,13 +16,18 @@ from subspace_products import (
     Tolerances,
     ZeroSubspace,
     equivalence_transform,
+    extract_bilinear,
+    factor_via_inverse_closed,
+    flatness_test,
     membership,
     minrank,
     numerical_rank,
     random_element,
+    solve_bilinear,
     subspace_from_matrices,
     subspace_sum,
     subspaces_equal,
+    zero_product_probe,
 )
 from subspace_products import core
 from subspace_products.core import (
@@ -530,6 +538,40 @@ class TestRandomElement:
             A = random_element(full, seed)
             s = np.linalg.svd(A, compute_uv=False)
             assert s[-1] > 1e-8 * s[0]
+
+
+_LU_A = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]])
+
+# Public calls that draw with the given seed, from each module that draws.
+_SEEDED_CALLS = {
+    "random_element": lambda s: random_element(catalog("circulant", 3), s),
+    "minrank": lambda s: minrank(catalog("circulant", 4, "real"), seed=s),
+    "zero_product_probe": lambda s: zero_product_probe(
+        catalog("diagonal", 3), catalog("diagonal", 3), seed=s),
+    "flatness_test": lambda s: flatness_test(
+        catalog("circulant", 3), catalog("diagonal", 3), seed=s),
+    "factor_via_inverse_closed": lambda s: factor_via_inverse_closed(
+        _LU_A, catalog("lower_triangular", 3, "real"),
+        catalog("unit_upper_constant_diagonal", 3, "real"), seed=s),
+    "solve_bilinear": lambda s: solve_bilinear(
+        extract_bilinear(catalog("circulant", 3), catalog("diagonal", 3)), np.ones(9), seed=s),
+}
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("seed", [-1, -7, 1.5])
+    @pytest.mark.parametrize("call", list(_SEEDED_CALLS))
+    def test_bad_seed_is_bad_parameters(self, call, seed):
+        message = f"seed must be a nonnegative integer, got {seed!r}"
+        with pytest.raises(BadParameters, match=f"^{re.escape(message)}$"):
+            _SEEDED_CALLS[call](seed)
+
+    @pytest.mark.parametrize("call", ["random_element", "minrank", "factor_via_inverse_closed"])
+    def test_numpy_integer_seed_draws_as_the_int(self, call):
+        want, got = _SEEDED_CALLS[call](3), _SEEDED_CALLS[call](np.int64(3))
+        if call == "minrank":
+            want, got = want.witness, got.witness
+        np.testing.assert_array_equal(got, want)
 
 
 class TestElement:

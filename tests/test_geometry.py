@@ -685,7 +685,7 @@ class TestWellConditionedPoints:
     def test_point_near_identity_when_the_factor_contains_it(self, kind, field):
         S = catalog(kind, 16, field)
         for seed in range(3):
-            V = geometry._generic_point(S, seed)
+            V = sample_pair(S, S, seed)[0]
             assert membership(S, V).inside
             s = np.linalg.svd(V, compute_uv=False)
             assert 0.5 - 1e-12 <= s[-1] and s[0] <= 1.5 + 1e-12
