@@ -21,7 +21,8 @@ from .core import (
     MatrixSubspace,
     Tolerances,
     _as_square_stack,
-    _check_count,
+    _as_vectors,
+    _check_int,
     _gaussian_coefficients,
     _least_squares,
     _members,
@@ -36,16 +37,7 @@ from .core import (
     subspace_from_matrices,
     vec,
 )
-from .errors import (
-    BadParameters,
-    NoFactorization,
-    NonFiniteInput,
-    NotMember,
-    RealFieldViolation,
-    SingularWitness,
-    SizeMismatch,
-    UnsupportedDegree,
-)
+from .errors import NoFactorization, NotMember, SingularWitness, UnsupportedDegree
 from .geometry import linearization
 
 # Relative residual at which a Gauss-Newton restart counts as solved, and the
@@ -82,23 +74,17 @@ class BilinearModel:
 
     def matrix_at(self, z: np.ndarray) -> np.ndarray:
         """The l-by-(k-j) matrix M(z) whose r-th row is z^T M_r."""
-        z = np.asarray(z).reshape(-1)
-        if z.size != self.j:
-            raise SizeMismatch(f"z has length {z.size}, expected {self.j}")
+        z = _as_vectors((z,), self.field, ("z",), self.j)[0]
         return np.tensordot(z, self.M, axes=(0, 1))
 
     def apply(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Evaluate M(z) w, the coordinates of the product in the linearization."""
-        w = np.asarray(w).reshape(-1)
-        if w.size != self.kmj:
-            raise SizeMismatch(f"w has length {w.size}, expected {self.kmj}")
+        w = _as_vectors((w,), self.field, ("w",), self.kmj)[0]
         return self.matrix_at(z) @ w
 
     def product_from_coordinates(self, coords: np.ndarray) -> np.ndarray:
         """Assemble sum_r coords[r] * lin_basis[r]."""
-        coords = np.asarray(coords).reshape(-1)
-        if coords.size != self.l:
-            raise SizeMismatch(f"coords has length {coords.size}, expected {self.l}")
+        coords = _as_vectors((coords,), self.field, ("coords",), self.l)[0]
         return _combine(coords, self.lin_basis, self.field)
 
 
@@ -213,22 +199,15 @@ def solve_bilinear(
     steps and multiplies by ten on rejections.  Always returns the best report
     found; callers judge the residual.
     """
-    _check_count("restarts", restarts)
-    _check_count("max_iter", max_iter)
-    b = np.asarray(b).reshape(-1)
-    if b.size != model.l:
-        raise SizeMismatch(f"b has length {b.size}, expected {model.l}")
-    if not np.all(np.isfinite(b)):
-        raise NonFiniteInput("b contains NaN or Inf entries")
-    real = model.field == REAL
-    if real and np.iscomplexobj(b) and np.any(b.imag != 0):
-        raise RealFieldViolation("right-hand side must be real for a real-field model")
+    _check_int("restarts", restarts, 1)
+    _check_int("max_iter", max_iter, 1)
+    _check_int("seed", seed, 0)
+    b = _as_vectors((b,), model.field, ("b",), model.l)[0]
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         # The zero right-hand side is solved exactly by the trivial pair.
-        zdt = np.float64 if real else np.complex128
         return SolveReport(
-            z=np.zeros(model.j, dtype=zdt), w=np.zeros(model.kmj, dtype=zdt),
+            z=np.zeros(model.j, dtype=b.dtype), w=np.zeros(model.kmj, dtype=b.dtype),
             residual=0.0, iterations=0, restarts_used=0,
         )
     M = np.asarray(model.M)
@@ -345,6 +324,7 @@ def factor_via_inverse_closed(
     when every sampled nullspace member is numerically singular (e.g. A on
     the boundary of the product set).
     """
+    _check_int("seed", seed, 0)
     check_same_space(S1, S2)
     Aa = _as_square_stack((A,), S1.field if S1.field == REAL else None, ("A",), S1.n)[0]
     # The columns of L are the vectorized A C over the basis C of S2, less
@@ -359,10 +339,11 @@ def factor_via_inverse_closed(
 
     # The candidates: the members with the null basis columns as
     # coefficients, then with unit Gaussian combinations of those columns,
-    # drawn one combination at a time.
+    # drawn one combination at a time; at least one is drawn, since every
+    # null basis member can be singular where a combination is not.
     rng = _rng(seed)
     draws = [_gaussian_coefficients(rng, null_dim, S1.field)
-             for _ in range(_FACTOR_CANDIDATES - null_dim)]
+             for _ in range(max(_FACTOR_CANDIDATES - null_dim, 1))]
     U = np.array([c / np.linalg.norm(c) for c in draws]).reshape(-1, null_dim)
     cands = _members(S2, np.concatenate([N.T, np.matmul(N, U[..., None])[..., 0]]))
     # The best-conditioned candidate, judged on one batched spectrum; every
@@ -377,11 +358,7 @@ def factor_via_inverse_closed(
 
 def nullstellensatz_degree_bound(D: int, n: int, k: int) -> int:
     """Degree bound for certificate polynomials: D^n for D >= 3, else 2^min(n, k)."""
-    if int(D) != D or int(n) != n or int(k) != k:
-        raise BadParameters("arguments must be integers")
-    D, n, k = int(D), int(n), int(k)
-    if n < 1 or k < 1:
-        raise BadParameters("n and k must be at least 1")
+    D, n, k = _check_int("D", D, 0), _check_int("n", n, 1), _check_int("k", k, 1)
     if D < 2:
         raise UnsupportedDegree("the bound is stated only for maximal degree >= 2")
     if D == 2:

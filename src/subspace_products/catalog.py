@@ -23,6 +23,7 @@ from .core import (
     REAL,
     MatrixSubspace,
     Tolerances,
+    _check_int,
     as_square_matrix,
     check_field,
     dtype_for,
@@ -62,14 +63,14 @@ def _cells(keep: np.ndarray, dtype, mirror: bool = False, lead=None) -> np.ndarr
     return E if lead is None else np.concatenate([lead[None], E])
 
 
-def _in_range(attr: str, lo: int, hi: int):
-    """Parameter check: ``lo <= spec.<attr> <= n + hi``."""
-    hi_text = f"n{hi}" if hi else "n"
+def _at_most_n(attr: str, lo: int, hi: int):
+    """Parameter check: ``spec.<attr>`` an integer of at least ``lo`` (by
+    :func:`core._check_int`) and at most ``n + hi``."""
 
     def check(kind: str, spec: CatalogSpec) -> None:
-        v = getattr(spec, attr)
-        if v is None or not lo <= v <= spec.n + hi:
-            raise BadParameters(f"{kind} needs {lo} <= {attr} <= {hi_text}, got {v}")
+        v = _check_int(attr, getattr(spec, attr), lo)
+        if v > spec.n + hi:
+            raise BadParameters(f"{kind} needs {lo} <= {attr} <= n{hi or ''}, got {v}")
 
     return check
 
@@ -94,9 +95,9 @@ _KINDS = {
     "unit_lower_constant_diagonal": (
         lambda s, i, j, dt: _cells(j < i, dt, lead=np.eye(s.n, dtype=dt)), True, None),
     "band_lower": (lambda s, i, j, dt: _cells((j <= i) & (i - j <= s.p), dt),
-                   lambda s: s.p in (0, s.n - 1), _in_range("p", 0, -1)),
+                   lambda s: s.p in (0, s.n - 1), _at_most_n("p", 0, -1)),
     "band_upper": (lambda s, i, j, dt: _cells((j >= i) & (j - i <= s.q), dt),
-                   lambda s: s.q in (0, s.n - 1), _in_range("q", 0, -1)),
+                   lambda s: s.q in (0, s.n - 1), _at_most_n("q", 0, -1)),
     "toeplitz_upper_triangular": (
         lambda s, i, j, dt: [np.eye(s.n, k=d, dtype=dt) for d in range(s.n)], True, None),
     "toeplitz_lower_triangular": (
@@ -107,8 +108,8 @@ _KINDS = {
     "persymmetric_constant_antidiagonal": (
         lambda s, i, j, dt: _cells((j >= i) & (i + j != s.n - 1), dt, mirror=True,
                                    lead=np.fliplr(np.eye(s.n, dtype=dt))), False, None),
-    "rank_cols": (lambda s, i, j, dt: _cells(j < s.k, dt), False, _in_range("k", 1, 0)),
-    "rank_rows": (lambda s, i, j, dt: _cells(i < s.k, dt), False, _in_range("k", 1, 0)),
+    "rank_cols": (lambda s, i, j, dt: _cells(j < s.k, dt), False, _at_most_n("k", 1, 0)),
+    "rank_rows": (lambda s, i, j, dt: _cells(i < s.k, dt), False, _at_most_n("k", 1, 0)),
     "hurwitz_radon_2": (
         lambda s, i, j, dt: [np.eye(2, dtype=dt), np.array([[0.0, -1.0], [1.0, 0.0]], dtype=dt)],
         True, _real_2x2),
@@ -122,8 +123,7 @@ def _krylov(spec: CatalogSpec, dtype, tols: Tolerances) -> Tuple[list, bool]:
     the powers saturated before the cap."""
     if spec.matrix is None:
         raise BadParameters("krylov needs a generator matrix")
-    if spec.max_power is None or spec.max_power < 1:
-        raise BadParameters(f"krylov needs max_power >= 1, got {spec.max_power}")
+    _check_int("max_power", spec.max_power, 1)
     n = spec.n
     A = as_square_matrix(spec.matrix, field=spec.field, name="matrix")
     if A.shape[0] != n:
@@ -150,9 +150,7 @@ def make_subspace(
     """
     check_field(spec.field)
     tols = tols or Tolerances()
-    n = spec.n
-    if n < 1:
-        raise BadParameters(f"n must be positive, got {n}")
+    n = _check_int("n", spec.n, 1)
     dtype = dtype_for(spec.field)
     if spec.kind == "krylov":
         basis, inverse_closed = _krylov(spec, dtype, tols)

@@ -26,7 +26,7 @@ from .bilinear import (
     solve_bilinear,
 )
 from .catalog import KINDS, CatalogSpec, make_subspace
-from .core import Tolerances, _check_count, membership, random_unit_element
+from .core import Tolerances, _check_int, membership, random_unit_element
 from .errors import NoFactorization, SingularWitness, SubspaceProductsError
 from .geometry import (
     curvature_measure,
@@ -154,7 +154,7 @@ def _flatness(args, tols, S1, S2):
 
 
 def _curvature(args, tols, S1, S2):
-    _check_count("directions", args.directions)
+    _check_int("directions", args.directions, 1)
     V1, V2 = sample_pair(S1, S2, args.seed)
     norms = []
     for t in range(args.directions):

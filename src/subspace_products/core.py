@@ -83,10 +83,42 @@ def check_field(field: str) -> str:
     return field
 
 
-def _check_count(name: str, value: int) -> None:
-    """Reject a count (trials, restarts, budget, grid points, directions) below one."""
-    if value < 1:
-        raise BadParameters(f"{name} must be at least 1, got {value}")
+def _check_int(name: str, value, low: int) -> int:
+    """The one rule for integer parameters (seeds, counts, sizes): a Python
+    or numpy integer, not a bool, of at least ``low``, returned as an int;
+    anything else raises BadParameters naming ``name`` and the value."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integer and value >= low:
+        return int(value)
+    if low == 0:
+        raise BadParameters(f"{name} must be a nonnegative integer, got {value!r}")
+    if integer:
+        raise BadParameters(f"{name} must be at least {low}, got {value}")
+    raise BadParameters(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def _label(name, i: int) -> str:
+    """Member i of the input list ``name``, or the i-th of a tuple of names."""
+    return name[i] if isinstance(name, tuple) else f"{name}[{i}]"
+
+
+def _finite_of_field(arr: np.ndarray, field: Optional[str], name) -> np.ndarray:
+    """The rules both input checks end with, naming the first member
+    ``arr[i]`` that breaks one by :func:`_label`: NonFiniteInput for NaN or
+    Inf, RealFieldViolation for a nonzero imaginary part over the real field."""
+    axes = tuple(range(1, arr.ndim))
+    finite = np.isfinite(arr)
+    if not finite.all():
+        first = _label(name, int(np.argmin(finite.all(axis=axes))))
+        raise NonFiniteInput(f"{first} contains NaN or Inf entries")
+    if field == REAL and np.iscomplexobj(arr):
+        imaginary = (arr.imag != 0).any(axis=axes)
+        if imaginary.any():
+            first = _label(name, int(np.argmax(imaginary)))
+            raise RealFieldViolation(f"{first} has nonzero imaginary entries over the real field")
+        arr = arr.real
+    complex_out = field == COMPLEX or (field is None and np.iscomplexobj(arr))
+    return np.array(arr, dtype=np.complex128 if complex_out else np.float64)
 
 
 def _as_square_stack(
@@ -99,12 +131,7 @@ def _as_square_stack(
     error names the first member that breaks its rule: EmptyInput for no
     members, SizeMismatch for one not square or of side 0, MixedSizes (a
     SizeMismatch) for a side other than the first member's or ``side``,
-    NonFiniteInput for NaN or Inf, RealFieldViolation for a nonzero
-    imaginary part over the real field."""
-
-    def label(i: int) -> str:
-        return name[i] if isinstance(name, tuple) else f"{name}[{i}]"
-
+    then the rules of :func:`_finite_of_field`."""
     if len(mats) == 0:
         raise EmptyInput(f"need at least one matrix in {name}")
     try:
@@ -117,22 +144,26 @@ def _as_square_stack(
         n = side
         for i, shape in enumerate(map(np.shape, mats)):
             if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
-                raise SizeMismatch(f"{label(i)} must be square and nonempty, got shape {shape}")
+                raise SizeMismatch(f"{_label(name, i)} must be square and nonempty, got shape {shape}")
             n = n or shape[0]
             if shape[0] != n:
-                raise MixedSizes(f"{label(i)} has side {shape[0]}, expected {n}")
-    finite = np.isfinite(arr)
-    if not finite.all():
-        first = label(int(np.argmin(finite.all(axis=(1, 2)))))
-        raise NonFiniteInput(f"{first} contains NaN or Inf entries")
-    if field == REAL and np.iscomplexobj(arr):
-        imaginary = (arr.imag != 0).any(axis=(1, 2))
-        if imaginary.any():
-            first = label(int(np.argmax(imaginary)))
-            raise RealFieldViolation(f"{first} has nonzero imaginary entries over the real field")
-        arr = arr.real
-    complex_out = field == COMPLEX or (field is None and np.iscomplexobj(arr))
-    return np.array(arr, dtype=np.complex128 if complex_out else np.float64)
+                raise MixedSizes(f"{_label(name, i)} has side {shape[0]}, expected {n}")
+    return _finite_of_field(arr, field, name)
+
+
+def _as_vectors(vecs: Sequence, field=None, name="vectors", length=None) -> np.ndarray:
+    """The one input check for coordinate vectors, named and typed as by
+    :func:`_as_square_stack`: each member flattened, all of one length, the
+    first member's or ``length`` (else MixedSizes naming the first other),
+    then the rules of :func:`_finite_of_field`, into a new (K, length) array."""
+    if len(vecs) == 0:
+        raise EmptyInput("need at least one vector")
+    flat = [np.asarray(v).reshape(-1) for v in vecs]
+    m = flat[0].size if length is None else length
+    for i, v in enumerate(flat):
+        if v.size != m:
+            raise MixedSizes(f"{_label(name, i)} has length {v.size}, expected {m}")
+    return _finite_of_field(np.array(flat), field, name)
 
 
 def as_square_matrix(A, field: Optional[str] = None, name: str = "matrix") -> np.ndarray:
@@ -438,16 +469,7 @@ def require_member(S: MatrixSubspace, A, name: str = "matrix") -> np.ndarray:
 
 def numerical_rank(vectors: Sequence, tols: Optional[Tolerances] = None) -> int:
     """Numerical rank of a set of equal-length vectors."""
-    if len(vectors) == 0:
-        raise EmptyInput("need at least one vector")
-    arrs = [np.asarray(v).reshape(-1) for v in vectors]
-    m = arrs[0].size
-    for i, v in enumerate(arrs):
-        if v.size != m:
-            raise MixedSizes(f"vectors[{i}] has length {v.size}, expected {m}")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteInput(f"vectors[{i}] contains NaN or Inf")
-    return matrix_rank(np.column_stack(arrs), tols)
+    return matrix_rank(_as_vectors(vectors).T, tols)
 
 
 def equivalence_transform(S: MatrixSubspace, X, Y) -> MatrixSubspace:
@@ -474,11 +496,8 @@ def _gaussian_coefficients(rng: np.random.Generator, size: int, field: str) -> n
 
 def _rng(seed) -> np.random.Generator:
     """The generator behind every seeded draw: ``np.random.default_rng(seed)``
-    for a nonnegative integer seed (numpy integers too), else BadParameters
-    naming the seed."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise BadParameters(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    for a seed that passes :func:`_check_int`."""
+    return np.random.default_rng(_check_int("seed", seed, 0))
 
 
 def random_element(S: MatrixSubspace, seed: int) -> np.ndarray:
@@ -489,9 +508,10 @@ def random_element(S: MatrixSubspace, seed: int) -> np.ndarray:
     draw is an isotropic Gaussian on the subspace and deterministic in the
     seed.  This is the package's realization of a generic point.
     """
+    rng = _rng(seed)
     if S.dim == 0:
         raise ZeroSubspace("cannot sample from the zero subspace")
-    return S.element(_gaussian_coefficients(_rng(seed), S.dim, S.field))
+    return S.element(_gaussian_coefficients(rng, S.dim, S.field))
 
 
 def random_unit_element(S: MatrixSubspace, seed: int) -> np.ndarray:

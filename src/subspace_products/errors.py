@@ -77,8 +77,8 @@ class UnsupportedDegree(SubspaceProductsError):
 
 
 class BadParameters(SubspaceProductsError):
-    """A parameter is out of range: a catalog constructor's, or a count
-    (trials, restarts, budget, grid points, directions) below one."""
+    """A parameter is out of range or not an integer where one is required:
+    a seed, a count, a catalog constructor's parameter, or a tolerance."""
 
 
 class NoFactorization(SubspaceProductsError):

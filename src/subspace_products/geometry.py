@@ -18,7 +18,7 @@ import numpy as np
 from .core import (
     MatrixSubspace,
     _as_square_stack,
-    _check_count,
+    _check_int,
     _full_space,
     _gaussian_coefficients,
     _products,
@@ -33,7 +33,7 @@ from .core import (
     require_member,
     subspaces_equal,
 )
-from .errors import FieldMismatch, SizeMismatch, ZeroSubspace
+from .errors import ZeroSubspace
 
 _log = logging.getLogger("subspace_products")
 
@@ -306,7 +306,8 @@ def flatness_test(
     with ``seed``, span it, so the trial ranks do not depend on it (see
     :class:`ProductAnalysis`).
     """
-    _check_count("trials", trials)
+    _check_int("trials", trials, 1)
+    _check_int("seed", seed, 0)
     if S1.dim == 0 or S2.dim == 0:
         raise ZeroSubspace("flatness analysis requires nonzero subspaces")
     # Each factor's identity test and P(I), once for every trial point.
@@ -359,11 +360,9 @@ def factorizability_check(
     flat verdict, and (c) the dimension window: both factor dimensions above
     one and below dim W.
     """
+    _check_int("seed", seed, 0)
     check_same_space(S1, S2)
-    if W.n != S1.n:
-        raise SizeMismatch(f"target side {W.n} does not match factors {S1.n}")
-    if W.field != S1.field:
-        raise FieldMismatch(f"target field {W.field} does not match factors {S1.field}")
+    check_same_space(W, S1)
     report = flatness_test(S1, S2, trials=trials, seed=seed)
     dims_ok = 1 < min(S1.dim, S2.dim) and max(S1.dim, S2.dim) < W.dim
     verdict = dims_ok and report.flat and subspaces_equal(report.lin_basis_ref, W)

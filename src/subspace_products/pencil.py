@@ -20,7 +20,7 @@ from .core import (
     MatrixSubspace,
     Tolerances,
     _as_square_stack,
-    _check_count,
+    _check_int,
     _gaussian_coefficients,
     _members,
     _rng,
@@ -138,6 +138,7 @@ def normalize_pencil(S: MatrixSubspace, seed: int = 0) -> Tuple[np.ndarray, np.n
 
     Returns (W1, Y) where Y is an invertible element of S.
     """
+    _check_int("seed", seed, 0)
     if S.dim != 2:
         raise WrongDimension(f"pencil normalization needs dim 2, got {S.dim}")
     return _normal_form(S, left=False, seed=seed)
@@ -151,6 +152,7 @@ def normalize_pair(
     The first factor is normalized from the left by the inverse of one of its
     invertible elements, the second from the right.
     """
+    _check_int("seed", seed, 0)
     check_same_space(S1, S2)
     if S1.dim != 2:
         raise WrongDimension(f"pair normalization needs dim 2, got {S1.dim} on side 1")
@@ -207,7 +209,7 @@ def craig_sakamoto_check(
     the theorem, so a disagreement indicates a numerical failure).
     """
     tols = tols or Tolerances()
-    _check_count("grid", grid)
+    _check_int("grid", grid, 1)
     A, B = _as_square_stack((X1, X2), REAL, ("X1", "X2"))
     for name, M in (("X1", A), ("X2", B)):
         scale = max(1.0, np.linalg.norm(M))
@@ -339,6 +341,7 @@ def minrank(S: MatrixSubspace, seed: int = 0) -> MinrankReport:
     only real eigenvalues are admissible).  Any other case yields a sampled
     upper bound, explicitly uncertified.
     """
+    _check_int("seed", seed, 0)
     if S.dim == 0:
         raise ZeroSubspace("minrank needs a nonzero subspace")
     if S.dim == 1:
@@ -411,7 +414,8 @@ def zero_product_probe(
     and more starts cannot change what it shows.
     """
     check_same_space(S1, S2)
-    _check_count("budget", budget)
+    _check_int("budget", budget, 1)
+    _check_int("seed", seed, 0)
     if S1.dim == 0 or S2.dim == 0:
         raise ZeroSubspace("probe needs nonzero subspaces")
     cap = max(1, _PROBE_STACK_ENTRIES // (S1.n ** 2 * max(S1.dim, S2.dim)))
@@ -442,7 +446,8 @@ def closedness_certificate(
     probe's minimum, reported as 0.0 when below ``S1.tols.abs_floor``.
     """
     check_same_space(S1, S2)
-    _check_count("budget", budget)
+    _check_int("budget", budget, 1)
+    _check_int("seed", seed, 0)
     details: dict = {}
     reports = []
     for name, S in (("minrank1", S1), ("minrank2", S2)):

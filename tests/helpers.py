@@ -242,13 +242,14 @@ def sequential_probe(S1, S2, budget=100, seed=0):
 
 def loop_factor(A, S1, S2, seed=0, count=25):
     """Reference ``factor_via_inverse_closed`` on a validated A that factors:
-    the ``count`` candidates built one ``S2.element`` at a time, the null
-    basis members first, then one unit Gaussian combination per draw."""
+    the candidates built one ``S2.element`` at a time, the null basis members
+    first, then one unit Gaussian combination per draw, ``count`` in all but
+    at least one draw."""
     P = _vec_columns(_products(A, S2.basis_matrices()))
     N = _svd(P - _projection(S1, P), S1.tols).null
     cands = [S2.element(N[:, i]) for i in range(N.shape[1])]
     rng = np.random.default_rng(seed)
-    for _ in range(count - N.shape[1]):
+    for _ in range(max(count - N.shape[1], 1)):
         c = _gaussian_coefficients(rng, N.shape[1], S1.field)
         cands.append(S2.element(N @ (c / np.linalg.norm(c))))
     sv = np.linalg.svd(np.array(cands), compute_uv=False)

@@ -600,7 +600,7 @@ class TestFactorViaInverseClosed:
         (("lower_triangular", {}), ("unit_upper_constant_diagonal", {}), 6, 1),
         (("lower_triangular", {}), ("upper_triangular", {}), 6, 6),
         (("symmetric", {}), ("symmetric", {}), 6, 6),
-        # As many null directions as candidates, so nothing is drawn.
+        # As many null directions as candidates: one combination is still drawn.
         (("symmetric", {}), ("symmetric", {}), 25, 25),
     ], ids=["lu", "lower-upper", "symmetric", "symmetric-25"])
     def test_batched_candidates_equal_the_loop(self, field, first, second, n, null_dim):
@@ -615,6 +615,18 @@ class TestFactorViaInverseClosed:
             W1, W2 = loop_factor(A, S1, S2, seed=seed)
             np.testing.assert_array_equal(V1, W1)
             np.testing.assert_array_equal(V2, W2)
+
+    @pytest.mark.parametrize("target", range(6))
+    def test_large_null_space_still_draws_a_combination(self, target):
+        # lower_triangular x M_7 has a 28-dimensional null space, more than the
+        # 25 candidates, and every null basis member has rank one, so a
+        # factor needs a drawn combination (A = I A always factors).
+        L, M = catalog("lower_triangular", 7, "real"), catalog("rank_cols", 7, "real", k=7)
+        A = np.random.default_rng(target).standard_normal((7, 7)) + 7 * np.eye(7)
+        for seed in range(3):
+            V1, V2 = factor_via_inverse_closed(A, L, M, seed=seed)
+            assert np.linalg.norm(A - V1 @ V2) < 1e-12 * np.linalg.norm(A)
+            assert membership(L, V1).inside
 
     def test_nilpotent_boundary_case(self):
         L = catalog("lower_triangular", 2)

@@ -107,6 +107,10 @@ class TestKrylov:
         _, flags = catalog_flags("krylov", 3, matrix=J, max_power=10)
         assert flags["inverse_closed"]
 
+    def test_generator_of_another_side(self):
+        with pytest.raises(BadParameters, match="^generator side 2 does not match n=3$"):
+            catalog("krylov", 3, matrix=np.eye(2), max_power=2)
+
     def test_missing_generator(self):
         with pytest.raises(BadParameters):
             catalog("krylov", 3, max_power=3)

@@ -283,6 +283,15 @@ class TestSeedRule:
         assert captured.out == ""
         assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
 
+    def test_negative_seed_that_is_never_drawn(self, capsys, tmp_path):
+        # A one-dimensional subspace's minrank is exact and draws nothing.
+        f = tmp_path / "d1.json"
+        save_obj(subspace_to_obj(catalog("diagonal", 1, "real")), str(f))
+        assert main(["minrank", str(f), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
     def test_negative_seed_on_the_sampled_minrank(self, capsys, tmp_path):
         f = tmp_path / "circulant.json"
         save_obj(subspace_to_obj(catalog("circulant", 4, "real")), str(f))
@@ -368,6 +377,17 @@ class TestFactorCommand:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["factored"] and result["relative_residual"] < 1e-10
+
+
+    def test_no_factorization_exits_two(self, capsys, tmp_path):
+        # A Y stays diagonal for diagonal Y only when Y = 0.
+        fa, fd = tmp_path / "A.json", tmp_path / "d.json"
+        save_obj(matrix_to_obj(np.ones((2, 2))), str(fa))
+        save_obj(subspace_to_obj(catalog("diagonal", 2, "real")), str(fd))
+        code, out = run(capsys, ["factor", str(fa), str(fd), str(fd)])
+        assert code == 2
+        result = json.loads(out)["result"]
+        assert result == {"factored": False, "reason": "no nonzero Y in S2 maps A into S1"}
 
 
 class TestSolveCommand:
@@ -472,6 +492,15 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert "basis[0]" in err
+
+    def test_invalid_json_names_line_and_column(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 2,\n "field" "real"}')
+        code = main(["minrank", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:2:10: Expecting ':' delimiter\n"
 
     def test_subspace_diagnostic_names_the_file_path(self, capsys, tmp_path):
         bad = tmp_path / "s.json"

@@ -1,33 +1,54 @@
 """The input rules every list of matrices meets, checked at every caller of
-the one validation kernel, and the read-only (K, n, n) bases it yields."""
+the one validation kernel, and the read-only (K, n, n) bases it yields; the
+rule every seed and count meets, and the one every coordinate vector meets."""
 
+import argparse
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+import subspace_products
 from subspace_products import (
+    BadParameters,
+    CatalogSpec,
     EmptyInput,
     MixedSizes,
     NonFiniteInput,
     RealFieldViolation,
     SizeMismatch,
+    Tolerances,
     chain_factor,
+    closedness_certificate,
     craig_sakamoto_check,
     curvature_measure,
     equivalence_transform,
     extract_bilinear,
     factor_via_inverse_closed,
+    factorizability_check,
     find_lft_witness,
+    flatness_test,
     linearization,
+    make_subspace,
     membership,
+    minrank,
     model_from_bases,
+    normalize_pair,
+    normalize_pencil,
+    numerical_rank,
     product_map,
     product_map_rank,
+    random_element,
+    random_unit_element,
+    sample_pair,
     second_fundamental_form,
+    solve_bilinear,
     subspace_from_matrices,
     tangent_space,
+    zero_product_probe,
 )
+from subspace_products.cli import _curvature
 from subspace_products.core import as_square_matrix
 from subspace_products.serialization import model_from_obj, model_to_obj
 from helpers import catalog
@@ -149,3 +170,134 @@ def test_derived_bases_are_read_only_arrays(field):
         _assert_read_only_stack(m.basis1, L.dim, 3)
         _assert_read_only_stack(m.basis2, U.dim, 3)
         _assert_read_only_stack(m.lin_basis, lin.dim, 3)
+
+
+# Seeded calls, five of which draw nothing from the seed they are given: a
+# one-dimensional minrank, two pencil normal forms whose first raw member is
+# invertible, a zero right-hand side, a factor with no nonzero null direction.
+D3 = catalog("diagonal", 3, "real")
+IX = subspace_from_matrices([I2, np.diag([1.0], 1)], field="real")
+MODEL = extract_bilinear(D3, D3)
+SEEDED = {
+    "random_element": lambda s: random_element(D3, s),
+    "random_unit_element": lambda s: random_unit_element(D3, s),
+    "sample_pair": lambda s: sample_pair(D3, D3, s),
+    "flatness_test": lambda s: flatness_test(D3, D3, seed=s),
+    "factorizability_check": lambda s: factorizability_check(D3, D3, D3, seed=s),
+    "minrank": lambda s: minrank(catalog("diagonal", 1, "real"), seed=s),
+    "normalize_pencil": lambda s: normalize_pencil(IX, seed=s),
+    "normalize_pair": lambda s: normalize_pair(IX, IX, seed=s),
+    "zero_product_probe": lambda s: zero_product_probe(D3, D3, seed=s),
+    "closedness_certificate": lambda s: closedness_certificate(IX, IX, seed=s),
+    "solve_bilinear": lambda s: solve_bilinear(MODEL, np.zeros(3), seed=s),
+    "factor_via_inverse_closed": lambda s: factor_via_inverse_closed(np.ones((3, 3)), D3, D3, s),
+}
+
+
+def test_every_public_function_with_a_seed_is_covered():
+    public = {
+        name for name, f in vars(subspace_products).items()
+        if not name.startswith("_") and inspect.isfunction(f)
+        and "seed" in inspect.signature(f).parameters
+    }
+    assert public == set(SEEDED)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+@pytest.mark.parametrize("call", list(SEEDED))
+def test_bad_seed_is_rejected_whether_or_not_it_is_drawn(call, seed):
+    message = f"seed must be a nonnegative integer, got {seed!r}"
+    with pytest.raises(BadParameters, match=f"^{re.escape(message)}$"):
+        SEEDED[call](seed)
+
+
+# count -> call with that count and every other input valid.
+COUNTS = {
+    "trials": lambda v: flatness_test(D3, D3, trials=v),
+    "factorizability trials": lambda v: factorizability_check(D3, D3, D3, trials=v),
+    "restarts": lambda v: solve_bilinear(MODEL, np.ones(3), restarts=v),
+    "max_iter": lambda v: solve_bilinear(MODEL, np.ones(3), max_iter=v),
+    "budget": lambda v: zero_product_probe(D3, D3, budget=v),
+    "closedness budget": lambda v: closedness_certificate(D3, D3, budget=v),
+    "grid": lambda v: craig_sakamoto_check(I2, I2, grid=v),
+    "directions": lambda v: _curvature(
+        argparse.Namespace(directions=v, seed=0), Tolerances(), D3, D3),
+}
+
+
+@pytest.mark.parametrize("value, rule", [
+    (0, "at least 1, got 0"),
+    (2.5, "an integer of at least 1, got 2.5"),
+    (True, "an integer of at least 1, got True"),
+])
+@pytest.mark.parametrize("count", list(COUNTS))
+def test_count_is_a_positive_integer(count, value, rule):
+    message = f"{count.split()[-1]} must be {rule}"
+    with pytest.raises(BadParameters, match=f"^{re.escape(message)}$"):
+        COUNTS[count](value)
+
+
+@pytest.mark.parametrize("kind, param, rule", [
+    ("diagonal", "n", "an integer of at least 1"),
+    ("band_lower", "p", "a nonnegative integer"),
+    ("band_upper", "q", "a nonnegative integer"),
+    ("rank_cols", "k", "an integer of at least 1"),
+    ("rank_rows", "k", "an integer of at least 1"),
+    ("krylov", "max_power", "an integer of at least 1"),
+])
+def test_catalog_parameter_is_an_integer(kind, param, rule):
+    params = {"kind": kind, "n": 4, "field": "real", param: 2.5}
+    if kind == "krylov":
+        params["matrix"] = np.diag(np.ones(3), 1)
+    message = f"{param} must be {rule}, got 2.5"
+    with pytest.raises(BadParameters, match=f"^{re.escape(message)}$"):
+        make_subspace(CatalogSpec(**params))
+
+
+# vector -> (call on the faulty vector, whether the real field is in force).
+# MODEL is a real model with j = kmj = l = 3; numerical_rank gets four
+# members, each faulty from the index on, so that the first must be named.
+ONES = np.ones(3)
+VECTORS = {
+    "b": (lambda v: solve_bilinear(MODEL, v), True),
+    "z": (lambda v: MODEL.matrix_at(v), True),
+    "z of apply": (lambda v: MODEL.apply(v, ONES), True),
+    "w": (lambda v: MODEL.apply(ONES, v), True),
+    "coords": (lambda v: MODEL.product_from_coordinates(v), True),
+    "vectors": (lambda v: numerical_rank(v), False),
+}
+
+
+def _faulty(fault):
+    """A vector of length 4, or of length 3 with a NaN or 1j at index 2."""
+    if fault == "length":
+        return np.ones(4)
+    v = np.ones(3, dtype=float if fault == "nan" else complex)
+    v[2] = np.nan if fault == "nan" else 1j
+    return v
+
+
+VECTOR_FAULTS = {
+    "length": (MixedSizes, "has length 4, expected 3"),
+    "nan": (NonFiniteInput, "contains NaN or Inf entries"),
+    "imaginary": (RealFieldViolation, "has nonzero imaginary entries over the real field"),
+}
+
+
+@pytest.mark.parametrize("vector, fault", [
+    (vector, fault) for vector, (_, real) in VECTORS.items() for fault in VECTOR_FAULTS
+    if real or fault != "imaginary"
+])
+def test_vector_rules_name_the_input(vector, fault):
+    call, _ = VECTORS[vector]
+    error, text = VECTOR_FAULTS[fault]
+    name = vector.split()[0]
+    if vector == "vectors":
+        index = 1 if fault == "length" else 2
+        name = f"vectors[{index}]"
+        arg = [ONES] * index + [_faulty(fault)] * (4 - index)
+    else:
+        arg = _faulty(fault)
+    with pytest.raises(error, match=f"^{re.escape(f'{name} {text}')}$") as raised:
+        call(arg)
+    assert raised.type is error

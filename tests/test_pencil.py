@@ -8,6 +8,7 @@ from subspace_products import (
     NotSymmetric,
     WrongDimension,
     ZeroScalar,
+    ZeroSubspace,
     chain_factor,
     closedness_certificate,
     craig_sakamoto_check,
@@ -83,6 +84,10 @@ class TestNormalizePair:
         # generators are defined up to an affine shift by I and scaling
         assert numerical_rank([vec(X1), vec(cell(2, 0, 1)), vec(np.eye(2))]) == 2
         assert numerical_rank([vec(X2), vec(cell(2, 1, 0)), vec(np.eye(2))]) == 2
+
+    def test_first_factor_of_another_dimension(self):
+        with pytest.raises(WrongDimension, match="^pair normalization needs dim 2, got 3 on side 1$"):
+            normalize_pair(catalog("diagonal", 3), spanIX(cell(3, 0, 1)))
 
     def test_random_pair_reconstructs(self):
         rng = np.random.default_rng(1)
@@ -514,3 +519,14 @@ class TestChainFactor:
             target = t * np.eye(n) + sum(blocks)
             err = np.linalg.norm(prod - target) / np.linalg.norm(target)
             assert err < 1e-10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda Z: minrank(Z), "minrank needs a nonzero subspace"),
+    (lambda Z: zero_product_probe(Z, catalog("diagonal", 2)), "probe needs nonzero subspaces"),
+    (lambda Z: zero_product_probe(catalog("diagonal", 2), Z), "probe needs nonzero subspaces"),
+], ids=["minrank", "probe-first", "probe-second"])
+def test_zero_subspace_rejected(call, message):
+    Z = subspace_from_matrices([np.zeros((2, 2))])
+    with pytest.raises(ZeroSubspace, match=f"^{message}$"):
+        call(Z)
