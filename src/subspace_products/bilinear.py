@@ -353,7 +353,7 @@ def factor_via_inverse_closed(
     if rank_from_singular_values(sv[best], S1.tols) < S1.n:
         raise SingularWitness("all sampled nullspace members are numerically singular")
     Y = cands[best] / np.linalg.norm(cands[best])
-    return Aa @ Y, np.linalg.inv(Y)
+    return _products(Aa, Y)[0], np.linalg.inv(Y)
 
 
 def nullstellensatz_degree_bound(D: int, n: int, k: int) -> int:

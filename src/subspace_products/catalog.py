@@ -23,8 +23,9 @@ from .core import (
     REAL,
     MatrixSubspace,
     Tolerances,
+    _as_square_stack,
     _check_int,
-    as_square_matrix,
+    _products,
     check_field,
     dtype_for,
     membership,
@@ -120,18 +121,17 @@ KINDS = tuple(_KINDS) + ("krylov",)
 def _krylov(spec: CatalogSpec, dtype, tols: Tolerances) -> Tuple[list, bool]:
     """Powers I, A, A^2, ... of the generator up to ``max_power`` or until
     they saturate; the span is an algebra (hence inverse-closed) only when
-    the powers saturated before the cap."""
+    the powers saturated before the cap.  A power that overflows raises
+    NonFiniteInput."""
     if spec.matrix is None:
         raise BadParameters("krylov needs a generator matrix")
     _check_int("max_power", spec.max_power, 1)
     n = spec.n
-    A = as_square_matrix(spec.matrix, field=spec.field, name="matrix")
-    if A.shape[0] != n:
-        raise BadParameters(f"generator side {A.shape[0]} does not match n={n}")
+    A = _as_square_stack((spec.matrix,), spec.field, ("matrix",), side=n)[0]
     basis = [np.eye(n, dtype=dtype)]
     power = np.eye(n, dtype=dtype)
     for _ in range(spec.max_power):
-        power = power @ A
+        power = _products(power, A)[0]
         span_so_far = subspace_from_matrices(basis, field=spec.field, tols=tols)
         if membership(span_so_far, power).inside:
             return basis, True

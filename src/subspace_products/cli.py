@@ -347,6 +347,9 @@ def main(argv=None) -> int:
     _log.debug("command %s", args.command)
     handler, _, inputs, _ = _COMMANDS[args.command]
     try:
+        # Checked once for every command, since every report header carries both.
+        _check_int("seed", args.seed, 0)
+        _check_int("trials", args.trials, 1)
         tols = _tolerances(args)
         loaded = [read(getattr(args, name), tols) for name, read, *_ in inputs]
         result, verdict = handler(args, tols, *loaded)

@@ -50,7 +50,8 @@ class Tolerances:
     largest singular value; if the largest singular value is below
     ``abs_floor`` the rank is reported as zero.  A ``rel_rank_tol`` of 1 or
     more, or an infinite ``abs_floor``, would make every rank zero, so both
-    are rejected.
+    are rejected; so is a bool for either, as :func:`_check_int` rejects one
+    for an integer (a ``rel_rank_tol`` of True or False is outside (0, 1)).
     """
 
     rel_rank_tol: float = 1e-8
@@ -59,7 +60,7 @@ class Tolerances:
     def __post_init__(self):
         if not 0.0 < self.rel_rank_tol < 1.0:
             raise BadParameters(f"rel_rank_tol must be in (0, 1), got {self.rel_rank_tol}")
-        if not 0.0 < self.abs_floor < np.inf:
+        if isinstance(self.abs_floor, (bool, np.bool_)) or not 0.0 < self.abs_floor < np.inf:
             raise BadParameters(f"abs_floor must be positive and finite, got {self.abs_floor}")
 
 
@@ -362,13 +363,13 @@ def _products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """All products ``np.matmul(A, B)``, broadcast over the leading axes and
     flattened to a (count, n, n) array in C order of those axes.
 
-    The factors are validated, so the products are not validated again; only
-    an overflow is caught, so that it raises NonFiniteInput as it would for an
-    input.
+    The one kernel for products of matrices a caller scales: the factors are
+    validated, so the products are not validated again; only an overflow is
+    caught, so that it raises NonFiniteInput as it would for an input.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         P = np.matmul(A, B)
-    if not np.all(np.isfinite(P)):
+    if not np.isfinite(P).all():
         raise NonFiniteInput("a matrix product overflowed to Inf or NaN")
     return P.reshape((-1,) + P.shape[-2:])
 
@@ -483,7 +484,7 @@ def equivalence_transform(S: MatrixSubspace, X, Y) -> MatrixSubspace:
         if matrix_rank(M, S.tols) < S.n:
             raise SingularTransform(f"{name} is numerically singular")
     # X B Y^{-1} computed by one solve against Y^T to avoid forming the inverse
-    new_basis = np.linalg.solve(Ya.T, (Xa @ S.raw_basis).transpose(0, 2, 1))
+    new_basis = np.linalg.solve(Ya.T, _products(Xa, S.raw_basis).transpose(0, 2, 1))
     return subspace_from_matrices(new_basis.transpose(0, 2, 1), field=S.field, tols=S.tols)
 
 

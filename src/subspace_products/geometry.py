@@ -103,9 +103,10 @@ class CurvatureSample:
 
 
 def product_map(V1, V2) -> np.ndarray:
-    """The plain matrix product, with shape validation."""
-    A, B = _as_square_stack((V1, V2), name=("V1", "V2"))
-    return A @ B
+    """The matrix product V1 V2 of two validated square matrices of one
+    side; a product that overflows raises NonFiniteInput, as a NaN or Inf
+    entry of V1 or V2 does."""
+    return _products(*_as_square_stack((V1, V2), name=("V1", "V2")))[0]
 
 
 def _basis_products(S1: MatrixSubspace, S2: MatrixSubspace) -> np.ndarray:
@@ -224,7 +225,7 @@ def curvature_measure(
     T = _subspace_from_stack(_tangent_products(S1, S2, *point), S1.field, S1.tols)
     W1a = require_member(S1, W1, name="W1")
     W2a = require_member(S2, W2, name="W2")
-    q = 2.0 * T.project_out(W1a @ W2a)
+    q = 2.0 * T.project_out(_products(W1a, W2a)[0])
     return CurvatureSample(
         base_point=point,
         tangent_dim=T.dim,
@@ -246,7 +247,7 @@ def second_fundamental_form(
     W2a = require_member(S2, W2, name="W2")
     W1b = require_member(S1, W1t, name="W1t")
     W2b = require_member(S2, W2t, name="W2t")
-    return T.project_out(W1a @ W2b + W1b @ W2a)
+    return T.project_out(_products(W1a, W2b)[0] + _products(W1b, W2a)[0])
 
 
 def _identity_part(S: MatrixSubspace) -> Optional[np.ndarray]:

@@ -10,10 +10,12 @@ special case (0, 0, 1, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import linalg
 
 from .core import (
     REAL,
@@ -23,6 +25,7 @@ from .core import (
     _check_int,
     _gaussian_coefficients,
     _members,
+    _products,
     _rng,
     _svd,
     check_same_space,
@@ -33,6 +36,7 @@ from .core import (
 from .errors import (
     ChainConditionViolated,
     NoInvertibleElementFound,
+    NonFiniteInput,
     NotSymmetric,
     WrongDimension,
     ZeroScalar,
@@ -168,15 +172,19 @@ def find_lft_witness(X1, X2, tols: Optional[Tolerances] = None) -> Optional[LftW
     i.e. when the stacked columns [-X2, I, X1 X2, -X1] have numerical rank at
     most three.  The returned quadruple is the corresponding null direction.
     At n = 1 any four scalars are dependent: zero rows pad the stack to four,
-    so a witness is always found.
+    so a witness is always found.  A product X1 X2 that overflows, or a
+    column norm of the stack that does, raises NonFiniteInput.
     """
     tols = tols or Tolerances()
     A, B = _as_square_stack((X1, X2), name=("X1", "X2"))
     n = A.shape[0]
     I = np.eye(n)
-    K = np.column_stack([vec(-B), vec(I), vec(A @ B), vec(-A)]).astype(np.complex128)
+    K = np.column_stack([vec(-B), vec(I), vec(_products(A, B)[0]), vec(-A)]).astype(np.complex128)
     # Unit column scaling stabilizes the rank decision for badly scaled pairs.
-    scales = np.linalg.norm(K, axis=0)
+    with np.errstate(over="ignore"):
+        scales = np.linalg.norm(K, axis=0)
+    if not np.isfinite(scales).all():
+        raise NonFiniteInput("a column norm of [-X2, I, X1 X2, -X1] overflowed to Inf")
     scales[scales < tols.abs_floor] = 1.0
     null = _svd(np.vstack([K / scales, np.zeros((max(0, 4 - n * n), 4))]), tols).null
     if null.shape[1] == 0:
@@ -189,7 +197,7 @@ def find_lft_witness(X1, X2, tols: Optional[Tolerances] = None) -> Optional[LftW
     if np.all(np.abs(coeffs.imag) < 1e-14):
         coeffs = coeffs.real.astype(np.complex128)
     a, b, c, d = (complex(x) for x in coeffs)
-    residual = float(np.linalg.norm(A @ (c * B - d * I) - (a * B - b * I)))
+    residual = float(np.linalg.norm(_products(A, c * B - d * I)[0] - (a * B - b * I)))
     bound = tols.rel_rank_tol * (1.0 + np.linalg.norm(A)) * (1.0 + np.linalg.norm(B))
     if residual >= bound:
         # Rank test fired at the tolerance boundary but the relation fails.
@@ -197,30 +205,47 @@ def find_lft_witness(X1, X2, tols: Optional[Tolerances] = None) -> Optional[LftW
     return LftWitness(a=a, b=b, c=c, d=d, residual=residual)
 
 
+def _unit_copy(M: np.ndarray) -> Tuple[np.ndarray, float]:
+    """A validated M divided by its Frobenius norm (a zero M kept as it is),
+    and the norm: BLAS nrm2 of the flattened matrix, which scales as it sums
+    where squaring entries past 1e154 would overflow."""
+    norm = float(linalg.norm(M.ravel(), check_finite=False))
+    return (M / norm if norm > 0 else M), norm
+
+
+def _unit_bound(tols: Tolerances, floor: float, scale: float) -> float:
+    """``rel_rank_tol * max(scale, floor)`` divided through by ``scale``.  A
+    test ||F(X)|| <= rel_rank_tol max(scale, floor), with F(X) growing as
+    ``scale`` does, is then made on unit-norm copies, whose products cannot
+    overflow.  Infinite at scale 0, where a zero matrix passes every such
+    test; a float scale overflows to inf and underflows to 0 silently."""
+    return tols.rel_rank_tol * max(1.0, floor / scale) if scale > 0 else math.inf
+
+
 def craig_sakamoto_check(
     X1, X2, grid: int = 9, tols: Optional[Tolerances] = None
 ) -> Tuple[bool, bool]:
     """Zero-product test and determinant-identity test for real symmetric pairs.
 
-    Returns (zero_product, det_identity).  The determinant identity
-    det(I - t X1 - s X2) = det(I - t X1) det(I - s X2) is sampled on a
-    grid-by-grid lattice over [-1, 1]^2 after scaling both matrices to unit
-    Frobenius norm; the two booleans agree on every symmetric pair (that is
-    the theorem, so a disagreement indicates a numerical failure).
+    Returns (zero_product, det_identity).  Every test is made on the copies
+    of X1 and X2 scaled to unit Frobenius norm, with its bound divided
+    through by the norms (see :func:`_unit_bound`), so it forms no product
+    that can overflow and answers at any finite scale: X is symmetric when
+    ||X - X^T|| < rel_rank_tol max(||X||, 1), and the product is zero when
+    ||X1 X2|| <= rel_rank_tol max(||X1|| ||X2||, abs_floor).  The
+    determinant identity det(I - t X1 - s X2) = det(I - t X1) det(I - s X2)
+    is sampled on a grid-by-grid lattice over [-1, 1]^2; the two booleans
+    agree on every symmetric pair (that is the theorem, so a disagreement
+    indicates a numerical failure).
     """
     tols = tols or Tolerances()
     _check_int("grid", grid, 1)
     A, B = _as_square_stack((X1, X2), REAL, ("X1", "X2"))
-    for name, M in (("X1", A), ("X2", B)):
-        scale = max(1.0, np.linalg.norm(M))
-        if np.linalg.norm(M - M.T) >= tols.rel_rank_tol * scale:
+    (As, na), (Bs, nb) = _unit_copy(A), _unit_copy(B)
+    for name, U, norm in (("X1", As, na), ("X2", Bs, nb)):
+        if np.linalg.norm(U - U.T) >= _unit_bound(tols, 1.0, norm):
             raise NotSymmetric(f"{name} is not symmetric within tolerance")
-    na, nb = float(np.linalg.norm(A)), float(np.linalg.norm(B))
-    zero_product = float(np.linalg.norm(A @ B)) <= tols.rel_rank_tol * max(
-        na * nb, tols.abs_floor
-    )
-    As = A / na if na > 0 else A
-    Bs = B / nb if nb > 0 else B
+    zero_product = float(np.linalg.norm(As @ Bs)) <= _unit_bound(tols, tols.abs_floor, na * nb)
     I = np.eye(A.shape[0])
     pts = np.linspace(-1.0, 1.0, grid)[:, None, None]
     det_a = np.linalg.det(I - pts * As)
@@ -276,18 +301,18 @@ def _minrank_sampled(S: MatrixSubspace, seed: int) -> MinrankReport:
     """Uncertified upper bound by sampling plus local descent on sigma_{r+1}.
 
     The basis members are tried before the samples, so a rank-one basis
-    member bounds the result by one.  The witness has unit norm.
+    member bounds the result by one.  The first candidate of rank one ends
+    the search, since no nonzero member has lower rank.  The witness has
+    unit norm.
     """
-    # The package's one use of scipy.optimize: importing it here keeps its
-    # import time and memory off every process that never searches.
-    from scipy import optimize
-
     best_rank = S.n + 1
     best_witness = None
     for V in _candidates(S, _MINRANK_SAMPLES, seed):
         r = matrix_rank(V, S.tols)
         if 0 < r < best_rank:
             best_rank, best_witness = r, V / np.linalg.norm(V)
+            if r == 1:
+                break
     d = S.dim
     real = S.field == REAL
     npar = d if real else 2 * d
@@ -302,6 +327,10 @@ def _minrank_sampled(S: MatrixSubspace, seed: int) -> MinrankReport:
         return S.element(c / nc)
 
     while best_rank > 1:
+        # The package's one use of scipy.optimize: importing it here keeps its
+        # import time and memory off every process that never descends.
+        from scipy import optimize
+
         target = best_rank - 1
 
         def objective(theta: np.ndarray) -> float:
@@ -476,7 +505,11 @@ def chain_factor(t, X: Sequence, tols: Optional[Tolerances] = None) -> list:
     """Factor t I + sum(X_j) as (t I + X_1)(I + X_2 / t) ... (I + X_k / t).
 
     Requires t != 0 and X_j X_l = 0 for every j < l; the cross terms in the
-    expanded product then cancel exactly.
+    expanded product then cancel exactly.  X_j X_l counts as zero when
+    ||X_j X_l|| <= rel_rank_tol max(||X_j|| ||X_l||, abs_floor), tested on
+    the unit-norm copies of the blocks (see :func:`_unit_bound`), so at any
+    finite scale; ChainConditionViolated names the first pair, in the order
+    (j, l), that is not.
     """
     tols = tols or Tolerances()
     t = complex(t)
@@ -484,15 +517,16 @@ def chain_factor(t, X: Sequence, tols: Optional[Tolerances] = None) -> list:
         raise ZeroScalar("chain factorization needs a nonzero scalar")
     mats = _as_square_stack(X, name="X")
     n = mats.shape[-1]
-    for j in range(len(mats)):
-        for l in range(j + 1, len(mats)):
-            bound = tols.rel_rank_tol * max(
-                np.linalg.norm(mats[j]) * np.linalg.norm(mats[l]), tols.abs_floor
-            )
-            if np.linalg.norm(mats[j] @ mats[l]) > bound:
-                raise ChainConditionViolated(
-                    f"X[{j}] X[{l}] is not numerically zero"
-                )
+    units = [_unit_copy(M) for M in mats]
+    U, norms = np.array([u for u, _ in units]), np.array([norm for _, norm in units])
+    j, l = np.triu_indices(len(mats), 1)
+    # The bound of _unit_bound for all pairs (j, l) at once.
+    with np.errstate(divide="ignore", over="ignore"):
+        bound = tols.rel_rank_tol * np.maximum(1.0, tols.abs_floor / (norms[j] * norms[l]))
+    nonzero = np.linalg.norm(np.matmul(U[j], U[l]), axis=(1, 2)) > bound
+    if nonzero.any():
+        k = int(np.argmax(nonzero))
+        raise ChainConditionViolated(f"X[{j[k]}] X[{l[k]}] is not numerically zero")
     if t.imag == 0 and not np.iscomplexobj(mats):
         t_eff: complex = t.real
         I = np.eye(n)

@@ -3,6 +3,7 @@ import pytest
 
 from subspace_products import (
     BadParameters,
+    MixedSizes,
     membership,
     persym_genericity_check,
     product_map_rank,
@@ -108,7 +109,7 @@ class TestKrylov:
         assert flags["inverse_closed"]
 
     def test_generator_of_another_side(self):
-        with pytest.raises(BadParameters, match="^generator side 2 does not match n=3$"):
+        with pytest.raises(MixedSizes, match="^matrix has side 2, expected 3$"):
             catalog("krylov", 3, matrix=np.eye(2), max_power=2)
 
     def test_missing_generator(self):

@@ -62,6 +62,14 @@ def segre_pair_files(tmp_path):
     return str(c), str(d)
 
 
+@pytest.fixture
+def big_identity_file(tmp_path):
+    """1e200 I of side 2, whose square overflows."""
+    f = tmp_path / "big.json"
+    f.write_text('{"n": 2, "entries": [[1e200, 0], [0, 1e200]]}')
+    return str(f)
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -195,6 +203,12 @@ class TestGlft:
         assert witness["residual"] < 1e-10
 
 
+    def test_overflowing_product_is_an_input_error(self, capsys, big_identity_file):
+        assert main(["glft", big_identity_file, big_identity_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a matrix product overflowed to Inf or NaN\n"
+
     @pytest.mark.parametrize("x1, x2", [(2.0, -3.0), (1 + 2j, 0.5 - 1j), (0.0, 0.0)])
     def test_scalar_matrices_have_a_witness(self, capsys, tmp_path, x1, x2):
         f1, f2 = tmp_path / "x1.json", tmp_path / "x2.json"
@@ -222,6 +236,13 @@ class TestCs:
         assert code == 2
         result = json.loads(out)["result"]
         assert not result["zero_product"] and not result["det_identity"]
+
+    def test_nonzero_product_past_the_float_maximum(self, capsys, big_identity_file):
+        # cs decides on unit-norm copies, so 1e200 I times itself is nonzero.
+        code, out = run(capsys, ["cs", big_identity_file, big_identity_file])
+        assert code == 2
+        result = json.loads(out)["result"]
+        assert (result["zero_product"], result["det_identity"]) == (False, False)
 
 
 class TestBound:
@@ -292,6 +313,28 @@ class TestSeedRule:
         assert captured.out == ""
         assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
 
+    @pytest.mark.parametrize("command", ["catalog", "cs", "glft", "bound"])
+    @pytest.mark.parametrize("options, message", [
+        (["--seed", "-1", "--trials", "0"], "seed must be a nonnegative integer, got -1"),
+        (["--trials", "0"], "trials must be at least 1, got 0"),
+    ])
+    def test_seed_and_trials_are_checked_where_neither_is_used(
+        self, capsys, tmp_path, command, options, message
+    ):
+        # Every report header carries both, so every command checks both.
+        f = tmp_path / "d.json"
+        save_obj(matrix_to_obj(np.eye(2)), str(f))
+        inputs = {
+            "catalog": ["--kind", "diagonal", "--n", "2", "--field", "real"],
+            "cs": [str(f), str(f)],
+            "glft": [str(f), str(f)],
+            "bound": ["--D", "3", "--n", "2", "--k", "2"],
+        }[command]
+        assert main([command, *inputs, *options]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_negative_seed_on_the_sampled_minrank(self, capsys, tmp_path):
         f = tmp_path / "circulant.json"
         save_obj(subspace_to_obj(catalog("circulant", 4, "real")), str(f))
@@ -328,6 +371,22 @@ class TestImportPath:
         code, out = run(capsys, ["minrank", str(f)])
         assert code == 0 and proc.stdout == out
         result = json.loads(out)["result"]
+        assert (result["value"], result["certified"], result["method"]) == (
+            1, False, "sampled_upper_bound")
+
+    def test_a_rank_one_basis_member_ends_the_search_before_any_descent(self, tmp_path):
+        # The sixth raw basis member of the upper triangular Toeplitz kind,
+        # E_16, has rank one: no nonzero member has less, so the sampled
+        # search stops there and never imports scipy.optimize.
+        f = tmp_path / "toeplitz.json"
+        save_obj(subspace_to_obj(catalog("toeplitz_upper_triangular", 6, "real")), str(f))
+        src = str(Path(subspace_products.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAZY_OPTIMIZE, src, str(f)],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stderr.split() == ["False", "False"]
+        result = json.loads(proc.stdout)["result"]
         assert (result["value"], result["certified"], result["method"]) == (
             1, False, "sampled_upper_bound")
 

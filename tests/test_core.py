@@ -633,10 +633,14 @@ def test_tolerances_must_be_positive():
     ({"abs_floor": float("inf")}, "abs_floor must be positive and finite, got inf"),
     ({"abs_floor": float("nan")}, "abs_floor must be positive and finite, got nan"),
     ({"abs_floor": 0.0}, "abs_floor must be positive and finite, got 0.0"),
+    ({"abs_floor": True}, "abs_floor must be positive and finite, got True"),
+    ({"abs_floor": np.True_}, "abs_floor must be positive and finite, got True"),
+    ({"rel_rank_tol": np.True_}, "rel_rank_tol must be in (0, 1), got True"),
 ])
 def test_tolerances_that_zero_every_rank_are_rejected(kwargs, message):
     """Every singular value is at most s_1, so a relative cutoff of 1 or more
-    keeps none; an infinite floor treats every stack as zero."""
+    keeps none; an infinite floor treats every stack as zero.  A bool is no
+    tolerance, as it is no integer to core._check_int."""
     from subspace_products import BadParameters
 
     with pytest.raises(BadParameters) as err:

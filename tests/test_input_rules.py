@@ -1,6 +1,7 @@
 """The input rules every list of matrices meets, checked at every caller of
 the one validation kernel, and the read-only (K, n, n) bases it yields; the
-rule every seed and count meets, and the one every coordinate vector meets."""
+rule every seed and count meets, the one every coordinate vector meets, and
+the one every product of caller-scaled matrices meets."""
 
 import argparse
 import inspect
@@ -301,3 +302,38 @@ def test_vector_rules_name_the_input(vector, fault):
     with pytest.raises(error, match=f"^{re.escape(f'{name} {text}')}$") as raised:
         call(arg)
     assert raised.type is error
+
+
+# Finite inputs whose product overflows: caller -> the call.  Each product
+# is formed by core._products, so each raises the same NonFiniteInput.
+BIG = 1e200
+L3, U3 = catalog("lower_triangular", 3, "real"), catalog("upper_triangular", 3, "real")
+W_LOWER, W_UPPER = BIG * np.tril(np.ones((3, 3))), BIG * np.triu(np.ones((3, 3)))
+KRYLOV_GENERATOR = 1e120 * np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [1.0, 0.0, 1.0]])
+OVERFLOWS = {
+    "product_map": lambda: product_map(BIG * I2, BIG * I2),
+    "curvature_measure": lambda: curvature_measure(
+        L3, U3, *sample_pair(L3, U3, 0), W_LOWER, W_UPPER),
+    "second_fundamental_form": lambda: second_fundamental_form(
+        L3, U3, *sample_pair(L3, U3, 0), W_LOWER, W_UPPER, W_LOWER, W_UPPER),
+    "equivalence_transform": lambda: equivalence_transform(
+        subspace_from_matrices([BIG * I2, BIG * np.diag([1.0], 1)], field="real"), BIG * I2, I2),
+    "krylov": lambda: make_subspace(CatalogSpec(
+        "krylov", 3, "real", matrix=KRYLOV_GENERATOR, max_power=3)),
+    "find_lft_witness": lambda: find_lft_witness(BIG * I2, BIG * I2),
+}
+
+
+@pytest.mark.parametrize("call", list(OVERFLOWS))
+def test_overflowing_product_of_finite_inputs_raises_non_finite(call):
+    with pytest.raises(NonFiniteInput, match="^a matrix product overflowed to Inf or NaN$"):
+        OVERFLOWS[call]()
+
+
+def test_overflowing_column_norm_of_the_lft_stack_raises_non_finite():
+    # X1 X2 = 1e145 X^3 is finite, but the norm of the column -X1 squares
+    # entries of 3e155.
+    X = np.array([[2.0, 1.0], [0.0, 3.0]])
+    message = "a column norm of [-X2, I, X1 X2, -X1] overflowed to Inf"
+    with pytest.raises(NonFiniteInput, match=f"^{re.escape(message)}$"):
+        find_lft_witness(1e155 * X, 1e-10 * X @ X)

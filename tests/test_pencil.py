@@ -195,6 +195,14 @@ class TestCraigSakamoto:
         with pytest.raises(NotSymmetric):
             craig_sakamoto_check(cell(2, 0, 1).real, np.eye(2))
 
+    def test_verdicts_past_the_float_maximum(self):
+        # Each test is made on unit-norm copies, so the product 1e400 I is
+        # never formed, and a zero product stays zero at the same scale.
+        big = 1e200 * np.eye(2)
+        assert craig_sakamoto_check(big, big) == (False, False)
+        assert craig_sakamoto_check(1e200 * np.diag([1.0, 0.0]), 1e200 * np.diag([0.0, 1.0])) == (
+            True, True)
+
     def test_booleans_agree_on_random_symmetric_pairs(self):
         rng = np.random.default_rng(6)
         for trial in range(20):
@@ -495,6 +503,16 @@ class TestChainFactor:
     def test_zero_scalar(self):
         with pytest.raises(ZeroScalar):
             chain_factor(0.0, [cell(2, 0, 1)])
+
+    def test_first_nonzero_pair_is_named(self):
+        # E12 E12 = 0, but E12 E22 = E12 for the pairs (0, 2) and (1, 2).
+        with pytest.raises(ChainConditionViolated, match=r"^X\[0\] X\[2\] is not"):
+            chain_factor(1.0, [cell(2, 0, 1), cell(2, 0, 1), cell(2, 1, 1)])
+
+    def test_nonzero_product_past_the_float_maximum(self):
+        big = 1e200 * np.eye(2)
+        with pytest.raises(ChainConditionViolated, match=r"^X\[0\] X\[1\] is not numerically zero$"):
+            chain_factor(1.0, [big, big])
 
     def test_block_upper_chains_reconstruct(self):
         # Strictly upper row blocks taken in descending row order satisfy
