@@ -41,7 +41,6 @@ from .pencil import (
     minrank,
 )
 from .serialization import (
-    _to_pairs,
     dumps_canonical,
     load_matrix,
     load_subspace,
@@ -68,17 +67,21 @@ def _tolerances(args) -> Tolerances:
 
 def _render_text(value, indent: str = "") -> list:
     lines = []
+    if isinstance(value, np.ndarray):
+        # Rendered as the [re, im] pair lists that the JSON report holds.
+        A = value.astype(np.complex128)
+        value = np.stack([A.real, A.imag], -1).tolist()
     if isinstance(value, dict):
         for key in sorted(value):
             inner = value[key]
-            if isinstance(inner, (dict, list)):
+            if isinstance(inner, (dict, list, np.ndarray)):
                 lines.append(f"{indent}{key}:")
                 lines.extend(_render_text(inner, indent + "  "))
             else:
                 lines.append(f"{indent}{key}: {inner}")
     elif isinstance(value, list):
         for item in value:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, np.ndarray)):
                 lines.extend(_render_text(item, indent + "  "))
             else:
                 lines.append(f"{indent}- {item}")
@@ -198,7 +201,7 @@ def _glft(args, tols, X1, X2):
         return {"witness": None}, False
     return {
         "witness": {
-            **{key: _to_pairs(getattr(witness, key)) for key in "abcd"},
+            **{key: np.asarray(getattr(witness, key)) for key in "abcd"},
             "residual": witness.residual,
         }
     }, True
@@ -209,17 +212,29 @@ def _factor(args, tols, A, S1, S2):
         V1, V2 = factor_via_inverse_closed(A, S1, S2, seed=args.seed)
     except (NoFactorization, SingularWitness) as exc:
         return {"factored": False, "reason": str(exc)}, False
-    residual = float(np.linalg.norm(A - V1 @ V2) / max(1.0, np.linalg.norm(A)))
     return {
         "factored": True,
         "V1": matrix_to_obj(V1),
         "V2": matrix_to_obj(V2),
-        "relative_residual": residual,
+        "relative_residual": _relative_residual(A, V1, V2),
         "memberships": {
             "V1": membership(S1, V1).residual,
             "V2": membership(S2, V2).residual,
         },
     }, True
+
+
+def _relative_residual(A, V1, V2) -> float:
+    """||A - V1 V2||_F / max(1, ||A||_F)."""
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(A)
+    if scale == np.inf:
+        # The squares of A overflowed: measure in units of its largest entry,
+        # where ||A||_F >= 1, so the ratio is the same.
+        peak = np.abs(A).max()
+        A, V1 = A / peak, V1 / peak
+        scale = np.linalg.norm(A)
+    return float(np.linalg.norm(A - V1 @ V2) / max(1.0, scale))
 
 
 def _solve(args, tols, S1, S2, b):

@@ -454,8 +454,14 @@ def _membership(S: MatrixSubspace, arr: np.ndarray) -> Membership:
     v = vec(arr).astype(np.complex128)
     # BLAS nrm2 scales as it sums: squaring entries would overflow past 1e154.
     residual = float(linalg.norm(v - _projection(S, v), check_finite=False))
-    scale = max(1.0, float(linalg.norm(v, check_finite=False)))
-    return Membership(inside=residual < S.tol * scale, residual=residual)
+    scale = float(linalg.norm(v, check_finite=False))
+    if scale == math.inf:
+        # ||A||_F overflowed: decide on A over its largest absolute entry,
+        # whose norm is finite and at least 1.
+        peak = float(np.abs(v).max())
+        got = _membership(S, arr / peak)
+        return Membership(inside=got.inside, residual=got.residual * peak)
+    return Membership(inside=residual < S.tol * max(1.0, scale), residual=residual)
 
 
 def require_member(S: MatrixSubspace, A, name: str = "matrix") -> np.ndarray:

@@ -4,10 +4,13 @@ Matrix file:   {"n": int, "entries": [[ [re, im], ... ], ...]}  (row-major)
 Subspace file: {"n": int, "field": "real"|"complex", "basis": [entries, ...]}
 Vector file:   {"entries": [[re, im], ...]}
 
-Every array in these files is nested lists of ``[re, im]`` pairs, written by
-:func:`_to_pairs` and read by :func:`_from_pairs`.  Readers reject malformed
-content with a field-path diagnostic in the error message.  Writers emit
-exactly these shapes.
+Every array in these files is nested lists of ``[re, im]`` pairs.  The
+``*_to_obj`` functions hold the arrays themselves, uncopied; one streaming
+writer (:func:`save_obj`, :func:`dumps_canonical`) spells each array as those
+pair lists, one leading row at a time, so no file is ever built as nested
+Python lists or one string.  :func:`_from_pairs` reads the pair lists, or an
+array handed over in memory.  Readers reject malformed content with a
+field-path diagnostic in the error message.
 """
 
 from __future__ import annotations
@@ -47,12 +50,6 @@ def _fields(obj, path: str, keys: tuple) -> list:
     for key in keys:
         _require(key in obj, path, f"missing field {key!r}")
     return [obj[key] for key in keys]
-
-
-def _to_pairs(A) -> list:
-    """Nested lists of ``[re, im]`` pairs, one per entry of A, as floats."""
-    A = np.asarray(A, dtype=np.complex128)
-    return np.stack([A.real, A.imag], -1).tolist()
 
 
 def _entry_error(x, path: str) -> ParseError:
@@ -134,16 +131,10 @@ def _reject_first(bad: np.ndarray, path: str, msg: str) -> None:
         raise ParseError(f"{path}{''.join(f'[{i}]' for i in index)}: {msg}")
 
 
-def _from_pairs(value, shape: tuple, path: str, field: Optional[str] = None) -> np.ndarray:
-    """Read nested lists of ``[re, im]`` pairs or bare real numbers of the
-    given shape into one array.
-
-    A leading length of ``None`` accepts any nonempty list.  With a field the
-    result has that field's dtype, and the real field rejects any nonzero
-    imaginary part; without one it is real unless some entry is imaginary.
-    NaN and infinite entries, and integers too large for a float, are
-    rejected, naming the first one.
-    """
+def _read_pairs(value, shape: tuple, path: str) -> np.ndarray:
+    """The complex array of nested lists of ``[re, im]`` pairs or bare real
+    numbers, checked against ``shape``; a leading length of ``None`` accepts
+    any nonempty list."""
     if shape[0] is None:
         _require(
             isinstance(value, list) and len(value) >= 1,
@@ -161,7 +152,31 @@ def _from_pairs(value, shape: tuple, path: str, field: Optional[str] = None) -> 
             too_large = np.array([_overflows(pair) for pair in pairs]).reshape(shape)
             _reject_first(too_large, path, "number too large for a float")
             raise
-    A = A.view(np.complex128).reshape(shape)
+    return A.view(np.complex128).reshape(shape)
+
+
+def _from_pairs(value, shape: tuple, path: str, field: Optional[str] = None) -> np.ndarray:
+    """Read nested lists of ``[re, im]`` pairs or bare real numbers of the
+    given shape into one array.
+
+    A leading length of ``None`` accepts any nonempty list.  An array, as the
+    ``*_to_obj`` functions hold it, is read as a copy of the same shape.
+    With a field the result has that field's dtype, and the real field
+    rejects any nonzero imaginary part; without one it is real unless some
+    entry is imaginary.  NaN and infinite entries, and integers too large
+    for a float, are rejected, naming the first one.
+    """
+    if isinstance(value, np.ndarray):
+        _require(
+            value.ndim == len(shape)
+            and all(want in (None, got) for want, got in zip(shape, value.shape))
+            and (shape[0] is not None or len(value) >= 1),
+            path,
+            f"expected an array of shape {tuple(shape)}",
+        )
+        A = value.astype(np.complex128)
+    else:
+        A = _read_pairs(value, shape, path)
     _reject_first(~np.isfinite(A), path, "expected a finite number")
     if field == REAL:
         _reject_first(A.imag != 0, path, "nonzero imaginary entry over the real field")
@@ -182,7 +197,7 @@ def _check_field(field, path: str) -> None:
 
 def matrix_to_obj(A: np.ndarray) -> dict:
     A = np.asarray(A)
-    return {"n": A.shape[0], "entries": _to_pairs(A)}
+    return {"n": A.shape[0], "entries": A}
 
 
 def matrix_from_obj(obj, path: str = "matrix", field: Optional[str] = None) -> np.ndarray:
@@ -192,7 +207,7 @@ def matrix_from_obj(obj, path: str = "matrix", field: Optional[str] = None) -> n
 
 
 def _subspace_obj(n: int, field: str, mats) -> dict:
-    return {"n": n, "field": field, "basis": _to_pairs(mats)}
+    return {"n": n, "field": field, "basis": np.asarray(mats).reshape(-1, n, n)}
 
 
 def subspace_to_obj(S: MatrixSubspace) -> dict:
@@ -210,7 +225,7 @@ def subspace_from_obj(
 
 
 def vector_to_obj(v: np.ndarray) -> dict:
-    return {"entries": _to_pairs(np.asarray(v).reshape(-1))}
+    return {"entries": np.asarray(v).reshape(-1)}
 
 
 def vector_from_obj(obj, path: str = "vector") -> np.ndarray:
@@ -226,7 +241,7 @@ def model_to_obj(model) -> dict:
         "j": model.j,
         "kmj": model.kmj,
         "l": model.l,
-        "M": _to_pairs(model.M),
+        "M": model.M,
         "basis1": _subspace_obj(model.n, model.field, model.basis1),
         "basis2": _subspace_obj(model.n, model.field, model.basis2),
         "lin_basis": _subspace_obj(model.n, model.field, model.lin_basis),
@@ -278,46 +293,85 @@ def load_vector(path: str) -> np.ndarray:
 
 
 def save_obj(obj, path: str) -> None:
+    """Write :func:`dumps_canonical` text to ``path``, one piece at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(obj))
+        fh.writelines(_document(obj))
 
 
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, trailing newline.
 
-    The text is that of ``json.dumps(obj, sort_keys=True, indent=2)``, whose
-    indenting encoder runs in pure Python; :func:`_emit` writes the same
-    bytes with one formatting call per list of ``[re, im]`` pairs.
+    The text is that of ``json.dumps(obj, sort_keys=True, indent=2)``, with
+    each array of ``obj`` spelled as its nested lists of ``[re, im]`` pairs.
+    :func:`_chunks` writes it one leading row of an array at a time, so
+    :func:`save_obj` never holds a whole file as Python lists or one string.
     """
-    return _emit(obj, "\n") + "\n"
+    return "".join(_document(obj))
 
 
-def _emit(obj, newline: str) -> str:
-    """JSON text of ``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)``
-    writes it, nested where a line break reads ``newline``."""
+def _document(obj):
+    yield from _chunks(obj, "\n")
+    yield "\n"
+
+
+def _chunks(obj, newline: str):
+    """Pieces of the text of ``obj`` as :func:`dumps_canonical` writes it,
+    nested where a line break reads ``newline``."""
     inner = newline + "  "
     if type(obj) is dict and obj and all(type(key) is str for key in obj):
-        items = (f"{json.dumps(key)}: {_emit(obj[key], inner)}" for key in sorted(obj))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if type(obj) is list and obj:
-        text = _float_pairs(obj, inner)
-        if text is None:
-            text = ("," + inner).join(_emit(item, inner) for item in obj)
-        return "[" + inner + text + newline + "]"
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline)
+        brackets, items = "{}", ((f"{json.dumps(key)}: ", obj[key]) for key in sorted(obj))
+    elif type(obj) is list and obj:
+        brackets, items = "[]", (("", item) for item in obj)
+    elif isinstance(obj, np.ndarray):
+        yield from _array_chunks(obj, newline)
+        return
+    else:
+        yield json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline)
+        return
+    sep = brackets[0] + inner
+    for prefix, item in items:
+        yield sep + prefix
+        yield from _chunks(item, inner)
+        sep = "," + inner
+    yield newline + brackets[1]
 
 
-def _float_pairs(items: list, newline: str) -> Optional[str]:
-    """The items of a list of finite ``[re, im]`` float pairs, joined as
-    :func:`_emit` joins them, or None for any other list."""
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return None
-    values = tuple(chain.from_iterable(items))
-    if set(map(type, values)) != {float}:
-        return None
+def _array_chunks(A: np.ndarray, newline: str):
+    """The text of A's ``[re, im]`` pair lists, one piece per leading row."""
+    if A.ndim < 2 or not len(A):
+        # A vector (its rows are single entries), one pair, or no rows at all.
+        yield _filled(_template(A.shape, newline), A)
+        return
     inner = newline + "  "
-    pair = "[" + inner + "%r," + inner + "%r" + newline + "]"
-    text = ("," + newline).join([pair] * len(items)) % values
-    # repr writes NaN and infinities as nan and inf, where JSON has NaN and
-    # Infinity; no finite float's repr holds an "n".
-    return None if "n" in text else text
+    template = _template(A.shape[1:], inner)
+    sep = "[" + inner
+    for row in A:
+        yield sep + _filled(template, row)
+        sep = "," + inner
+    yield newline + "]"
+
+
+def _template(shape: tuple, newline: str) -> str:
+    """The text of an array of ``shape`` as ``[re, im]`` pair lists, with
+    ``%s`` for each number, real part first."""
+    inner = newline + "  "
+    if not shape:
+        return f"[{inner}%s,{inner}%s{newline}]"
+    if not shape[0]:
+        return "[]"
+    items = ("," + inner).join([_template(shape[1:], inner)] * shape[0])
+    return f"[{inner}{items}{newline}]"
+
+
+# json's spelling of the floats whose repr is not JSON.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _filled(template: str, A: np.ndarray) -> str:
+    """``template`` filled with the real and imaginary parts of A in C order,
+    each spelled as json spells it.  Only the distinct float64 bit patterns
+    are spelled, so -0.0 stays apart from 0.0."""
+    bits = np.ascontiguousarray(A, dtype=np.complex128).view(np.uint64).ravel()
+    distinct, index = np.unique(bits, return_inverse=True)
+    words = [_NON_FINITE.get(word, word) for word in map(repr, distinct.view(np.float64).tolist())]
+    return template % tuple(np.array(words, dtype=object)[index].tolist())

@@ -1,5 +1,6 @@
 """Shared construction helpers and independent oracles for the test suite."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +173,20 @@ def brute_span_rank(mats, tol=1e-8):
 def brute_tangent_rank(basis1, basis2, V1, V2, tol=1e-8):
     """Rank of the span {V1 C} union {B V2}, independent of the library path."""
     return brute_span_rank([V1 @ C for C in basis2] + [B @ V2 for B in basis1], tol)
+
+
+def json_dumps_text(obj) -> str:
+    """The text the canonical writer must match byte for byte: the standard
+    library's indenting encoder, each array read as its nested lists of
+    ``[re, im]`` pairs."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_pair_lists) + "\n"
+
+
+def _pair_lists(obj):
+    if isinstance(obj, np.ndarray):
+        A = obj.astype(np.complex128)
+        return np.stack([A.real, A.imag], -1).tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def random_complex(rng, n):

@@ -3,7 +3,9 @@ import json
 import logging
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from subspace_products import (
     cli,
     curvature_measure,
     random_element,
-    serialization,
     subspace_from_matrices,
 )
 from subspace_products.cli import main
@@ -24,24 +25,29 @@ from subspace_products.serialization import (
     subspace_to_obj,
     vector_to_obj,
 )
-from helpers import catalog, cell, random_complex
+from helpers import catalog, cell, json_dumps_text, random_complex
 
 
 @pytest.fixture(autouse=True)
 def writer_matches_json_dumps(monkeypatch):
     """Check every report and file the CLI writes, byte for byte, against the
     standard library's indenting encoder."""
+    writes = SimpleNamespace(calls=0)
 
-    def checked(obj):
+    def checked_dumps(obj):
         text = dumps_canonical(obj)
-        assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
-        checked.calls += 1
+        assert text == json_dumps_text(obj)
+        writes.calls += 1
         return text
 
-    checked.calls = 0
-    monkeypatch.setattr(cli, "dumps_canonical", checked)
-    monkeypatch.setattr(serialization, "dumps_canonical", checked)
-    return checked
+    def checked_save(obj, path):
+        save_obj(obj, path)
+        assert Path(path).read_text(encoding="utf-8") == json_dumps_text(obj)
+        writes.calls += 1
+
+    monkeypatch.setattr(cli, "dumps_canonical", checked_dumps)
+    monkeypatch.setattr(cli, "save_obj", checked_save)
+    return writes
 
 
 @pytest.fixture
@@ -437,6 +443,18 @@ class TestFactorCommand:
         result = json.loads(out)["result"]
         assert result["factored"] and result["relative_residual"] < 1e-10
 
+    def test_residual_where_the_squares_of_a_overflow(self, capsys, tmp_path):
+        # ||A||_F squares entries of 1e200; the residual is measured in units
+        # of the largest entry of A, finite and without a warning.
+        fa, fl, fu = (tmp_path / f"{name}.json" for name in ("A", "lower", "upper"))
+        fa.write_text('{"n": 2, "entries": [[1e200, 3e199], [2e199, 1e200]]}')
+        save_obj(subspace_to_obj(catalog("lower_triangular", 2, "real")), str(fl))
+        save_obj(subspace_to_obj(catalog("upper_triangular", 2, "real")), str(fu))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, ["factor", str(fa), str(fl), str(fu)])
+        assert code == 0
+        assert 0 <= json.loads(out)["result"]["relative_residual"] < 1e-12
 
     def test_no_factorization_exits_two(self, capsys, tmp_path):
         # A Y stays diagonal for diagonal Y only when Y = 0.

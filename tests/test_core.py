@@ -10,6 +10,7 @@ from subspace_products import (
     FieldMismatch,
     MixedSizes,
     NonFiniteInput,
+    NotMember,
     RealFieldViolation,
     SingularTransform,
     SizeMismatch,
@@ -42,6 +43,7 @@ from subspace_products.core import (
     _vec_columns,
     matrix_rank,
     rank_from_singular_values,
+    require_member,
 )
 from helpers import (
     SKETCH_KINDS,
@@ -148,6 +150,18 @@ class TestMembership:
         outside = membership(S, 1e200 * cell(2, 0, 1))
         assert not outside.inside
         assert outside.residual == pytest.approx(1e200 / np.sqrt(2), rel=1e-12)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_norm_past_the_float_maximum(self, field):
+        # ||A||_F = 3e308 overflows to inf, which would pass any residual;
+        # the verdict is taken on A / 1.5e308 and the residual scaled back.
+        S = catalog("lower_triangular", 2, field)
+        outside = membership(S, 1.5e308 * np.ones((2, 2)))
+        assert (outside.inside, outside.residual) == (False, 1.5e308)
+        with pytest.raises(NotMember):
+            require_member(S, 1.5e308 * np.ones((2, 2)))
+        inside = membership(S, 1.5e308 * np.tril(np.ones((2, 2))))
+        assert inside.inside and inside.residual < 1e-12 * 1.5e308
 
     def test_projection_idempotent(self):
         rng = np.random.default_rng(4)

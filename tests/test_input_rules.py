@@ -171,6 +171,9 @@ def test_derived_bases_are_read_only_arrays(field):
         _assert_read_only_stack(m.basis1, L.dim, 3)
         _assert_read_only_stack(m.basis2, U.dim, 3)
         _assert_read_only_stack(m.lin_basis, lin.dim, 3)
+    # The object form holds the model's own arrays; the reader copies them.
+    for key in ("M", "basis1", "basis2", "lin_basis"):
+        assert not np.shares_memory(getattr(back, key), getattr(model, key))
 
 
 # Seeded calls, five of which draw nothing from the seed they are given: a

@@ -1,9 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from subspace_products import ParseError, extract_bilinear, solve_bilinear, subspaces_equal
+from subspace_products import (
+    BilinearModel,
+    ParseError,
+    extract_bilinear,
+    solve_bilinear,
+    subspaces_equal,
+)
 from subspace_products import serialization
 from subspace_products.cli import main
 from subspace_products.serialization import (
@@ -23,7 +30,7 @@ from subspace_products.serialization import (
     vector_from_obj,
     vector_to_obj,
 )
-from helpers import catalog, random_complex
+from helpers import catalog, json_dumps_text, random_complex
 
 
 class TestMatrixRoundTrip:
@@ -374,11 +381,6 @@ class TestBenchmarkStyleFilesSkipTheWalk:
         assert collect_calls == ["v.entries"]
 
 
-def json_dumps_text(obj) -> str:
-    """The text the canonical writer must match byte for byte."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 class TestCanonicalWriter:
     """dumps_canonical writes exactly the bytes of the standard library's
     indenting encoder."""
@@ -419,6 +421,129 @@ class TestCanonicalWriter:
     )
     def test_small_values(self, obj):
         assert dumps_canonical(obj) == json_dumps_text(obj)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64])
+    def test_arrays_are_written_as_their_pair_lists(self, dtype):
+        v = np.array(EXTREMES if dtype is not np.int64 else range(-4, 8)).astype(dtype)
+        if dtype is np.complex128:
+            v.imag = v.real[::-1]
+        obj = {
+            "vector": v,
+            "matrix": v[:9].reshape(3, 3),
+            "stack": v[:8].reshape(2, 2, 2),
+            "strided": v[:9].reshape(3, 3).T[::2],
+            "in_a_list": [v[:2], {"deep": v[:4].reshape(2, 2)}],
+        }
+        assert dumps_canonical(obj) == json_dumps_text(obj)
+        assert dumps_canonical(v) == json_dumps_text(v)
+
+    def test_signed_zeros_and_non_finite_entries_keep_their_spelling(self):
+        text = dumps_canonical(np.array([0.0, -0.0, float("nan"), -float("inf"), float("inf")]))
+        numbers = [line.strip(" ,") for line in text.splitlines() if line.strip(" ,[]")]
+        assert numbers == ["0.0", "0.0", "-0.0", "0.0", "NaN", "0.0", "-Infinity", "0.0",
+                           "Infinity", "0.0"]
+
+    @pytest.mark.parametrize("z", [1 - 2j, -0.0, complex(float("nan"), float("inf")), 3])
+    def test_zero_dimensional_array(self, z):
+        obj = {"a": np.asarray(z), "list": [np.asarray(z)]}
+        assert dumps_canonical(obj) == json_dumps_text(obj)
+        assert dumps_canonical(np.asarray(z)) == json_dumps_text(np.asarray(z))
+
+    @pytest.mark.parametrize("j, kmj, l", [(0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0)])
+    def test_model_with_zero_length_axes(self, j, kmj, l):
+        n = 2
+        model = BilinearModel(
+            n=n, field="real", j=j, kmj=kmj, l=l, M=np.ones((l, j, kmj)),
+            basis1=np.ones((j, n, n)), basis2=np.ones((kmj, n, n)), lin_basis=np.ones((l, n, n)),
+        )
+        obj = model_to_obj(model)
+        assert dumps_canonical(obj) == json_dumps_text(obj)
+        back = model_from_obj(json.loads(dumps_canonical(obj)))
+        assert back.M.shape == (l, j, kmj) and back.basis1.shape == (j, n, n)
+
+    def test_model_with_empty_tuple_bases(self):
+        model = BilinearModel(
+            n=2, field="complex", j=0, kmj=0, l=0, M=np.zeros((0, 0, 0)),
+            basis1=(), basis2=(), lin_basis=(),
+        )
+        obj = model_to_obj(model)
+        assert dumps_canonical(obj) == json_dumps_text(obj)
+        assert json.loads(dumps_canonical(obj))["basis1"]["basis"] == []
+        for back in (model_from_obj(obj), model_from_obj(json.loads(dumps_canonical(obj)))):
+            assert back.lin_basis.shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_save_obj_writes_the_same_bytes(self, tmp_path, field):
+        obj = model_to_obj(
+            extract_bilinear(
+                catalog("lower_triangular", 3, field),
+                catalog("unit_upper_constant_diagonal", 3, field),
+            )
+        )
+        obj["extra"] = [np.array(EXTREMES), {"x": np.asarray(-0.0)}, np.zeros((0, 2))]
+        path = tmp_path / "model.json"
+        save_obj(obj, str(path))
+        assert path.read_bytes() == dumps_canonical(obj).encode("utf-8")
+
+
+def test_model_file_is_written_in_less_memory_than_its_constants(tmp_path):
+    # One leading row of M at a time: the traced peak stays below M itself
+    # (6.0 MB at n = 12), where nested lists and one string took 216 MB.
+    model = extract_bilinear(catalog("lower_triangular", 12, "real"),
+                             catalog("unit_upper_constant_diagonal", 12, "real"))
+    path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        save_obj(model_to_obj(model), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.M.nbytes
+    with open(path, "rb") as fh:
+        assert fh.read(2) == b"{\n"
+        fh.seek(-3, 2)
+        assert fh.read() == b"\n}\n"
+
+
+# Extreme and non-finite floats, each spelled as json.dumps spells it.
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            float("nan"), float("inf"), -float("inf"), 0.1, 1e-300, 2.5]
+
+
+class TestArraysInMemory:
+    """The reader takes the arrays of the object form as it takes their pair
+    lists: a copy, under the same shape, finite and field rules."""
+
+    CASES = {
+        "real_matrix": (np.array([[1.0, -0.0], [2.5, 3.0]]), (2, 2)),
+        "complex_matrix": (np.array([[1 - 1j, -0.0], [2j, 3.0]]), (2, 2)),
+        "int_matrix": (np.array([[1, 2], [3, 4]]), (2, 2)),
+        "basis": (np.arange(8.0).reshape(2, 2, 2) - 3.5, (None, 2, 2)),
+        "vector": (np.array([0.5j, -0.0, 2.0]), (None,)),
+        "nan": (np.array([[1.0, 2.0], [float("nan"), 0.0]]), (2, 2)),
+        "complex_inf": (np.array([1.0, complex(0.0, float("inf"))]), (None,)),
+    }
+
+    @pytest.mark.parametrize("field", [None, "real", "complex"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_outcome_as_the_pair_lists(self, case, field):
+        A, shape = self.CASES[case]
+        assert _read(A, shape, field) == _read(_pairs_json(A.astype(np.complex128)), shape, field)
+
+    def test_result_is_a_copy(self):
+        A = np.array([[1.0, 2.0], [3.0, 4.0]])
+        back = matrix_from_obj(matrix_to_obj(A))
+        assert not np.shares_memory(back, A)
+
+    @pytest.mark.parametrize("value, shape, want", [
+        (np.zeros((2, 3)), (2, 2), r"\(2, 2\)"),
+        (np.zeros((2, 2, 2)), (2, 2), r"\(2, 2\)"),
+        (np.zeros((0, 2, 2)), (None, 2, 2), r"\(None, 2, 2\)"),
+        (np.asarray(1.0), (None,), r"\(None,\)"),
+    ])
+    def test_wrong_shape_is_diagnosed(self, value, shape, want):
+        with pytest.raises(ParseError, match=rf"^m\.entries: expected an array of shape {want}$"):
+            _from_pairs(value, shape, "m.entries")
 
 INT_MATRIX = """\
 {
