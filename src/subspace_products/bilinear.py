@@ -10,6 +10,7 @@ Gauss-Newton), and factors a matrix over an inverse-closed pair.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -29,6 +30,7 @@ from .core import (
     _products,
     _projection,
     _rng,
+    _subspace_from_stack,
     _svd,
     _vec_columns,
     check_field,
@@ -38,7 +40,9 @@ from .core import (
     vec,
 )
 from .errors import NoFactorization, NotMember, SingularWitness, UnsupportedDegree
-from .geometry import linearization
+from .geometry import _basis_products
+
+_log = logging.getLogger("subspace_products")
 
 # Relative residual at which a Gauss-Newton restart counts as solved, and the
 # members of the solution space tried as the invertible factor.
@@ -135,7 +139,7 @@ def model_from_bases(
     lb = _as_square_stack(lin_basis, field, "lin_basis", side=n)
     j, kmj, l = len(b1), len(b2), len(lb)
     P = _vec_columns(_products(b1[:, None], b2[None]))
-    coef, resid = _least_squares(_vec_columns(lb), P, tols)
+    coef, resid = _least_squares(_svd(_vec_columns(lb), tols), P)
     bad = np.flatnonzero(resid > tols.rel_rank_tol * np.maximum(1.0, np.linalg.norm(P, axis=0)))
     if bad.size:
         s, t = divmod(int(bad[0]), kmj)
@@ -156,16 +160,16 @@ def extract_bilinear(S1: MatrixSubspace, S2: MatrixSubspace) -> BilinearModel:
     Frobenius inner product of a basis product with a linearization basis
     matrix: all of them come from one product ``Q^H P`` of the orthonormal
     linearization basis ``Q`` with the vectorized basis products ``P``, the
-    ``raw_basis`` of :func:`linearization` (first-factor index major).  Over
-    every n-by-n matrix ``Q`` is the identity (the matrix units in
-    column-major order), so ``Q^H P`` is ``P + 0.0``, which turns -0.0 into
-    0.0 as the product does, and no product is formed.
+    ``raw_basis`` of :func:`linearization` (first-factor index major), as
+    the span kernel vectorized them to span the linearization.  Over every
+    n-by-n matrix ``Q`` is the identity (the matrix units in column-major
+    order), so ``Q^H P`` is ``P + 0.0``, which turns -0.0 into 0.0 as the
+    product does, and no product is formed.
     """
-    check_same_space(S1, S2)
-    lin = linearization(S1, S2)
+    lin, stack, _ = _subspace_from_stack(_basis_products(S1, S2), S1.field, S1.tols)
     n, j, kmj, l = S1.n, S1.dim, S2.dim, lin.dim
     # With a zero factor the linearization spans one placeholder zero matrix.
-    stack = _vec_columns(lin.raw_basis[: j * kmj])
+    stack = stack[:, : j * kmj]
     M = stack + 0.0 if l == n * n else lin.ortho_basis.conj().T @ stack
     return BilinearModel(
         n=n, field=S1.field, j=j, kmj=kmj, l=l, M=M.reshape(l, j, kmj),
@@ -278,34 +282,48 @@ def _solve_inverse_closed(
     """The direct step: the first answer with residual below ``tol`` from
     factoring the target over the model's pair, then over the transposed pair
     (``A^T = V2^T V1^T``); None when the model lacks a basis or neither
-    orientation gives one."""
+    orientation gives one.
+
+    Each model basis is spanned once per call, as
+    :func:`subspace_from_matrices` spans it, and the one SVD of its stack
+    also gives the coordinates of a factor in both orientations.  The
+    transposed pair is spanned only when it is tried."""
     if not (len(model.basis1) and len(model.basis2) and len(model.lin_basis)):
         return None
-    field = model.field
+    field, tols = model.field, Tolerances()
+    spans = [_subspace_from_stack(_as_square_stack(B, field), field, tols)
+             for B in (model.basis1, model.basis2)]
     A = _combine(b, model.lin_basis, field)
-    for B1, B2, target, transposed in (
-        (model.basis1, model.basis2, A, False),
-        (model.basis2.transpose(0, 2, 1), model.basis1.transpose(0, 2, 1), A.T, True),
-    ):
-        S1 = subspace_from_matrices(B1, field=field)
-        S2 = subspace_from_matrices(B2, field=field)
+    for orientation, target, S1, S2 in _orientations(model, A, spans):
         try:
             V1, V2 = factor_via_inverse_closed(target, S1, S2, seed)
-        except (NoFactorization, SingularWitness):
+        except (NoFactorization, SingularWitness) as exc:
+            _log.debug("direct step, %s pair: %s", orientation, exc)
             continue
-        if transposed:
+        if orientation == "transposed":
             V1, V2 = V2.T, V1.T
-        z = _least_squares(_vec_columns(model.basis1), vec(V1)[:, None], S1.tols)[0][:, 0]
-        w = _least_squares(_vec_columns(model.basis2), vec(V2)[:, None], S1.tols)[0][:, 0]
+        z, w = (_least_squares(span.svd or _svd(span.stack, tols), vec(V)[:, None])[0][:, 0]
+                for span, V in zip(spans, (V1, V2)))
         nz = np.linalg.norm(z)
         if nz <= 1e-300:
+            _log.debug("direct step, %s pair: the first factor has no coordinates", orientation)
             continue
         z, w = z / nz, w * nz
         rnorm = float(np.linalg.norm((np.asarray(model.M) @ w) @ z - b))
+        _log.debug("direct step, %s pair: residual %.3e, bound %.3e", orientation, rnorm, tol)
         if rnorm < tol:
             return SolveReport(z, w, residual=rnorm, iterations=0, restarts_used=0,
                                stop="inverse_closed")
     return None
+
+
+def _orientations(model: BilinearModel, A: np.ndarray, spans):
+    """The pairs the direct step factors over, as (name, target, S1, S2):
+    the model's spans of its bases, then the spans of the transposed bases
+    with the target A^T, built when the second pair is reached."""
+    yield "model", A, spans[0].subspace, spans[1].subspace
+    flipped = (model.basis2.transpose(0, 2, 1), model.basis1.transpose(0, 2, 1))
+    yield ("transposed", A.T, *(subspace_from_matrices(B, field=model.field) for B in flipped))
 
 
 def factor_via_inverse_closed(
@@ -338,18 +356,32 @@ def factor_via_inverse_closed(
         raise NoFactorization("no nonzero Y in S2 maps A into S1")
 
     # The candidates: the members with the null basis columns as
-    # coefficients, then with unit Gaussian combinations of those columns,
-    # drawn one combination at a time; at least one is drawn, since every
-    # null basis member can be singular where a combination is not.
-    rng = _rng(seed)
-    draws = [_gaussian_coefficients(rng, null_dim, S1.field)
-             for _ in range(max(_FACTOR_CANDIDATES - null_dim, 1))]
-    U = np.array([c / np.linalg.norm(c) for c in draws]).reshape(-1, null_dim)
-    cands = _members(S2, np.concatenate([N.T, np.matmul(N, U[..., None])[..., 0]]))
+    # coefficients.  On a null line that is the one candidate: every
+    # combination is a unit multiple of it, with its condition number.  A
+    # larger null space adds unit Gaussian combinations of the columns, at
+    # least one, since every null basis member can be singular where a
+    # combination is not; they are drawn at once, each combination's real
+    # parts before its imaginary parts, as one draw at a time would be.
+    coef = N.T
+    if null_dim > 1:
+        count, rng = max(_FACTOR_CANDIDATES - null_dim, 1), _rng(seed)
+        if S1.field == REAL:
+            G = rng.standard_normal((count, null_dim))
+        else:
+            G = rng.standard_normal((count, 2, null_dim))
+            G = G[:, 0] + 1j * G[:, 1]
+        U = np.array([c / np.linalg.norm(c) for c in G])
+        coef = np.concatenate([coef, np.matmul(N, U[..., None])[..., 0]])
+    cands = _members(S2, coef)
     # The best-conditioned candidate, judged on one batched spectrum; every
     # candidate has unit Frobenius norm, so no largest singular value is zero.
     sv = np.linalg.svd(cands, compute_uv=False)
-    best = int(np.argmax(sv[:, -1] / sv[:, 0]))
+    conditioning = sv[:, -1] / sv[:, 0]
+    best = int(np.argmax(conditioning))
+    _log.debug(
+        "factoring: null dimension %d, candidates judged %d, chosen sigma_min/sigma_max %.3e",
+        null_dim, len(cands), conditioning[best],
+    )
     if rank_from_singular_values(sv[best], S1.tols) < S1.n:
         raise SingularWitness("all sampled nullspace members are numerically singular")
     Y = cands[best] / np.linalg.norm(cands[best])

@@ -38,7 +38,8 @@ _log = logging.getLogger("subspace_products")
 REAL = "real"
 COMPLEX = "complex"
 FIELDS = (REAL, COMPLEX)
-# Matrices per block of the transposing copy in :func:`_vec_columns`.
+# Matrices per block of the transposing copy in :func:`_vec_columns`, and
+# columns per block of the residuals in :func:`_least_squares`.
 _VEC_BLOCK = 128
 
 
@@ -257,12 +258,16 @@ def _svd(M: np.ndarray, tols: Tolerances) -> _Svd:
     return _Svd(r, U[:, :r], s[:r], Vh[:r], Vh[r:].conj().T)
 
 
-def _least_squares(A: np.ndarray, B: np.ndarray, tols: Tolerances) -> Tuple[np.ndarray, ...]:
-    """Coordinates X of the columns of B against those of A within A's numerical
-    range, and each column's residual ||A X - B||, taken before X is scaled."""
-    d = _svd(A, tols)
+def _least_squares(d: _Svd, B: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Coordinates X of the columns of B against those of the matrix A whose
+    :func:`_svd` is ``d``, within A's numerical range, and each column's
+    residual ||A X - B||, taken before X is scaled.  The residuals are formed
+    ``_VEC_BLOCK`` columns at a time, so no temporary the size of B is made."""
     C = d.range.conj().T @ B
-    resid = np.linalg.norm(d.range @ C - B, axis=0)
+    resid = np.concatenate([
+        np.linalg.norm(d.range @ C[:, k : k + _VEC_BLOCK] - B[:, k : k + _VEC_BLOCK], axis=0)
+        for k in range(0, B.shape[1], _VEC_BLOCK)
+    ])
     C /= d.s[:, None]
     return d.vh.conj().T @ C, resid
 
@@ -407,7 +412,10 @@ def _full_space(
     )
 
 
-def _subspace_from_stack(P: np.ndarray, field: str, tols: Tolerances) -> MatrixSubspace:
+_Span = namedtuple("_Span", "subspace stack svd")
+
+
+def _subspace_from_stack(P: np.ndarray, field: str, tols: Tolerances) -> _Span:
     """The span of a (K, n, n) array P of validated members, stored for
     ``field``, which becomes its ``raw_basis``: the one span kernel.  The
     members are vectorized once into an (n*n, K) stack.  A stack at least
@@ -415,16 +423,23 @@ def _subspace_from_stack(P: np.ndarray, field: str, tols: Tolerances) -> MatrixS
     one Cholesky; if that proves nothing, one SVD of the reduced stack (see
     :func:`_reduced_stack`) by :func:`_svd` spans it.  Either way a span of
     dim n*n is :func:`_full_space` over P, with the identity as
-    ``ortho_basis``."""
+    ``ortho_basis``.
+
+    Returns the span with the stack and, for callers that solve against the
+    members, the stack's own :func:`_svd`: None when the certificate decided
+    or the SVD ran on a QR-reduced stack."""
     n = P.shape[-1]
     stack = _vec_columns(P)
     if stack.shape[1] >= n * n and _certified_full_rank(stack, tols):
-        return _full_space(n, field, tols, P)
-    d = _svd(_reduced_stack(stack), tols)
+        return _Span(_full_space(n, field, tols, P), stack, None)
+    reduced = _reduced_stack(stack)
+    d = _svd(reduced, tols)
+    d_stack = d if reduced is stack else None
     if d.rank == n * n:
-        return _full_space(n, field, tols, P)
+        return _Span(_full_space(n, field, tols, P), stack, d_stack)
     Q = np.array(d.range.real if field == REAL else d.range)
-    return MatrixSubspace(n=n, field=field, raw_basis=P, dim=d.rank, ortho_basis=Q, tols=tols)
+    S = MatrixSubspace(n=n, field=field, raw_basis=P, dim=d.rank, ortho_basis=Q, tols=tols)
+    return _Span(S, stack, d_stack)
 
 
 def subspace_from_matrices(
@@ -437,7 +452,7 @@ def subspace_from_matrices(
     zero subspace (dim 0), which sampling and analysis operations reject.
     """
     check_field(field)
-    return _subspace_from_stack(_as_square_stack(mats, field), field, tols or Tolerances())
+    return _subspace_from_stack(_as_square_stack(mats, field), field, tols or Tolerances()).subspace
 
 
 def membership(S: MatrixSubspace, A) -> Membership:

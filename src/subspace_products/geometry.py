@@ -129,7 +129,7 @@ def linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
     has the identity as ``ortho_basis``: the matrix units in column-major
     order.
     """
-    return _subspace_from_stack(_basis_products(S1, S2), S1.field, S1.tols)
+    return _subspace_from_stack(_basis_products(S1, S2), S1.field, S1.tols).subspace
 
 
 def _sampled_products(
@@ -168,7 +168,7 @@ def _sketched_linearization(
         P = _basis_products(S1, S2)
     else:
         P = _sampled_products(S1, S2, rng, first)
-        lin = _subspace_from_stack(P, S1.field, S1.tols)
+        lin = _subspace_from_stack(P, S1.field, S1.tols).subspace
         _log.debug("sketch block: %d products, rank %d", len(P), lin.dim)
         if lin.dim <= first - _SKETCH_OVERSAMPLING:
             return lin
@@ -176,7 +176,7 @@ def _sketched_linearization(
             P = _basis_products(S1, S2)
         else:
             P = np.concatenate([P, _sampled_products(S1, S2, rng, top_up - first)])
-    lin = _subspace_from_stack(P, S1.field, S1.tols)
+    lin = _subspace_from_stack(P, S1.field, S1.tols).subspace
     _log.debug(
         "sketch span past n^2: %d products, rank %d, %s",
         len(P), lin.dim, "full" if lin.dim == n * n else "proper",
@@ -202,7 +202,7 @@ def tangent_space(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> MatrixSubsp
     Its dimension is the rank of the product map at the point.
     """
     P = _tangent_products(S1, S2, *_member_point(S1, S2, V1, V2))
-    return _subspace_from_stack(P, S1.field, S1.tols)
+    return _subspace_from_stack(P, S1.field, S1.tols).subspace
 
 
 def product_map_rank(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> int:
@@ -222,7 +222,7 @@ def curvature_measure(
 ) -> CurvatureSample:
     """Twice the component of W1 W2 orthogonal to the tangent space at (V1, V2)."""
     point = _member_point(S1, S2, V1, V2)
-    T = _subspace_from_stack(_tangent_products(S1, S2, *point), S1.field, S1.tols)
+    T = _subspace_from_stack(_tangent_products(S1, S2, *point), S1.field, S1.tols).subspace
     W1a = require_member(S1, W1, name="W1")
     W2a = require_member(S2, W2, name="W2")
     q = 2.0 * T.project_out(_products(W1a, W2a)[0])

@@ -1,5 +1,8 @@
 import dataclasses
+import logging
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +26,16 @@ from subspace_products import (
     subspace_from_matrices,
     vec,
 )
-from subspace_products import bilinear
-from helpers import catalog, cell, crout_lu, loop_factor, random_complex, strongly_nonsingular
+from subspace_products import bilinear, core
+from helpers import (
+    catalog,
+    cell,
+    crout_lu,
+    loop_factor,
+    random_complex,
+    respanning_direct_step,
+    strongly_nonsingular,
+)
 
 
 def lft_pair(seed, n=3):
@@ -215,6 +226,26 @@ class TestModelFromBases:
             for t, C in enumerate(b2):
                 assert np.linalg.norm(recon[s, t] - B @ C) <= 1e-12 * np.linalg.norm(B @ C)
 
+    def test_peak_memory_is_bounded_by_the_product_stack(self):
+        # Real LU at n = 16: the (n^2, K) stack of the K = 136 * 121 basis
+        # products is 33.7 MB, and so is M.  The residuals are formed a
+        # block of columns at a time, so no temporary of the stack's size
+        # sits beside the stack and the coordinates: the peak is about 3.1
+        # stacks (the stack, the coordinates before and after scaling),
+        # where forming all residuals at once took 4.1.
+        n = 16
+        L, U = catalog(LU[0], n, "real"), catalog(LU[1], n, "real")
+        cells = np.eye(n * n).reshape(n * n, n, n).transpose(0, 2, 1)
+        stack_bytes = n * n * L.dim * U.dim * 8
+        tracemalloc.start()
+        try:
+            model = model_from_bases(L.raw_basis, U.raw_basis, cells, field="real")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.M.nbytes == stack_bytes
+        assert peak < 3.5 * stack_bytes
+
 
 def test_solve_restarts_zero():
     model = extract_bilinear(catalog("diagonal", 2), catalog("diagonal", 2))
@@ -356,6 +387,48 @@ def assert_factors(model, rep, A, b):
 LU = ("lower_triangular", "unit_upper_constant_diagonal")
 
 
+def first_factor_closed_case():
+    """span{U0, R1, R2} is not inverse-closed; lower triangular is, so the
+    direct step solves the transposed problem A^T = V2^T V1^T."""
+    n = 4
+    rng = np.random.default_rng(3)
+    L0 = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
+    U0 = rng.standard_normal((n, n)) + n * np.eye(n)
+    S2 = subspace_from_matrices([U0, rng.standard_normal((n, n)), rng.standard_normal((n, n))])
+    assert not membership(S2, np.linalg.inv(U0)).inside
+    model = extract_bilinear(catalog("lower_triangular", n), S2)
+    A = L0 @ U0
+    return model, A, coordinates(model, A)
+
+
+def non_orthonormal_case():
+    """model_from_bases keeps the given bases: z and w are read off by least
+    squares on them."""
+    n = 3
+    rng = np.random.default_rng(9)
+    lower = [B + 0.5 * catalog("lower_triangular", n).basis_matrices()[0]
+             for B in catalog("lower_triangular", n).basis_matrices()]
+    upper = [2.0 * C for C in catalog("unit_upper_constant_diagonal", n).basis_matrices()]
+    model = model_from_bases(lower, upper, [cell(n, i, j) for j in range(n) for i in range(n)])
+    A = random_complex(rng, n) + n * np.eye(n)
+    return model, A, vec(A)
+
+
+def shifted_case(kinds, n, field, seed=0):
+    """The catalog pair's model and the target default_rng(seed) Gaussian + n I."""
+    model = extract_bilinear(catalog(kinds[0], n, field), catalog(kinds[1], n, field))
+    A = np.random.default_rng(seed).standard_normal((n, n)) + n * np.eye(n)
+    return model, A, coordinates(model, A)
+
+
+DIRECT_CASES = {
+    "lu-real": lambda: shifted_case(LU, 6, "real"),
+    "symmetric": lambda: shifted_case(("symmetric", "symmetric"), 4, "complex", seed=2),
+    "transposed": first_factor_closed_case,
+    "non-orthonormal": non_orthonormal_case,
+}
+
+
 class TestSolveInverseClosed:
     """Pairs with an inverse-closed factor are solved by one null-space step."""
 
@@ -421,35 +494,47 @@ class TestSolveInverseClosed:
         assert membership(L, V1).inside and membership(U, V2).inside
 
     def test_only_first_factor_closed(self):
-        # span{U0, R1, R2} is not inverse-closed; lower triangular is, so the
-        # transposed problem A^T = V2^T V1^T is solved.
-        n = 4
-        rng = np.random.default_rng(3)
-        L0 = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
-        U0 = rng.standard_normal((n, n)) + n * np.eye(n)
-        S2 = subspace_from_matrices([U0, rng.standard_normal((n, n)), rng.standard_normal((n, n))])
-        assert not membership(S2, np.linalg.inv(U0)).inside
-        model = extract_bilinear(catalog("lower_triangular", n), S2)
-        A = L0 @ U0
-        b = coordinates(model, A)
+        model, A, b = first_factor_closed_case()
         rep = solve_bilinear(model, b)
         assert rep.stop == "inverse_closed"
         assert_factors(model, rep, A, b)
 
     def test_non_orthonormal_model_bases(self):
-        # model_from_bases keeps the given bases: z and w are read off by
-        # least squares on them.
-        n = 3
-        rng = np.random.default_rng(9)
-        lower = [B + 0.5 * catalog("lower_triangular", n).basis_matrices()[0]
-                 for B in catalog("lower_triangular", n).basis_matrices()]
-        upper = [2.0 * C for C in catalog("unit_upper_constant_diagonal", n).basis_matrices()]
-        model = model_from_bases(lower, upper, [cell(n, i, j) for j in range(n) for i in range(n)])
-        A = random_complex(rng, n) + n * np.eye(n)
-        b = vec(A)
+        model, A, b = non_orthonormal_case()
         rep = solve_bilinear(model, b)
         assert rep.stop == "inverse_closed"
         assert_factors(model, rep, A, b)
+
+    @pytest.mark.parametrize("case", sorted(DIRECT_CASES))
+    def test_one_span_per_basis_equals_respanning(self, case):
+        # Spanning each model basis once, and reading z and w from the same
+        # SVD, gives the report of spanning both bases in each orientation
+        # and solving against fresh SVDs, to the last bit.
+        model, A, b = DIRECT_CASES[case]()
+        rep = solve_bilinear(model, b)
+        tol = bilinear._SOLVE_TOL * (1.0 + np.linalg.norm(b))
+        z, w, residual = respanning_direct_step(model, b, tol)
+        assert rep.stop == "inverse_closed"
+        np.testing.assert_array_equal(rep.z, z)
+        np.testing.assert_array_equal(rep.w, w)
+        assert rep.residual == residual
+
+    def test_one_svd_per_model_basis(self, monkeypatch):
+        # Real LU at n = 4 (model bases of 10 and 7 members): one SVD spans
+        # each basis and also gives its coordinates; one more is the null
+        # space of the factoring.
+        model, A, b = shifted_case(LU, 4, "real")
+        shapes = []
+
+        def spy(M, tols, svd=core._svd):
+            shapes.append(M.shape)
+            return svd(M, tols)
+
+        monkeypatch.setattr(core, "_svd", spy)
+        monkeypatch.setattr(bilinear, "_svd", spy)
+        rep = solve_bilinear(model, b)
+        assert rep.stop == "inverse_closed"
+        assert shapes == [(16, 10), (16, 7), (16, 7)]
 
     def test_unfactorable_target_falls_back(self):
         # The exchange matrix has a zero leading minor: no LU factorization,
@@ -468,6 +553,46 @@ class TestSolveInverseClosed:
         assert first.stop == "inverse_closed"
         np.testing.assert_array_equal(first.z, again.z)
         np.testing.assert_array_equal(first.w, again.w)
+
+
+class TestDirectStepEvents:
+    """Factoring logs one event and the direct step one per orientation it
+    tries; without a configured handler nothing is printed."""
+
+    def messages(self, caplog, model, b):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="subspace_products"):
+            rep = solve_bilinear(model, b, restarts=1, max_iter=5)
+        assert all(r.name == "subspace_products" for r in caplog.records)
+        return rep, [r.getMessage() for r in caplog.records]
+
+    def test_solved_in_the_model_orientation(self, caplog, capsys):
+        model, A, b = shifted_case(("symmetric", "symmetric"), 4, "real")
+        rep, messages = self.messages(caplog, model, b)
+        assert rep.stop == "inverse_closed"
+        assert len(messages) == 2
+        assert re.fullmatch(r"factoring: null dimension 4, candidates judged 25, "
+                            r"chosen sigma_min/sigma_max \S+", messages[0])
+        tol = bilinear._SOLVE_TOL * (1.0 + np.linalg.norm(b))
+        assert messages[1] == f"direct step, model pair: residual {rep.residual:.3e}, bound {tol:.3e}"
+        solve_bilinear(model, b)
+        assert capsys.readouterr() == ("", "")
+
+    def test_each_orientation_names_its_error(self, caplog):
+        # The exchange matrix has a zero leading minor, and so does its
+        # transpose: in both orientations every null space member that
+        # factoring judges is singular.
+        model = extract_bilinear(catalog(LU[0], 4), catalog(LU[1], 4))
+        rep, messages = self.messages(caplog, model, coordinates(model, np.fliplr(np.eye(4))))
+        assert rep.stop != "inverse_closed"
+        assert messages[1::2] == [
+            "direct step, model pair: all sampled nullspace members are numerically singular",
+            "direct step, transposed pair: all sampled nullspace members are numerically singular",
+        ]
+        for message in messages[::2]:
+            got = re.fullmatch(r"factoring: null dimension 4, candidates judged 25, "
+                               r"chosen sigma_min/sigma_max (\S+)", message)
+            assert got and float(got.group(1)) < core.Tolerances().rel_rank_tol
 
 
 class TestGaussNewtonUnchanged:
@@ -627,6 +752,26 @@ class TestFactorViaInverseClosed:
             V1, V2 = factor_via_inverse_closed(A, L, M, seed=seed)
             assert np.linalg.norm(A - V1 @ V2) < 1e-12 * np.linalg.norm(A)
             assert membership(L, V1).inside
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_a_null_line_gives_one_candidate(self, caplog, field):
+        # LU has a one-dimensional null space; every combination of its one
+        # member is a unit multiple of it, so it is the only candidate.
+        n = 6
+        L, U = catalog(LU[0], n, field), catalog(LU[1], n, field)
+        A = np.random.default_rng(4).standard_normal((n, n)) + n * np.eye(n)
+        with caplog.at_level(logging.DEBUG, logger="subspace_products"):
+            V1, V2 = factor_via_inverse_closed(A, L, U, seed=1)
+        (message,) = [r.getMessage() for r in caplog.records]
+        got = re.fullmatch(
+            r"factoring: null dimension 1, candidates judged 1, chosen sigma_min/sigma_max (\S+)",
+            message,
+        )
+        assert got
+        # V2 is the inverse of the chosen candidate: the same condition number.
+        assert float(got.group(1)) == pytest.approx(1.0 / np.linalg.cond(V2), rel=1e-3)
+        assert np.linalg.norm(A - V1 @ V2) < 1e-12 * np.linalg.norm(A)
+        assert membership(L, V1).inside and membership(U, V2).inside
 
     def test_nilpotent_boundary_case(self):
         L = catalog("lower_triangular", 2)

@@ -372,7 +372,7 @@ class TestSvdKernel:
         A = self.matrix(shape, field)
         rng = np.random.default_rng(3)
         B = _gaussian_coefficients(rng, (A.shape[0], 4), field)
-        X, resid = _least_squares(A, B, Tolerances())
+        X, resid = _least_squares(_svd(A, Tolerances()), B)
         # numpy's pseudo-inverse applies the same relative cutoff.
         np.testing.assert_allclose(X, np.linalg.pinv(A, rcond=1e-8) @ B, rtol=1e-9, atol=1e-12)
         Q = _svd(A, Tolerances()).range
@@ -412,7 +412,7 @@ class TestSubspaceFromStack:
         assert _certified_full_rank(stack, S1.tols) is (dim == 36)
         U, s, _ = np.linalg.svd(stack, full_matrices=False)
         assert rank_from_singular_values(s, S1.tols) == dim
-        S = _subspace_from_stack(P, field, S1.tols)
+        S = _subspace_from_stack(P, field, S1.tols).subspace
         assert S.dim == dim
         np.testing.assert_allclose(
             S.ortho_basis @ S.ortho_basis.conj().T,
@@ -427,7 +427,7 @@ class TestSubspaceFromStack:
         S1, S2 = (catalog(kind, 4, field) for kind in ("circulant", "diagonal"))
         P = _products(S1.basis_matrices()[:, None], S2.basis_matrices()[None])
         P = np.concatenate([P, P])
-        S = _subspace_from_stack(P, field, S1.tols)
+        S = _subspace_from_stack(P, field, S1.tols).subspace
         assert S.dim == 16
         np.testing.assert_array_equal(S.ortho_basis, np.eye(16, dtype=S1.ortho_basis.dtype))
         assert len(S.raw_basis) == 32
@@ -439,7 +439,7 @@ class TestSubspaceFromStack:
         P = _products(S1.basis_matrices()[:, None], S2.basis_matrices()[None])
         stack = _vec_columns(P)
         assert stack.shape[1] >= stack.shape[0]
-        got = _subspace_from_stack(P, field, S1.tols)
+        got = _subspace_from_stack(P, field, S1.tols).subspace
         want = _svd(_reduced_stack(stack), S1.tols)
         assert got.dim == want.rank == 1
         np.testing.assert_array_equal(
@@ -459,7 +459,7 @@ class TestSubspaceFromStack:
         # The members whose vectorizations are the columns of the stack.
         P = stack.T.reshape(8, 2, 2).transpose(0, 2, 1)
         np.testing.assert_array_equal(_vec_columns(P), stack)
-        S = _subspace_from_stack(P, "real", Tolerances())
+        S = _subspace_from_stack(P, "real", Tolerances()).subspace
         assert S.dim == 4
         np.testing.assert_array_equal(S.ortho_basis, np.eye(4))
 
