@@ -27,6 +27,7 @@ from .core import (
     _gaussian_coefficients,
     _least_squares,
     _members,
+    _norm,
     _products,
     _projection,
     _rng,
@@ -39,7 +40,7 @@ from .core import (
     subspace_from_matrices,
     vec,
 )
-from .errors import NoFactorization, NotMember, SingularWitness, UnsupportedDegree
+from .errors import NoFactorization, NonFiniteInput, NotMember, SingularWitness, UnsupportedDegree
 from .geometry import _basis_products
 
 _log = logging.getLogger("subspace_products")
@@ -140,7 +141,7 @@ def model_from_bases(
     j, kmj, l = len(b1), len(b2), len(lb)
     P = _vec_columns(_products(b1[:, None], b2[None]))
     coef, resid = _least_squares(_svd(_vec_columns(lb), tols), P)
-    bad = np.flatnonzero(resid > tols.rel_rank_tol * np.maximum(1.0, np.linalg.norm(P, axis=0)))
+    bad = np.flatnonzero(resid > tols.rel_rank_tol * np.maximum(1.0, _norm(P, axis=0)))
     if bad.size:
         s, t = divmod(int(bad[0]), kmj)
         raise NotMember(
@@ -200,14 +201,15 @@ def solve_bilinear(
     Gauss-Newton: the scale gauge (s z, w / s) is fixed by renormalizing z to
     unit length after every accepted step (the direct answer is normalized the
     same way).  Levenberg damping starts at 1e-3, divides by ten on accepted
-    steps and multiplies by ten on rejections.  Always returns the best report
-    found; callers judge the residual.
+    steps and multiplies by ten on rejections.  Returns the best report found,
+    whose residual callers judge; when no attempt has a finite residual (a
+    target past about 1e154, whose squares overflow), raises NonFiniteInput.
     """
     _check_int("restarts", restarts, 1)
     _check_int("max_iter", max_iter, 1)
     _check_int("seed", seed, 0)
     b = _as_vectors((b,), model.field, ("b",), model.l)[0]
-    nb = float(np.linalg.norm(b))
+    nb = _norm(b)
     if nb == 0.0:
         # The zero right-hand side is solved exactly by the trivial pair.
         return SolveReport(
@@ -227,52 +229,56 @@ def solve_bilinear(
 
     best = None
     restarts_used = 0
-    for rs in range(restarts):
-        restarts_used = rs + 1
-        rng = _rng(seed + rs)
-        z = _gaussian_coefficients(rng, j, model.field)
-        w = _gaussian_coefficients(rng, kmj, model.field)
-        z = z / np.linalg.norm(z)
-        lam = 1e-3
-        r = residual_vec(z, w)
-        rnorm = np.linalg.norm(r)
-        iters = 0
-        stop = "max_iter"
-        for it in range(max_iter):
-            iters = it + 1
-            # Partial derivatives of M(z) w: M w in z, M(z) in w.
-            J = np.hstack([M @ w, np.tensordot(z, M, axes=(0, 1))])
-            g = J.conj().T @ r
-            H = J.conj().T @ J + lam * np.eye(j + kmj, dtype=J.dtype)
-            try:
-                step = np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                stop = "singular"
-                break
-            z_new, w_new = z - step[:j], w - step[j:]
-            nz = np.linalg.norm(z_new)
-            if nz > 1e-300:
-                z_new, w_new = z_new / nz, w_new * nz
-            r_new = residual_vec(z_new, w_new)
-            rnorm_new = np.linalg.norm(r_new)
-            if rnorm_new < rnorm:
-                z, w, r, rnorm = z_new, w_new, r_new, rnorm_new
-                lam = max(lam / 10.0, 1e-12)
-            else:
-                lam *= 10.0
-                if lam > 1e10:
-                    stop = "damping"
+    # Past about 1e154 J^H J overflows: such attempts are judged after the loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rs in range(restarts):
+            restarts_used = rs + 1
+            rng = _rng(seed + rs)
+            z = _gaussian_coefficients(rng, j, model.field)
+            w = _gaussian_coefficients(rng, kmj, model.field)
+            z = z / np.linalg.norm(z)
+            lam = 1e-3
+            r = residual_vec(z, w)
+            rnorm = np.linalg.norm(r)
+            iters = 0
+            stop = "max_iter"
+            for it in range(max_iter):
+                iters = it + 1
+                # Partial derivatives of M(z) w: M w in z, M(z) in w.
+                J = np.hstack([M @ w, np.tensordot(z, M, axes=(0, 1))])
+                g = J.conj().T @ r
+                H = J.conj().T @ J + lam * np.eye(j + kmj, dtype=J.dtype)
+                try:
+                    step = np.linalg.solve(H, g)
+                except np.linalg.LinAlgError:
+                    stop = "singular"
                     break
-            if rnorm < tol:
-                stop = "converged"
+                z_new, w_new = z - step[:j], w - step[j:]
+                nz = np.linalg.norm(z_new)
+                if nz > 1e-300:
+                    z_new, w_new = z_new / nz, w_new * nz
+                r_new = residual_vec(z_new, w_new)
+                rnorm_new = np.linalg.norm(r_new)
+                if rnorm_new < rnorm:
+                    z, w, r, rnorm = z_new, w_new, r_new, rnorm_new
+                    lam = max(lam / 10.0, 1e-12)
+                else:
+                    lam *= 10.0
+                    if lam > 1e10:
+                        stop = "damping"
+                        break
+                if rnorm < tol:
+                    stop = "converged"
+                    break
+            if best is None or rnorm < best.residual:
+                best = SolveReport(
+                    z=z, w=w, residual=float(rnorm), iterations=iters,
+                    restarts_used=restarts_used, stop=stop,
+                )
+            if best.residual < tol:
                 break
-        if best is None or rnorm < best.residual:
-            best = SolveReport(
-                z=z, w=w, residual=float(rnorm), iterations=iters,
-                restarts_used=restarts_used, stop=stop,
-            )
-        if best.residual < tol:
-            break
+    if not np.isfinite(best.residual):
+        raise NonFiniteInput("a matrix product overflowed to Inf or NaN")
     return best
 
 
@@ -304,12 +310,12 @@ def _solve_inverse_closed(
             V1, V2 = V2.T, V1.T
         z, w = (_least_squares(span.svd or _svd(span.stack, tols), vec(V)[:, None])[0][:, 0]
                 for span, V in zip(spans, (V1, V2)))
-        nz = np.linalg.norm(z)
+        nz = _norm(z)
         if nz <= 1e-300:
             _log.debug("direct step, %s pair: the first factor has no coordinates", orientation)
             continue
         z, w = z / nz, w * nz
-        rnorm = float(np.linalg.norm((np.asarray(model.M) @ w) @ z - b))
+        rnorm = _norm((np.asarray(model.M) @ w) @ z - b)
         _log.debug("direct step, %s pair: residual %.3e, bound %.3e", orientation, rnorm, tol)
         if rnorm < tol:
             return SolveReport(z, w, residual=rnorm, iterations=0, restarts_used=0,

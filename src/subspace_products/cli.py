@@ -26,7 +26,7 @@ from .bilinear import (
     solve_bilinear,
 )
 from .catalog import KINDS, CatalogSpec, make_subspace
-from .core import Tolerances, _check_int, membership, random_unit_element
+from .core import Tolerances, _check_int, _norm, membership, random_unit_element
 from .errors import NoFactorization, SingularWitness, SubspaceProductsError
 from .geometry import (
     curvature_measure,
@@ -216,25 +216,12 @@ def _factor(args, tols, A, S1, S2):
         "factored": True,
         "V1": matrix_to_obj(V1),
         "V2": matrix_to_obj(V2),
-        "relative_residual": _relative_residual(A, V1, V2),
+        "relative_residual": _norm(A - V1 @ V2) / max(1.0, _norm(A)),
         "memberships": {
             "V1": membership(S1, V1).residual,
             "V2": membership(S2, V2).residual,
         },
     }, True
-
-
-def _relative_residual(A, V1, V2) -> float:
-    """||A - V1 V2||_F / max(1, ||A||_F)."""
-    with np.errstate(over="ignore"):
-        scale = np.linalg.norm(A)
-    if scale == np.inf:
-        # The squares of A overflowed: measure in units of its largest entry,
-        # where ||A||_F >= 1, so the ratio is the same.
-        peak = np.abs(A).max()
-        A, V1 = A / peak, V1 / peak
-        scale = np.linalg.norm(A)
-    return float(np.linalg.norm(A - V1 @ V2) / max(1.0, scale))
 
 
 def _solve(args, tols, S1, S2, b):

@@ -258,6 +258,17 @@ def _svd(M: np.ndarray, tols: Tolerances) -> _Svd:
     return _Svd(r, U[:, :r], s[:r], Vh[:r], Vh[r:].conj().T)
 
 
+def _norm(X: np.ndarray, axis: Optional[int] = None):
+    """The Frobenius norm of X, or with ``axis=0`` that of each column of a 2-d
+    X: the one norm of data a caller scales.  BLAS nrm2 scales as it sums, so
+    only a norm past the largest float overflows, not squares past 1e154."""
+    nrm2 = linalg.get_blas_funcs("nrm2", (X,))
+    if axis is None:
+        return float(nrm2(X.ravel()))
+    (m, K), flat = X.shape, np.ascontiguousarray(X).ravel()
+    return np.array([nrm2(flat, m, k, K) for k in range(K)])
+
+
 def _least_squares(d: _Svd, B: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Coordinates X of the columns of B against those of the matrix A whose
     :func:`_svd` is ``d``, within A's numerical range, and each column's
@@ -265,7 +276,7 @@ def _least_squares(d: _Svd, B: np.ndarray) -> Tuple[np.ndarray, ...]:
     ``_VEC_BLOCK`` columns at a time, so no temporary the size of B is made."""
     C = d.range.conj().T @ B
     resid = np.concatenate([
-        np.linalg.norm(d.range @ C[:, k : k + _VEC_BLOCK] - B[:, k : k + _VEC_BLOCK], axis=0)
+        _norm(d.range @ C[:, k : k + _VEC_BLOCK] - B[:, k : k + _VEC_BLOCK], axis=0)
         for k in range(0, B.shape[1], _VEC_BLOCK)
     ])
     C /= d.s[:, None]
@@ -467,9 +478,7 @@ def membership(S: MatrixSubspace, A) -> Membership:
 def _membership(S: MatrixSubspace, arr: np.ndarray) -> Membership:
     """:func:`membership` of a matrix already validated with side ``S.n``."""
     v = vec(arr).astype(np.complex128)
-    # BLAS nrm2 scales as it sums: squaring entries would overflow past 1e154.
-    residual = float(linalg.norm(v - _projection(S, v), check_finite=False))
-    scale = float(linalg.norm(v, check_finite=False))
+    residual, scale = _norm(v - _projection(S, v)), _norm(v)
     if scale == math.inf:
         # ||A||_F overflowed: decide on A over its largest absolute entry,
         # whose norm is finite and at least 1.

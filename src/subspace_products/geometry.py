@@ -21,6 +21,7 @@ from .core import (
     _check_int,
     _full_space,
     _gaussian_coefficients,
+    _norm,
     _products,
     _rng,
     _subspace_from_stack,
@@ -230,7 +231,7 @@ def curvature_measure(
         base_point=point,
         tangent_dim=T.dim,
         q_value=q,
-        q_norm=float(np.linalg.norm(q)),
+        q_norm=_norm(q),
     )
 
 

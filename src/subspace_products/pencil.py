@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import linalg
 
 from .core import (
     REAL,
@@ -25,6 +24,7 @@ from .core import (
     _check_int,
     _gaussian_coefficients,
     _members,
+    _norm,
     _products,
     _rng,
     _svd,
@@ -172,8 +172,8 @@ def find_lft_witness(X1, X2, tols: Optional[Tolerances] = None) -> Optional[LftW
     i.e. when the stacked columns [-X2, I, X1 X2, -X1] have numerical rank at
     most three.  The returned quadruple is the corresponding null direction.
     At n = 1 any four scalars are dependent: zero rows pad the stack to four,
-    so a witness is always found.  A product X1 X2 that overflows, or a
-    column norm of the stack that does, raises NonFiniteInput.
+    so a witness is always found.  A product X1 X2, or a column norm of the
+    stack, past the largest float raises NonFiniteInput.
     """
     tols = tols or Tolerances()
     A, B = _as_square_stack((X1, X2), name=("X1", "X2"))
@@ -181,8 +181,7 @@ def find_lft_witness(X1, X2, tols: Optional[Tolerances] = None) -> Optional[LftW
     I = np.eye(n)
     K = np.column_stack([vec(-B), vec(I), vec(_products(A, B)[0]), vec(-A)]).astype(np.complex128)
     # Unit column scaling stabilizes the rank decision for badly scaled pairs.
-    with np.errstate(over="ignore"):
-        scales = np.linalg.norm(K, axis=0)
+    scales = _norm(K, axis=0)
     if not np.isfinite(scales).all():
         raise NonFiniteInput("a column norm of [-X2, I, X1 X2, -X1] overflowed to Inf")
     scales[scales < tols.abs_floor] = 1.0
@@ -197,8 +196,8 @@ def find_lft_witness(X1, X2, tols: Optional[Tolerances] = None) -> Optional[LftW
     if np.all(np.abs(coeffs.imag) < 1e-14):
         coeffs = coeffs.real.astype(np.complex128)
     a, b, c, d = (complex(x) for x in coeffs)
-    residual = float(np.linalg.norm(_products(A, c * B - d * I)[0] - (a * B - b * I)))
-    bound = tols.rel_rank_tol * (1.0 + np.linalg.norm(A)) * (1.0 + np.linalg.norm(B))
+    residual = _norm(_products(A, c * B - d * I)[0] - (a * B - b * I))
+    bound = tols.rel_rank_tol * (1.0 + _norm(A)) * (1.0 + _norm(B))
     if residual >= bound:
         # Rank test fired at the tolerance boundary but the relation fails.
         return None
@@ -206,10 +205,8 @@ def find_lft_witness(X1, X2, tols: Optional[Tolerances] = None) -> Optional[LftW
 
 
 def _unit_copy(M: np.ndarray) -> Tuple[np.ndarray, float]:
-    """A validated M divided by its Frobenius norm (a zero M kept as it is),
-    and the norm: BLAS nrm2 of the flattened matrix, which scales as it sums
-    where squaring entries past 1e154 would overflow."""
-    norm = float(linalg.norm(M.ravel(), check_finite=False))
+    """A validated M divided by its :func:`_norm` (a zero M kept as it is), and the norm."""
+    norm = _norm(M)
     return (M / norm if norm > 0 else M), norm
 
 

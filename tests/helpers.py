@@ -22,6 +22,7 @@ from subspace_products.core import (
     MatrixSubspace,
     _gaussian_coefficients,
     _least_squares,
+    _norm,
     _products,
     _projection,
     _svd,
@@ -299,11 +300,11 @@ def respanning_direct_step(model, b, tol, seed=0):
             V1, V2 = V2.T, V1.T
         z = _least_squares(_svd(_vec_columns(model.basis1), S1.tols), vec(V1)[:, None])[0][:, 0]
         w = _least_squares(_svd(_vec_columns(model.basis2), S1.tols), vec(V2)[:, None])[0][:, 0]
-        nz = np.linalg.norm(z)
+        nz = _norm(z)
         if nz <= 1e-300:
             continue
         z, w = z / nz, w * nz
-        rnorm = float(np.linalg.norm((np.asarray(model.M) @ w) @ z - b))
+        rnorm = _norm((np.asarray(model.M) @ w) @ z - b)
         if rnorm < tol:
             return z, w, rnorm
     return None

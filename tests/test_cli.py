@@ -28,21 +28,29 @@ from subspace_products.serialization import (
 from helpers import catalog, cell, json_dumps_text, random_complex
 
 
+def _not_json(constant):
+    raise AssertionError(f"{constant} is not JSON")
+
+
 @pytest.fixture(autouse=True)
 def writer_matches_json_dumps(monkeypatch):
     """Check every report and file the CLI writes, byte for byte, against the
-    standard library's indenting encoder."""
+    standard library's indenting encoder, and that it parses as strict JSON,
+    with no NaN or Infinity."""
     writes = SimpleNamespace(calls=0)
 
     def checked_dumps(obj):
         text = dumps_canonical(obj)
         assert text == json_dumps_text(obj)
+        json.loads(text, parse_constant=_not_json)
         writes.calls += 1
         return text
 
     def checked_save(obj, path):
         save_obj(obj, path)
-        assert Path(path).read_text(encoding="utf-8") == json_dumps_text(obj)
+        text = Path(path).read_text(encoding="utf-8")
+        assert text == json_dumps_text(obj)
+        json.loads(text, parse_constant=_not_json)
         writes.calls += 1
 
     monkeypatch.setattr(cli, "dumps_canonical", checked_dumps)
@@ -208,6 +216,16 @@ class TestGlft:
         assert witness["a"] == [0.0, 0.0]
         assert witness["residual"] < 1e-10
 
+
+    def test_witness_where_squares_of_the_stack_overflow(self, capsys, tmp_path):
+        # 1e155 X and 1e-10 X^2: the stack's column norms are finite.
+        X = np.array([[2.0, 1.0], [0.0, 3.0]])
+        f1, f2 = tmp_path / "x1.json", tmp_path / "x2.json"
+        save_obj(matrix_to_obj(1e155 * X), str(f1))
+        save_obj(matrix_to_obj(1e-10 * X @ X), str(f2))
+        code, out = run(capsys, ["glft", str(f1), str(f2)])
+        assert code == 0
+        assert json.loads(out)["result"]["witness"] is not None
 
     def test_overflowing_product_is_an_input_error(self, capsys, big_identity_file):
         assert main(["glft", big_identity_file, big_identity_file]) == 1
@@ -512,6 +530,35 @@ class TestSolveCommand:
         assert writer_matches_json_dumps.calls == written + 2  # the model file and the report
         model = model_from_obj(load_json(str(model_path)))
         assert (model.j, model.kmj, model.l) == (6, 4, 9)
+
+
+    def test_rhs_whose_squares_overflow_is_solved_directly(self, capsys, tmp_path):
+        files = [str(tmp_path / name) for name in ("lower.json", "upper.json", "b.json")]
+        for kind, path in zip(("lower_triangular", "unit_upper_constant_diagonal"), files):
+            save_obj(subspace_to_obj(catalog(kind, 3, "real")), path)
+        save_obj(vector_to_obj(np.full(9, 1e200)), files[2])
+        code, out = run(capsys, ["solve", *files])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["stop"] == "inverse_closed"
+        assert result["residual"] < 1e-10 * (1.0 + 3e200)
+
+    def test_no_finite_residual_is_an_input_error(self, capsys, tmp_path):
+        # Rank-one factors admit no direct step; at 1e200 Gauss-Newton's
+        # J^H J overflows on every restart.
+        files = [str(tmp_path / name) for name in ("cols.json", "rows.json", "b.json")]
+        for kind, path in zip(("rank_cols", "rank_rows"), files):
+            save_obj(subspace_to_obj(catalog(kind, 3, "real", k=1)), path)
+        save_obj(vector_to_obj(np.full(9, 1e200)), files[2])
+        model_path = tmp_path / "model.json"
+        argv = ["solve", *files, "--restarts", "2", "--max-iter", "20", "--model-out", str(model_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a matrix product overflowed to Inf or NaN\n"
+        assert not model_path.exists()
 
 
 class TestRealFieldEndToEnd:

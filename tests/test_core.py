@@ -35,6 +35,7 @@ from subspace_products.core import (
     _certified_full_rank,
     _gaussian_coefficients,
     _least_squares,
+    _norm,
     _products,
     _projection,
     _reduced_stack,
@@ -462,6 +463,33 @@ class TestSubspaceFromStack:
         S = _subspace_from_stack(P, "real", Tolerances()).subspace
         assert S.dim == 4
         np.testing.assert_array_equal(S.ortho_basis, np.eye(4))
+
+
+class TestNormKernel:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_equals_blas_nrm2(self, field):
+        # Whole arrays of any layout, and columns: scipy's nrm2 of each, bit
+        # for bit.
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((9, 5))
+        if field == "complex":
+            X = X + 1j * rng.standard_normal((9, 5))
+        for Y in (X, X.T, np.asfortranarray(X), X[::2, 1:]):
+            assert _norm(Y) == linalg.norm(Y.ravel(), check_finite=False)
+            assert _norm(Y) == pytest.approx(np.linalg.norm(Y), rel=1e-15)
+            columns = _norm(Y, axis=0)
+            assert columns.shape == (Y.shape[1],)
+            np.testing.assert_array_equal(
+                columns, [linalg.norm(np.array(c), check_finite=False) for c in Y.T])
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_scales_as_it_sums(self, field):
+        # Squaring entries of 1e200 overflows; a norm below the largest float
+        # does not, and one above it is Inf.
+        X = np.ones((2, 2), dtype=core.dtype_for(field))
+        assert _norm(1e200 * X) == 2e200
+        np.testing.assert_array_equal(_norm(1e200 * X, axis=0), [np.sqrt(2) * 1e200] * 2)
+        assert _norm(1.5e308 * X) == np.inf
 
 
 class TestSubspacesEqual:

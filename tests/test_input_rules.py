@@ -1,11 +1,13 @@
 """The input rules every list of matrices meets, checked at every caller of
 the one validation kernel, and the read-only (K, n, n) bases it yields; the
-rule every seed and count meets, the one every coordinate vector meets, and
-the one every product of caller-scaled matrices meets."""
+rule every seed and count meets, the one every coordinate vector meets, the
+one every product of caller-scaled matrices meets, and the one every norm of
+caller-scaled data meets."""
 
 import argparse
 import inspect
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from subspace_products import (
     EmptyInput,
     MixedSizes,
     NonFiniteInput,
+    NotMember,
     RealFieldViolation,
     SizeMismatch,
     Tolerances,
@@ -333,10 +336,74 @@ def test_overflowing_product_of_finite_inputs_raises_non_finite(call):
         OVERFLOWS[call]()
 
 
-def test_overflowing_column_norm_of_the_lft_stack_raises_non_finite():
-    # X1 X2 = 1e145 X^3 is finite, but the norm of the column -X1 squares
-    # entries of 3e155.
-    X = np.array([[2.0, 1.0], [0.0, 3.0]])
+# Caller-scaled data whose squares overflow past 1e154 though its norms are
+# finite.  Each norm is taken by core._norm, which scales as it sums, so each
+# answer is the one at scale 1, scaled.
+X_UPPER = np.array([[2.0, 1.0], [0.0, 3.0]])
+
+
+@pytest.mark.parametrize("scale1, X1, scale2, X2", [
+    # X1 X2 = 1e145 X^3; the column -X1 has entries of 3e155.
+    (1e155, X_UPPER, 1e-10, X_UPPER @ X_UPPER),
+    (1e160, np.diag([1.0, 2.0]), 1e-160, np.diag([3.0, 4.0])),
+])
+def test_lft_stack_whose_squares_overflow_gets_a_witness(scale1, X1, scale2, X2):
+    witness = find_lft_witness(scale1 * X1, scale2 * X2)
+    norm1, norm2 = scale1 * np.linalg.norm(X1), scale2 * np.linalg.norm(X2)
+    assert witness is not None
+    assert witness.residual < 1e-8 * (1.0 + norm1) * (1.0 + norm2)
+
+
+def test_column_norm_of_the_lft_stack_past_the_largest_float_raises_non_finite():
+    # X1 X2 = 1.5e298 times the ones matrix is finite; the column -X2 has
+    # norm 3e308.
     message = "a column norm of [-X2, I, X1 X2, -X1] overflowed to Inf"
     with pytest.raises(NonFiniteInput, match=f"^{re.escape(message)}$"):
-        find_lft_witness(1e155 * X, 1e-10 * X @ X)
+        find_lft_witness(1e-10 * I2, 1.5e308 * np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100])
+def test_product_outside_the_linearization_is_rejected_at_any_scale(scale):
+    E00, E11 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    with pytest.raises(NotMember, match=r"^product of basis1\[0\] and basis2\[0\] lies outside"):
+        model_from_bases([scale * E00], [scale * E00], [E11], field="real")
+
+
+def _unit_target(kinds, **params):
+    """The model of a real catalog pair at n = 3 and M(z) w at z, w drawn
+    from seed 0."""
+    model = extract_bilinear(*(catalog(kind, 3, "real", **params) for kind in kinds))
+    rng = np.random.default_rng(0)
+    return model, model.apply(rng.standard_normal(model.j), rng.standard_normal(model.kmj))
+
+
+@pytest.mark.parametrize("kinds", [
+    ("lower_triangular", "unit_upper_constant_diagonal"),
+    ("symmetric", "persymmetric_constant_antidiagonal"),
+    ("circulant", "diagonal"),
+])
+def test_direct_step_solves_a_target_whose_squares_overflow(kinds):
+    model, b = _unit_target(kinds)
+    rep = solve_bilinear(model, 1e200 * b)
+    assert rep.stop == "inverse_closed"
+    assert rep.residual < 1e-10 * (1.0 + 1e200 * np.linalg.norm(b))
+
+
+def test_gauss_newton_with_no_finite_residual_raises_non_finite():
+    # Rank-one factors admit no direct step, and at 1e200 J^H J overflows on
+    # every restart; no RuntimeWarning escapes.
+    model, b = _unit_target(("rank_cols", "rank_rows"), k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="^a matrix product overflowed to Inf or NaN$"):
+            solve_bilinear(model, 1e200 * b, restarts=2, max_iter=20)
+
+
+def test_curvature_norm_of_directions_whose_squares_overflow():
+    S1, S2 = catalog("circulant", 4, "real"), catalog("diagonal", 4, "real")
+    V1, V2 = sample_pair(S1, S2, 0)
+    W1, W2 = random_element(S1, 5), random_element(S2, 6)
+    unit = curvature_measure(S1, S2, V1, V2, W1, W2).q_norm
+    assert unit > 0
+    big = curvature_measure(S1, S2, V1, V2, 1e100 * W1, 1e100 * W2).q_norm
+    assert big == pytest.approx(1e200 * unit, rel=1e-12)
