@@ -37,7 +37,6 @@ from .core import (
     check_field,
     check_same_space,
     rank_from_singular_values,
-    subspace_from_matrices,
     vec,
 )
 from .errors import NoFactorization, NonFiniteInput, NotMember, SingularWitness, UnsupportedDegree
@@ -189,13 +188,14 @@ def solve_bilinear(
     damped Gauss-Newton with multi-start.
 
     Direct step: when the model carries all three bases, the target
-    ``A = sum_r b_r lin_basis[r]`` is factored by
-    :func:`factor_via_inverse_closed`, first over the model's pair and, if
-    that fails, over the transposed pair (``A^T = V2^T V1^T``); z and w are
-    read off the factors by least squares within the model bases' numerical
-    rank.  The first answer whose residual is below 1e-10 (1 + ||b||) is
-    returned, with no iterations or restarts and ``stop`` ``inverse_closed``:
-    the residual is the only judge of whether the pair factors the target.
+    ``A = sum_r b_r lin_basis[r]`` is factored over the model's pair as
+    :func:`factor_via_inverse_closed` factors it, through an invertible
+    member of the second factor's span and, if that fails, of the first's
+    (``A = X^{-1} (X A)``); z and w are read off the factors by least
+    squares within the model bases' numerical rank.  The first answer whose
+    residual is below 1e-10 (1 + ||b||) is returned, with no iterations or
+    restarts and ``stop`` ``inverse_closed``: the residual is the only judge
+    of whether the pair factors the target.
     Otherwise Gauss-Newton runs as if the step had not been tried.
 
     Gauss-Newton: the scale gauge (s z, w / s) is fixed by renormalizing z to
@@ -286,50 +286,35 @@ def _solve_inverse_closed(
     model: BilinearModel, b: np.ndarray, tol: float, seed: int
 ) -> Optional[SolveReport]:
     """The direct step: the first answer with residual below ``tol`` from
-    factoring the target over the model's pair, then over the transposed pair
-    (``A^T = V2^T V1^T``); None when the model lacks a basis or neither
-    orientation gives one.
-
-    Each model basis is spanned once per call, as
-    :func:`subspace_from_matrices` spans it, and the one SVD of its stack
-    also gives the coordinates of a factor in both orientations.  The
-    transposed pair is spanned only when it is tried."""
+    factoring the target over the model's pair, through an invertible member
+    of the second factor's span, then of the first's; None when the model
+    lacks a basis or neither side gives one.  Each model basis is spanned
+    once, and the one SVD of its stack also gives a factor's coordinates."""
     if not (len(model.basis1) and len(model.basis2) and len(model.lin_basis)):
         return None
     field, tols = model.field, Tolerances()
     spans = [_subspace_from_stack(_as_square_stack(B, field), field, tols)
              for B in (model.basis1, model.basis2)]
     A = _combine(b, model.lin_basis, field)
-    for orientation, target, S1, S2 in _orientations(model, A, spans):
+    for side, first in (("model pair", False), ("first-factor side", True)):
         try:
-            V1, V2 = factor_via_inverse_closed(target, S1, S2, seed)
+            factors = _factor(A, spans[0].subspace, spans[1].subspace, seed, first)
         except (NoFactorization, SingularWitness) as exc:
-            _log.debug("direct step, %s pair: %s", orientation, exc)
+            _log.debug("direct step, %s: %s", side, exc)
             continue
-        if orientation == "transposed":
-            V1, V2 = V2.T, V1.T
         z, w = (_least_squares(span.svd or _svd(span.stack, tols), vec(V)[:, None])[0][:, 0]
-                for span, V in zip(spans, (V1, V2)))
+                for span, V in zip(spans, factors))
         nz = _norm(z)
         if nz <= 1e-300:
-            _log.debug("direct step, %s pair: the first factor has no coordinates", orientation)
+            _log.debug("direct step, %s: the first factor has no coordinates", side)
             continue
         z, w = z / nz, w * nz
         rnorm = _norm((np.asarray(model.M) @ w) @ z - b)
-        _log.debug("direct step, %s pair: residual %.3e, bound %.3e", orientation, rnorm, tol)
+        _log.debug("direct step, %s: residual %.3e, bound %.3e", side, rnorm, tol)
         if rnorm < tol:
             return SolveReport(z, w, residual=rnorm, iterations=0, restarts_used=0,
                                stop="inverse_closed")
     return None
-
-
-def _orientations(model: BilinearModel, A: np.ndarray, spans):
-    """The pairs the direct step factors over, as (name, target, S1, S2):
-    the model's spans of its bases, then the spans of the transposed bases
-    with the target A^T, built when the second pair is reached."""
-    yield "model", A, spans[0].subspace, spans[1].subspace
-    flipped = (model.basis2.transpose(0, 2, 1), model.basis1.transpose(0, 2, 1))
-    yield ("transposed", A.T, *(subspace_from_matrices(B, field=model.field) for B in flipped))
 
 
 def factor_via_inverse_closed(
@@ -350,16 +335,27 @@ def factor_via_inverse_closed(
     """
     _check_int("seed", seed, 0)
     check_same_space(S1, S2)
+    return _factor(A, S1, S2, seed, first=False)
+
+
+def _factor(A, S1: MatrixSubspace, S2: MatrixSubspace, seed: int, first: bool):
+    """:func:`factor_via_inverse_closed` on a checked pair, or with ``first``
+    from the first factor's side: a nonzero X in S1 with X A in S2 (the
+    nullspace of X -> (I - P_S2)(X A) on S1) gives (X^{-1}, X A), whose first
+    factor stays in S1 exactly when S1 is inverse-closed."""
     Aa = _as_square_stack((A,), S1.field if S1.field == REAL else None, ("A",), S1.n)[0]
-    # The columns of L are the vectorized A C over the basis C of S2, less
-    # their projections onto S1.
-    P = _vec_columns(_products(Aa, S2.basis_matrices()))
-    L = P - _projection(S1, P)
-    # L is n² by dim2 with dim2 <= n², so its null space is complete.
-    N = _svd(L, S1.tols).null  # (dim2, null_dim)
+    # The columns of L are the vectorized A C (C A for the first factor) over
+    # the basis C of the closed side, less their projections onto the other.
+    closed, other = (S1, S2) if first else (S2, S1)
+    C = closed.basis_matrices()
+    P = _vec_columns(_products(C, Aa) if first else _products(Aa, C))
+    L = P - _projection(other, P)
+    # L is n² by dim with dim <= n², so its null space is complete.
+    N = _svd(L, S1.tols).null  # (dim, null_dim)
     null_dim = N.shape[1]
     if null_dim == 0:
-        raise NoFactorization("no nonzero Y in S2 maps A into S1")
+        raise NoFactorization("no nonzero X in S1 maps A into S2" if first
+                              else "no nonzero Y in S2 maps A into S1")
 
     # The candidates: the members with the null basis columns as
     # coefficients.  On a null line that is the one candidate: every
@@ -378,7 +374,7 @@ def factor_via_inverse_closed(
             G = G[:, 0] + 1j * G[:, 1]
         U = np.array([c / np.linalg.norm(c) for c in G])
         coef = np.concatenate([coef, np.matmul(N, U[..., None])[..., 0]])
-    cands = _members(S2, coef)
+    cands = _members(closed, coef)
     # The best-conditioned candidate, judged on one batched spectrum; every
     # candidate has unit Frobenius norm, so no largest singular value is zero.
     sv = np.linalg.svd(cands, compute_uv=False)
@@ -391,6 +387,8 @@ def factor_via_inverse_closed(
     if rank_from_singular_values(sv[best], S1.tols) < S1.n:
         raise SingularWitness("all sampled nullspace members are numerically singular")
     Y = cands[best] / np.linalg.norm(cands[best])
+    if first:
+        return np.linalg.inv(Y), _products(Y, Aa)[0]
     return _products(Aa, Y)[0], np.linalg.inv(Y)
 
 

@@ -26,8 +26,8 @@ from .bilinear import (
     solve_bilinear,
 )
 from .catalog import KINDS, CatalogSpec, make_subspace
-from .core import Tolerances, _check_int, _norm, membership, random_unit_element
-from .errors import NoFactorization, SingularWitness, SubspaceProductsError
+from .core import Tolerances, _check_int, _norm, membership, random_unit_element, require_member
+from .errors import NoFactorization, NotMember, SingularWitness, SubspaceProductsError
 from .geometry import (
     curvature_measure,
     flatness_test,
@@ -210,7 +210,9 @@ def _glft(args, tols, X1, X2):
 def _factor(args, tols, A, S1, S2):
     try:
         V1, V2 = factor_via_inverse_closed(A, S1, S2, seed=args.seed)
-    except (NoFactorization, SingularWitness) as exc:
+        require_member(S1, V1, "V1")
+        require_member(S2, V2, "V2")
+    except (NoFactorization, NotMember, SingularWitness) as exc:
         return {"factored": False, "reason": str(exc)}, False
     return {
         "factored": True,

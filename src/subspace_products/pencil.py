@@ -254,9 +254,8 @@ def craig_sakamoto_check(
     return zero_product, det_identity
 
 
-def _cluster_eigenvalues(ev: np.ndarray) -> list:
-    """Merge eigenvalues with small relative gaps; returns cluster means."""
-    scale = max(1.0, float(np.max(np.abs(ev))))
+def _cluster_eigenvalues(ev: np.ndarray, scale: float) -> list:
+    """Merge eigenvalues with gaps small relative to ``scale``; returns cluster means."""
     thresh = _EIG_CLUSTER_RTOL * scale
     order = np.lexsort((ev.imag, ev.real))
     clusters = []
@@ -274,14 +273,16 @@ def _minrank_dim2_eigen(S: MatrixSubspace, seed: int) -> MinrankReport:
     n = S.n
     W1, Y = normalize_pencil(S, seed=seed)
     ev = np.linalg.eigvals(W1)
-    scale = max(1.0, float(np.max(np.abs(ev))))
+    # W1 has the scale of 1 / Y: eigenvalue gaps and the ranks of W1 - lam I
+    # are judged relative to ||W1||, so that no absolute floor decides them.
+    unit = _norm(W1)
     best_gm = 0
     best_lam = None
-    for lam in _cluster_eigenvalues(ev):
-        if S.field == REAL and abs(lam.imag) > _EIG_CLUSTER_RTOL * scale:
+    for lam in _cluster_eigenvalues(ev, unit):
+        if S.field == REAL and abs(lam.imag) > _EIG_CLUSTER_RTOL * unit:
             continue  # complex eigenvalues are unreachable with real coefficients
         lam_eff = lam.real if S.field == REAL else lam
-        gm = n - matrix_rank(W1 - lam_eff * np.eye(n, dtype=W1.dtype), S.tols)
+        gm = n - matrix_rank((W1 - lam_eff * np.eye(n, dtype=W1.dtype)) / unit, S.tols)
         if gm > best_gm:
             best_gm, best_lam = gm, lam_eff
     if best_gm == 0:
@@ -515,11 +516,10 @@ def chain_factor(t, X: Sequence, tols: Optional[Tolerances] = None) -> list:
     mats = _as_square_stack(X, name="X")
     n = mats.shape[-1]
     units = [_unit_copy(M) for M in mats]
-    U, norms = np.array([u for u, _ in units]), np.array([norm for _, norm in units])
+    U, norms = np.array([u for u, _ in units]), [norm for _, norm in units]
     j, l = np.triu_indices(len(mats), 1)
-    # The bound of _unit_bound for all pairs (j, l) at once.
-    with np.errstate(divide="ignore", over="ignore"):
-        bound = tols.rel_rank_tol * np.maximum(1.0, tols.abs_floor / (norms[j] * norms[l]))
+    # The norms are Python floats: a product past the largest float is inf, silently.
+    bound = [_unit_bound(tols, tols.abs_floor, norms[a] * norms[b]) for a, b in zip(j, l)]
     nonzero = np.linalg.norm(np.matmul(U[j], U[l]), axis=(1, 2)) > bound
     if nonzero.any():
         k = int(np.argmax(nonzero))

@@ -261,43 +261,46 @@ def sequential_probe(S1, S2, budget=100, seed=0):
     return best
 
 
-def loop_factor(A, S1, S2, seed=0, count=25):
+def loop_factor(A, S1, S2, seed=0, count=25, first=False):
     """Reference ``factor_via_inverse_closed`` on a validated A that factors:
     the candidates built one ``S2.element`` at a time, the null basis members
     first; then, where the null space has more than one dimension, one unit
-    Gaussian combination per draw, ``count`` in all but at least one draw."""
-    P = _vec_columns(_products(A, S2.basis_matrices()))
-    N = _svd(P - _projection(S1, P), S1.tols).null
-    cands = [S2.element(N[:, i]) for i in range(N.shape[1])]
+    Gaussian combination per draw, ``count`` in all but at least one draw.
+    With ``first``, the reference of the first factor's side: candidates X
+    in S1 with X A in S2, one ``S1.element`` at a time, giving (X^{-1}, X A)."""
+    closed, other = (S1, S2) if first else (S2, S1)
+    C = closed.basis_matrices()
+    P = _vec_columns(_products(C, A) if first else _products(A, C))
+    N = _svd(P - _projection(other, P), S1.tols).null
+    cands = [closed.element(N[:, i]) for i in range(N.shape[1])]
     rng = np.random.default_rng(seed)
     for _ in range(max(count - N.shape[1], 1) if N.shape[1] > 1 else 0):
         c = _gaussian_coefficients(rng, N.shape[1], S1.field)
-        cands.append(S2.element(N @ (c / np.linalg.norm(c))))
+        cands.append(closed.element(N @ (c / np.linalg.norm(c))))
     sv = np.linalg.svd(np.array(cands), compute_uv=False)
     Y = cands[int(np.argmax(sv[:, -1] / sv[:, 0]))]
     Y = Y / np.linalg.norm(Y)
-    return A @ Y, np.linalg.inv(Y)
+    return (np.linalg.inv(Y), Y @ A) if first else (A @ Y, np.linalg.inv(Y))
 
 
 def respanning_direct_step(model, b, tol, seed=0):
-    """Reference direct step of ``solve_bilinear``: each orientation spans
-    both of its bases with ``subspace_from_matrices``, and z and w are read
-    off the factors by ``_least_squares`` on fresh SVDs of the model bases.
-    Returns (z, w, residual) of the first answer below ``tol``, else None."""
+    """Reference direct step of ``solve_bilinear`` on a target that one of
+    its sides factors: each side spans both model bases with
+    ``subspace_from_matrices``; the model pair is factored by
+    ``factor_via_inverse_closed``, then the first factor's side by
+    ``loop_factor``; z and w are read off the factors by ``_least_squares``
+    on fresh SVDs of the model bases.  Returns (z, w, residual) of the first
+    answer below ``tol``, else None."""
     A = np.tensordot(b, model.lin_basis, axes=1)
     A = A.real if model.field == "real" else np.asarray(A, dtype=np.complex128)
-    for B1, B2, target, transposed in (
-        (model.basis1, model.basis2, A, False),
-        (model.basis2.transpose(0, 2, 1), model.basis1.transpose(0, 2, 1), A.T, True),
-    ):
-        S1 = subspace_from_matrices(B1, field=model.field)
-        S2 = subspace_from_matrices(B2, field=model.field)
+    for first in (False, True):
+        S1 = subspace_from_matrices(model.basis1, field=model.field)
+        S2 = subspace_from_matrices(model.basis2, field=model.field)
         try:
-            V1, V2 = factor_via_inverse_closed(target, S1, S2, seed)
+            V1, V2 = (loop_factor(A, S1, S2, seed, first=True) if first
+                      else factor_via_inverse_closed(A, S1, S2, seed))
         except (NoFactorization, SingularWitness):
             continue
-        if transposed:
-            V1, V2 = V2.T, V1.T
         z = _least_squares(_svd(_vec_columns(model.basis1), S1.tols), vec(V1)[:, None])[0][:, 0]
         w = _least_squares(_svd(_vec_columns(model.basis2), S1.tols), vec(V2)[:, None])[0][:, 0]
         nz = _norm(z)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import re
 import time
@@ -22,6 +23,7 @@ from subspace_products import (
     membership,
     model_from_bases,
     nullstellensatz_degree_bound,
+    random_element,
     solve_bilinear,
     subspace_from_matrices,
     vec,
@@ -29,6 +31,7 @@ from subspace_products import (
 from subspace_products import bilinear, core
 from helpers import (
     catalog,
+    catalog_flags,
     cell,
     crout_lu,
     loop_factor,
@@ -389,7 +392,7 @@ LU = ("lower_triangular", "unit_upper_constant_diagonal")
 
 def first_factor_closed_case():
     """span{U0, R1, R2} is not inverse-closed; lower triangular is, so the
-    direct step solves the transposed problem A^T = V2^T V1^T."""
+    direct step factors A from the first factor's side, A = X^{-1} (X A)."""
     n = 4
     rng = np.random.default_rng(3)
     L0 = np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
@@ -420,6 +423,15 @@ def shifted_case(kinds, n, field, seed=0):
     A = np.random.default_rng(seed).standard_normal((n, n)) + n * np.eye(n)
     return model, A, coordinates(model, A)
 
+
+# Ten catalog kinds: seven flagged inverse-closed, three not (band_upper with
+# q = 1 is closed only at n = 2).
+SWEEP_KINDS = [
+    ("lower_triangular", {}), ("upper_triangular", {}),
+    ("unit_lower_constant_diagonal", {}), ("unit_upper_constant_diagonal", {}),
+    ("symmetric", {}), ("persymmetric_constant_antidiagonal", {}), ("diagonal", {}),
+    ("circulant", {}), ("rank_cols", {"k": 2}), ("band_upper", {"q": 1}),
+]
 
 DIRECT_CASES = {
     "lu-real": lambda: shifted_case(LU, 6, "real"),
@@ -477,17 +489,17 @@ class TestSolveInverseClosed:
         model = extract_bilinear(L, U)
         A = np.random.default_rng(0).standard_normal((n, n)) + n * np.eye(n)
         b = coordinates(model, A)
-        targets = []
+        calls = []
 
-        def spy(target, S1, S2, seed=0):
-            targets.append(target)
-            return factor_via_inverse_closed(target, S1, S2, seed)
+        def spy(target, S1, S2, seed, first, factor=bilinear._factor):
+            calls.append((target, first))
+            return factor(target, S1, S2, seed, first)
 
-        monkeypatch.setattr(bilinear, "factor_via_inverse_closed", spy)
+        monkeypatch.setattr(bilinear, "_factor", spy)
         rep = solve_bilinear(model, b, seed=0)
         assert rep.stop == "inverse_closed"
-        assert len(targets) == 1
-        np.testing.assert_array_equal(targets[0], model.product_from_coordinates(b))
+        assert [first for _, first in calls] == [False]
+        np.testing.assert_array_equal(calls[0][0], model.product_from_coordinates(b))
         assert_factors(model, rep, A, b)
         V1 = np.tensordot(rep.z, np.array(model.basis1), axes=1)
         V2 = np.tensordot(rep.w, np.array(model.basis2), axes=1)
@@ -508,8 +520,8 @@ class TestSolveInverseClosed:
     @pytest.mark.parametrize("case", sorted(DIRECT_CASES))
     def test_one_span_per_basis_equals_respanning(self, case):
         # Spanning each model basis once, and reading z and w from the same
-        # SVD, gives the report of spanning both bases in each orientation
-        # and solving against fresh SVDs, to the last bit.
+        # SVD, gives the report of spanning both bases for each side and
+        # solving against fresh SVDs, to the last bit.
         model, A, b = DIRECT_CASES[case]()
         rep = solve_bilinear(model, b)
         tol = bilinear._SOLVE_TOL * (1.0 + np.linalg.norm(b))
@@ -536,6 +548,44 @@ class TestSolveInverseClosed:
         assert rep.stop == "inverse_closed"
         assert shapes == [(16, 10), (16, 7), (16, 7)]
 
+    def test_one_span_per_model_basis_from_the_first_factor_side(self, monkeypatch):
+        # The second factor's side finds no answer and the first factor's
+        # does; each model basis is still spanned once.
+        model, A, b = first_factor_closed_case()
+        spans = []
+
+        def spy(P, field, tols, span=core._subspace_from_stack):
+            spans.append(len(P))
+            return span(P, field, tols)
+
+        monkeypatch.setattr(core, "_subspace_from_stack", spy)
+        monkeypatch.setattr(bilinear, "_subspace_from_stack", spy)
+        rep = solve_bilinear(model, b)
+        assert rep.stop == "inverse_closed"
+        assert_factors(model, rep, A, b)
+        assert spans == [model.j, model.kmj]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_either_closed_factor_answers_on_the_catalog(self, field, n):
+        # Every ordered pair of SWEEP_KINDS in which a catalog flag makes one
+        # factor inverse-closed, with a target that the pair factors.
+        missed, tried = [], 0
+        for (k1, p1), (k2, p2) in itertools.product(SWEEP_KINDS, repeat=2):
+            (S1, f1), (S2, f2) = catalog_flags(k1, n, field, **p1), catalog_flags(k2, n, field, **p2)
+            if not (f1["inverse_closed"] or f2["inverse_closed"]):
+                continue
+            tried += 1
+            model = extract_bilinear(S1, S2)
+            A = random_element(S1, 1) @ random_element(S2, 2)
+            b = coordinates(model, A)
+            rep = solve_bilinear(model, b, restarts=1, max_iter=1)
+            if rep.stop != "inverse_closed":
+                missed.append((k1, k2))
+                continue
+            assert_factors(model, rep, A, b)
+        assert (tried, missed) == (91, [])
+
     def test_unfactorable_target_falls_back(self):
         # The exchange matrix has a zero leading minor: no LU factorization,
         # so the direct step fails and Gauss-Newton runs without raising.
@@ -556,8 +606,8 @@ class TestSolveInverseClosed:
 
 
 class TestDirectStepEvents:
-    """Factoring logs one event and the direct step one per orientation it
-    tries; without a configured handler nothing is printed."""
+    """Factoring logs one event and the direct step one per side it tries;
+    without a configured handler nothing is printed."""
 
     def messages(self, caplog, model, b):
         caplog.clear()
@@ -579,15 +629,15 @@ class TestDirectStepEvents:
         assert capsys.readouterr() == ("", "")
 
     def test_each_orientation_names_its_error(self, caplog):
-        # The exchange matrix has a zero leading minor, and so does its
-        # transpose: in both orientations every null space member that
+        # The exchange matrix has a zero leading minor, so it has no LU
+        # factorization: from both sides every null space member that
         # factoring judges is singular.
         model = extract_bilinear(catalog(LU[0], 4), catalog(LU[1], 4))
         rep, messages = self.messages(caplog, model, coordinates(model, np.fliplr(np.eye(4))))
         assert rep.stop != "inverse_closed"
         assert messages[1::2] == [
             "direct step, model pair: all sampled nullspace members are numerically singular",
-            "direct step, transposed pair: all sampled nullspace members are numerically singular",
+            "direct step, first-factor side: all sampled nullspace members are numerically singular",
         ]
         for message in messages[::2]:
             got = re.fullmatch(r"factoring: null dimension 4, candidates judged 25, "
@@ -740,6 +790,30 @@ class TestFactorViaInverseClosed:
             W1, W2 = loop_factor(A, S1, S2, seed=seed)
             np.testing.assert_array_equal(V1, W1)
             np.testing.assert_array_equal(V2, W2)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("first, second, null_dim", [
+        ("unit_lower_constant_diagonal", "upper_triangular", 1),
+        ("upper_triangular", "lower_triangular", 6),
+        ("symmetric", "symmetric", 6),
+    ], ids=["lu", "upper-lower", "symmetric"])
+    def test_first_factor_side_equals_the_loop(self, field, first, second, null_dim):
+        # The kernel from the first factor's side: X in S1 with X A in S2,
+        # candidates batched as from the second factor's side.
+        n = 6
+        S1, S2 = catalog(first, n, field), catalog(second, n, field)
+        assert S1.dim + S2.dim - n * n == null_dim
+        rng = np.random.default_rng(3)
+        for seed in range(2):
+            A = rng.standard_normal((n, n)) + n * np.eye(n)
+            if field == "complex":
+                A = A + 1j * rng.standard_normal((n, n))
+            V1, V2 = bilinear._factor(A, S1, S2, seed, first=True)
+            W1, W2 = loop_factor(A, S1, S2, seed=seed, first=True)
+            np.testing.assert_array_equal(V1, W1)
+            np.testing.assert_array_equal(V2, W2)
+            assert np.linalg.norm(A - V1 @ V2) < 1e-10 * np.linalg.norm(A)
+            assert membership(S1, V1).inside and membership(S2, V2).inside
 
     @pytest.mark.parametrize("target", range(6))
     def test_large_null_space_still_draws_a_combination(self, target):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import logging
+import re
 import subprocess
 import sys
 import warnings
@@ -473,6 +474,29 @@ class TestFactorCommand:
             code, out = run(capsys, ["factor", str(fa), str(fl), str(fu)])
         assert code == 0
         assert 0 <= json.loads(out)["result"]["relative_residual"] < 1e-12
+
+    @pytest.mark.parametrize("kinds, n, entries, outside", [
+        # Persymmetric matrices are not inverse-closed: Y^{-1} leaves them.
+        (("symmetric", "persymmetric_constant_antidiagonal"), 4, None, "V2"),
+        # Near the largest float A Y leaves the lower triangle by round-off.
+        (("lower_triangular", "upper_triangular"), 2,
+         [[1.5e308, 1e308], [-1e308, 1.5e308]], "V1"),
+    ], ids=["persymmetric", "largest-float"])
+    def test_a_factor_outside_its_subspace_exits_two(
+        self, capsys, tmp_path, kinds, n, entries, outside
+    ):
+        if entries is None:
+            G = np.random.default_rng(0).standard_normal((n, n))
+            entries = G + G.T + 8 * np.eye(n)
+        fa, f1, f2 = (tmp_path / f"{name}.json" for name in ("A", "S1", "S2"))
+        save_obj(matrix_to_obj(np.array(entries)), str(fa))
+        for f, kind in zip((f1, f2), kinds):
+            save_obj(subspace_to_obj(catalog(kind, n, "real")), str(f))
+        code, out = run(capsys, ["factor", str(fa), str(f1), str(f2)])
+        assert code == 2
+        result = json.loads(out)["result"]
+        assert set(result) == {"factored", "reason"} and result["factored"] is False
+        assert re.fullmatch(rf"{outside} is not in the subspace \(residual \S+\)", result["reason"])
 
     def test_no_factorization_exits_two(self, capsys, tmp_path):
         # A Y stays diagonal for diagonal Y only when Y = 0.

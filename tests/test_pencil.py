@@ -250,6 +250,16 @@ class TestMinrank:
         assert membership(S, rep.witness).inside
         assert np.linalg.matrix_rank(rep.witness) == 1
 
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e154, 1e200])
+    def test_scaled_pencil_keeps_its_minrank(self, scale):
+        # W1 = Y^{-1} B has the scale 1 / scale: its eigenvalue gaps and the
+        # ranks of W1 - lam I are judged relative to ||W1||.
+        S = subspace_from_matrices([scale * np.eye(2), scale * np.diag([1.0, 2.0])], field="real")
+        rep = minrank(S)
+        assert (rep.value, rep.certified, rep.method) == (1, True, "dim2_eigen")
+        assert membership(S, rep.witness).inside
+        assert np.linalg.matrix_rank(rep.witness) == 1
+
     def test_hurwitz_radon_full_rank_over_reals(self):
         S = catalog("hurwitz_radon_2", 2, field="real")
         rep = minrank(S)
