@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +60,9 @@ class BilinearModel:
     of the s-th first-factor and t-th second-factor basis matrices, so every
     product reconstructs as ``sum_r (z^T M[r] w) lin_basis[r]``.  The bases
     are read-only (j, n, n), (kmj, n, n) and (l, n, n) arrays, or ``()``.
+    A model is immutable, so the spans of ``basis1`` and ``basis2`` that
+    :func:`solve_bilinear`'s direct step needs are made once, at its first
+    use, and kept outside the fields.
     """
 
     n: int
@@ -90,6 +94,12 @@ class BilinearModel:
         """Assemble sum_r coords[r] * lin_basis[r]."""
         coords = _as_vectors((coords,), self.field, ("coords",), self.l)[0]
         return _combine(coords, self.lin_basis, self.field)
+
+    @cached_property
+    def _spans(self):
+        """The :func:`_subspace_from_stack` spans of ``basis1`` and ``basis2``."""
+        return tuple(_subspace_from_stack(_as_square_stack(B, self.field), self.field, Tolerances())
+                     for B in (self.basis1, self.basis2))
 
 
 def _combine(coeffs: np.ndarray, mats: np.ndarray, field: str) -> np.ndarray:
@@ -289,13 +299,11 @@ def _solve_inverse_closed(
     factoring the target over the model's pair, through an invertible member
     of the second factor's span, then of the first's; None when the model
     lacks a basis or neither side gives one.  Each model basis is spanned
-    once, and the one SVD of its stack also gives a factor's coordinates."""
+    once per model; its one SVD also gives a factor's coordinates."""
     if not (len(model.basis1) and len(model.basis2) and len(model.lin_basis)):
         return None
-    field, tols = model.field, Tolerances()
-    spans = [_subspace_from_stack(_as_square_stack(B, field), field, tols)
-             for B in (model.basis1, model.basis2)]
-    A = _combine(b, model.lin_basis, field)
+    spans, tols = model._spans, Tolerances()
+    A = _combine(b, model.lin_basis, model.field)
     for side, first in (("model pair", False), ("first-factor side", True)):
         try:
             factors = _factor(A, spans[0].subspace, spans[1].subspace, seed, first)
@@ -372,7 +380,9 @@ def _factor(A, S1: MatrixSubspace, S2: MatrixSubspace, seed: int, first: bool):
         else:
             G = rng.standard_normal((count, 2, null_dim))
             G = G[:, 0] + 1j * G[:, 1]
-        U = np.array([c / np.linalg.norm(c) for c in G])
+        # Each row's norm as np.linalg.norm takes it: one dot per real part.
+        parts = (G,) if S1.field == REAL else (G.real, G.imag)
+        U = G / np.sqrt(sum(np.matmul(R[:, None], R[..., None])[:, 0, 0] for R in parts))[:, None]
         coef = np.concatenate([coef, np.matmul(N, U[..., None])[..., 0]])
     cands = _members(closed, coef)
     # The best-conditioned candidate, judged on one batched spectrum; every

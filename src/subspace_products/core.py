@@ -288,6 +288,12 @@ class Membership(NamedTuple):
     residual: float
 
 
+def _inside(residual: float, scale: float, tol: float) -> bool:
+    """The membership rule: a matrix of norm ``scale`` whose residual from a
+    subspace is below ``tol * max(1, scale)`` lies in it."""
+    return residual < tol * max(1.0, scale)
+
+
 @dataclass(frozen=True)
 class MatrixSubspace:
     """A subspace of n-by-n matrices with an orthonormalized vector basis.
@@ -485,7 +491,7 @@ def _membership(S: MatrixSubspace, arr: np.ndarray) -> Membership:
         peak = float(np.abs(v).max())
         got = _membership(S, arr / peak)
         return Membership(inside=got.inside, residual=got.residual * peak)
-    return Membership(inside=residual < S.tol * max(1.0, scale), residual=residual)
+    return Membership(inside=_inside(residual, scale, S.tol), residual=residual)
 
 
 def require_member(S: MatrixSubspace, A, name: str = "matrix") -> np.ndarray:

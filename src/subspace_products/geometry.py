@@ -21,6 +21,7 @@ from .core import (
     _check_int,
     _full_space,
     _gaussian_coefficients,
+    _inside,
     _norm,
     _products,
     _rng,
@@ -29,7 +30,6 @@ from .core import (
     check_same_space,
     dtype_for,
     matrix_rank,
-    membership,
     random_element,
     require_member,
     subspaces_equal,
@@ -193,7 +193,7 @@ def _member_point(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> Tuple[np.nd
 
 def _tangent_products(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> np.ndarray:
     """The products V1 C_t, then B_s V2, over the orthonormal basis matrices
-    C_t of S2 and B_s of S1, at a point (V1, V2) from :func:`_member_point`."""
+    C_t of S2 and B_s of S1, at a member point (V1, V2)."""
     return np.concatenate([_products(V1, S2.basis_matrices()), _products(S1.basis_matrices(), V2)])
 
 
@@ -252,9 +252,13 @@ def second_fundamental_form(
 
 
 def _identity_part(S: MatrixSubspace) -> Optional[np.ndarray]:
-    """P, the projection of the identity onto S, when S contains I; else None."""
+    """P, the projection of the identity onto S, when S contains I; else None.
+
+    The one projection decides too: S contains I when the residual
+    ||I - P||_F passes the rule of :func:`~subspace_products.core.membership`."""
     I = np.eye(S.n)
-    return S.project(I) if membership(S, I).inside else None
+    P = S.project(I)
+    return P if _inside(_norm(I - P), _norm(I), S.tol) else None
 
 
 def _generic_point(S: MatrixSubspace, seed: int, P: Optional[np.ndarray]) -> np.ndarray:
@@ -265,12 +269,14 @@ def _generic_point(S: MatrixSubspace, seed: int, P: Optional[np.ndarray]) -> np.
     survives the relative rank cutoff even where Gaussian members are
     ill-conditioned, as triangular ones are (condition number ~ 2^n).  It
     is still generic: a rank drops only on a proper algebraic set, which a
-    random line through I meets in finitely many points.
+    random line through I meets in finitely many points.  ||X||_2 is the
+    largest singular value, the one ``np.linalg.norm(X, 2)`` computes.
+    Either point is a member of S by construction.
     """
     X = random_element(S, seed)
     if P is None:
         return X
-    return P + X / (2.0 * np.linalg.norm(X, 2))
+    return P + X / (2.0 * np.linalg.svd(X, compute_uv=False)[0])
 
 
 def sample_pair(S1: MatrixSubspace, S2: MatrixSubspace, seed: int):
@@ -300,6 +306,8 @@ def flatness_test(
     samples the point of :func:`sample_pair` at seed ``seed + 2 t``, so
     reports are reproducible: near I in a factor that contains I, at
     P + X / (2 ||X||_2), and at its Gaussian member X in any other factor.
+    The pair is checked on entry; the trial points are members by
+    construction, so no trial makes a membership test.
 
     The linearization is fixed after trial 0, whose tangent space
     V1 S2 + S1 V2 lies in it.  A rank of n^2 settles it as the whole matrix
@@ -312,6 +320,7 @@ def flatness_test(
     _check_int("seed", seed, 0)
     if S1.dim == 0 or S2.dim == 0:
         raise ZeroSubspace("flatness analysis requires nonzero subspaces")
+    check_same_space(S1, S2)
     # Each factor's identity test and P(I), once for every trial point.
     P1, P2 = _identity_part(S1), _identity_part(S2)
     for k, P in enumerate((P1, P2), 1):
@@ -320,7 +329,8 @@ def flatness_test(
     ranks = []
     for t in range(trials + _MAX_EXTRA_TRIALS):
         s_t = seed + 2 * t
-        r = product_map_rank(S1, S2, _generic_point(S1, s_t, P1), _generic_point(S2, s_t + 1, P2))
+        T = _tangent_products(S1, S2, _generic_point(S1, s_t, P1), _generic_point(S2, s_t + 1, P2))
+        r = matrix_rank(_vec_columns(T), S1.tols)
         ranks.append((s_t, r))
         if t == 0:
             lin = (

@@ -130,11 +130,14 @@ def _deflate_identity(C: np.ndarray) -> np.ndarray:
 
 def _normal_form(S: MatrixSubspace, left: bool, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """(W, Y) with Y an invertible element of S and Y^{-1} S (``left``) or
-    S Y^{-1} equal to span{I, W}."""
+    S Y^{-1} equal to span{I, W}: of the two basis members so moved and
+    deflated of I, the larger by :func:`_norm`, the other being round-off.
+    W has the scale of 1 / Y; nrm2 tells the two apart where their squares
+    underflow, so at any finite scale of S."""
     Y = _find_invertible_element(S, seed=seed)
     Yi = np.linalg.inv(Y)
     cands = [_deflate_identity(Yi @ B if left else B @ Yi) for B in S.basis_matrices()]
-    return max(cands, key=np.linalg.norm), Y
+    return max(cands, key=_norm), Y
 
 
 def normalize_pencil(S: MatrixSubspace, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
@@ -286,10 +289,9 @@ def _minrank_dim2_eigen(S: MatrixSubspace, seed: int) -> MinrankReport:
         if gm > best_gm:
             best_gm, best_lam = gm, lam_eff
     if best_gm == 0:
-        witness = Y / np.linalg.norm(Y)
-        return MinrankReport(value=n, certified=True, witness=witness, method="dim2_eigen")
+        return MinrankReport(value=n, certified=True, witness=Y / _norm(Y), method="dim2_eigen")
     witness = (W1 - best_lam * np.eye(n, dtype=W1.dtype)) @ Y
-    witness = witness / np.linalg.norm(witness)
+    witness = witness / _norm(witness)
     return MinrankReport(
         value=n - best_gm, certified=True, witness=witness, method="dim2_eigen"
     )
@@ -308,7 +310,7 @@ def _minrank_sampled(S: MatrixSubspace, seed: int) -> MinrankReport:
     for V in _candidates(S, _MINRANK_SAMPLES, seed):
         r = matrix_rank(V, S.tols)
         if 0 < r < best_rank:
-            best_rank, best_witness = r, V / np.linalg.norm(V)
+            best_rank, best_witness = r, V / _norm(V)
             if r == 1:
                 break
     d = S.dim

@@ -20,6 +20,7 @@ from subspace_products import (
 from subspace_products.catalog import KINDS
 from subspace_products.core import (
     MatrixSubspace,
+    _full_space,
     _gaussian_coefficients,
     _least_squares,
     _norm,
@@ -29,7 +30,12 @@ from subspace_products.core import (
     _vec_columns,
     rank_from_singular_values,
 )
-from subspace_products.geometry import ProductAnalysis, product_map_rank, sample_pair
+from subspace_products.geometry import (
+    ProductAnalysis,
+    _sketched_linearization,
+    product_map_rank,
+    sample_pair,
+)
 from subspace_products.pencil import _PROBE_ALTERNATIONS
 
 
@@ -382,3 +388,31 @@ def gaussian_flatness(S1, S2, trials=5, seed=0):
         return random_element(S1, s), random_element(S2, s + 1)
 
     return _sampled_verdict(S1, S2, linearization(S1, S2), trials, seed, gaussian_pair)
+
+
+def reference_point(S, seed):
+    """Reference generic point of one factor: the seeded Gaussian member X,
+    moved to P + X / (2 ||X||_2) when ``membership`` finds I in S, with P
+    the projection of I."""
+    X = random_element(S, seed)
+    I = np.eye(S.n)
+    if not membership(S, I).inside:
+        return X
+    return S.project(I) + X / (2.0 * np.linalg.norm(X, 2))
+
+
+def reference_flatness(S1, S2, trials=5, seed=0):
+    """Reference flatness report with every trial point tested: each
+    factor's identity by ``membership``, each trial's rank by the public
+    ``product_map_rank``, which validates both points as members.  The
+    linearization is the whole space when trial 0 has rank n^2, else the
+    sketch from a generator seeded with ``seed``."""
+
+    def point(S1, S2, s):
+        return reference_point(S1, s), reference_point(S2, s + 1)
+
+    if product_map_rank(S1, S2, *point(S1, S2, seed)) == S1.n**2:
+        lin = _full_space(S1.n, S1.field, S1.tols)
+    else:
+        lin = _sketched_linearization(S1, S2, np.random.default_rng(seed))
+    return _sampled_verdict(S1, S2, lin, trials, seed, point)

@@ -29,6 +29,7 @@ from subspace_products import (
     vec,
 )
 from subspace_products import bilinear, core
+from subspace_products.serialization import model_from_obj, model_to_obj
 from helpers import (
     catalog,
     catalog_flags,
@@ -564,6 +565,35 @@ class TestSolveInverseClosed:
         assert rep.stop == "inverse_closed"
         assert_factors(model, rep, A, b)
         assert spans == [model.j, model.kmj]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("source", ["extract_bilinear", "model_from_bases", "model_from_obj"])
+    def test_model_bases_are_spanned_once_per_model(self, source, field, monkeypatch):
+        # A model is immutable: a second solve spans neither basis again and
+        # returns the first solve's report to the last bit.
+        model, A, b = shifted_case(LU, 4, field)
+        if source == "model_from_bases":
+            model = model_from_bases(model.basis1, model.basis2, model.lin_basis, field=field)
+        elif source == "model_from_obj":
+            model = model_from_obj(model_to_obj(model))
+        first = solve_bilinear(model, b)
+        spans = []
+
+        def spy(P, field, tols, span=core._subspace_from_stack):
+            spans.append(len(P))
+            return span(P, field, tols)
+
+        monkeypatch.setattr(core, "_subspace_from_stack", spy)
+        monkeypatch.setattr(bilinear, "_subspace_from_stack", spy)
+        again = solve_bilinear(model, b)
+        assert spans == [] and first.stop == "inverse_closed"
+        for f in dataclasses.fields(first):
+            np.testing.assert_array_equal(getattr(again, f.name), getattr(first, f.name))
+        # The spans are kept outside the model's fields and its file.
+        assert [f.name for f in dataclasses.fields(model)] == [
+            "n", "field", "j", "kmj", "l", "M", "basis1", "basis2", "lin_basis"]
+        assert sorted(model_to_obj(model)) == sorted(model_to_obj(extract_bilinear(
+            catalog(LU[0], 4, field), catalog(LU[1], 4, field))))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("n", [3, 4])

@@ -31,7 +31,7 @@ from subspace_products import (
 )
 from subspace_products import core, geometry
 from subspace_products.cli import main
-from subspace_products.geometry import _sketched_linearization
+from subspace_products.geometry import _identity_part, _sketched_linearization
 from subspace_products.serialization import save_obj, subspace_to_obj
 from helpers import (
     SKETCH_KINDS,
@@ -40,6 +40,8 @@ from helpers import (
     catalog,
     cell,
     gaussian_flatness,
+    reference_flatness,
+    reference_point,
     sketch_first_flatness,
 )
 
@@ -740,6 +742,90 @@ class TestWellConditionedPoints:
             assert flatness_test(S1, S2, seed=seed).to_dict() == gaussian_flatness(
                 S1, S2, seed=seed
             ).to_dict()
+
+
+# Pairs whose flatness reports must equal the reference's bit for bit: every
+# factor containing I or not, flat and curved, proper and full linearizations.
+REFERENCE_PAIRS = [
+    ("lower_triangular", "unit_upper_constant_diagonal", {}),
+    ("upper_triangular", "upper_triangular", {}),
+    ("symmetric", "persymmetric_constant_antidiagonal", {}),
+    ("circulant", "diagonal", {}),
+    ("toeplitz_upper_triangular", "unit_lower_constant_diagonal", {}),
+    ("diagonal", "lower_triangular", {}),
+    ("rank_cols", "rank_rows", {"k": 2}),
+    ("band_upper", "band_lower", {"p": 1, "q": 1}),
+]
+
+
+class TestFlatnessWithoutMembershipTests:
+    """``flatness_test`` checks the pair on entry and ranks its trial
+    points, which are members by construction, without testing them again."""
+
+    @pytest.mark.parametrize("field,n", [("real", 6), ("complex", 5)])
+    @pytest.mark.parametrize("kind1,kind2,params", REFERENCE_PAIRS)
+    def test_report_equals_the_tested_reference(self, kind1, kind2, params, field, n):
+        S1, S2 = catalog(kind1, n, field, **params), catalog(kind2, n, field, **params)
+        for seed in (0, 3):
+            got, want = flatness_test(S1, S2, seed=seed), reference_flatness(S1, S2, seed=seed)
+            assert got.to_dict() == want.to_dict()
+            for a, b in ((got.lin_basis_ref.raw_basis, want.lin_basis_ref.raw_basis),
+                         (got.lin_basis_ref.ortho_basis, want.lin_basis_ref.ortho_basis),
+                         *zip(sample_pair(S1, S2, seed), (reference_point(S1, seed),
+                                                          reference_point(S2, seed + 1)))):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_transported_lu_equals_the_tested_reference(self):
+        S1, S2 = transported_lu(8)
+        got, want = flatness_test(S1, S2), reference_flatness(S1, S2)
+        assert got.to_dict() == want.to_dict()
+        np.testing.assert_array_equal(got.lin_basis_ref.ortho_basis, want.lin_basis_ref.ortho_basis)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind1,kind2", [
+        ("lower_triangular", "unit_upper_constant_diagonal"), ("circulant", "diagonal"),
+    ])
+    def test_no_membership_test_and_no_public_rank(self, kind1, kind2, field, monkeypatch):
+        S1, S2 = catalog(kind1, 6, field), catalog(kind2, 6, field)
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((core, "_membership"), (core, "require_member"),
+                             (geometry, "require_member"), (geometry, "product_map_rank")):
+            spy(module, name)
+        report = flatness_test(S1, S2)
+        assert calls == []
+        # The spies are live: the public rank tests both points.
+        assert geometry.product_map_rank(S1, S2, *sample_pair(S1, S2, 0)) == report.sampled_ranks[0][1]
+        assert calls == ["product_map_rank", "require_member", "_membership",
+                         "require_member", "_membership"]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_identity_part_decides_as_membership(self, field):
+        subs = [catalog(kind, 4, field, **params) for kind, params in SKETCH_KINDS.items()]
+        subs.append(catalog("krylov", 4, field, matrix=np.diag([1.0, 2.0, 3.0, 4.0]) + np.eye(4, k=1),
+                            max_power=3))
+        if field == "real":
+            subs.append(catalog("hurwitz_radon_2", 2, field))
+        # A span of I + eps E_01 and one other member holds I only within
+        # round-off: at 1e-6 it does not, at 1e-12 it does.
+        for eps in (1e-6, 1e-12):
+            subs.append(subspace_from_matrices([np.eye(4) + eps * cell(4, 0, 1), cell(4, 2, 3)], field=field))
+        found = []
+        for S in subs:
+            inside = membership(S, np.eye(S.n)).inside
+            assert (_identity_part(S) is not None) == inside
+            found.append(inside)
+        assert found[-2:] == [False, True] and any(found[:-2]) and not all(found[:-2])
 
 
 class TestStopAtLinDim:

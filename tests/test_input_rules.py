@@ -1,8 +1,8 @@
 """The input rules every list of matrices meets, checked at every caller of
 the one validation kernel, and the read-only (K, n, n) bases it yields; the
 rule every seed and count meets, the one every coordinate vector meets, the
-one every product of caller-scaled matrices meets, and the one every norm of
-caller-scaled data meets."""
+one every product of caller-scaled matrices meets, the one every norm of
+caller-scaled data meets, and the one every pair of subspaces meets."""
 
 import argparse
 import inspect
@@ -17,12 +17,14 @@ from subspace_products import (
     BadParameters,
     CatalogSpec,
     EmptyInput,
+    FieldMismatch,
     MixedSizes,
     NonFiniteInput,
     NotMember,
     RealFieldViolation,
     SizeMismatch,
     Tolerances,
+    ZeroSubspace,
     chain_factor,
     closedness_certificate,
     craig_sakamoto_check,
@@ -199,6 +201,36 @@ SEEDED = {
     "solve_bilinear": lambda s: solve_bilinear(MODEL, np.zeros(3), seed=s),
     "factor_via_inverse_closed": lambda s: factor_via_inverse_closed(np.ones((3, 3)), D3, D3, s),
 }
+
+
+# Every public function of two subspaces that checks the pair: a call on
+# (S1, S2) with every other input valid for S1.
+PAIR_CALLERS = {
+    "flatness_test": flatness_test,
+    "factorizability_check": lambda S1, S2: factorizability_check(S1, S1, S2),
+    "linearization": linearization,
+    "extract_bilinear": extract_bilinear,
+    "zero_product_probe": zero_product_probe,
+    "closedness_certificate": closedness_certificate,
+    "factor_via_inverse_closed": lambda S1, S2: factor_via_inverse_closed(np.eye(S1.n), S1, S2),
+    "normalize_pair": normalize_pair,
+}
+
+
+@pytest.mark.parametrize("caller", list(PAIR_CALLERS))
+def test_pair_of_other_sides_or_fields_is_rejected(caller):
+    call = PAIR_CALLERS[caller]
+    with pytest.raises(SizeMismatch, match=r"^subspace sides differ: 3 vs 4$"):
+        call(D3, catalog("diagonal", 4, "real"))
+    with pytest.raises(FieldMismatch, match=r"^subspace fields differ: real vs complex$"):
+        call(D3, catalog("diagonal", 3, "complex"))
+
+
+def test_flatness_rejects_a_zero_factor_before_the_pair():
+    Z4 = subspace_from_matrices([np.zeros((4, 4))], field="real")
+    for S1, S2 in ((D3, Z4), (Z4, D3)):
+        with pytest.raises(ZeroSubspace, match="^flatness analysis requires nonzero subspaces$"):
+            flatness_test(S1, S2)
 
 
 def test_every_public_function_with_a_seed_is_covered():

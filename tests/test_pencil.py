@@ -24,6 +24,7 @@ from subspace_products import (
     vec,
     zero_product_probe,
 )
+from subspace_products.core import _norm
 from helpers import catalog, cell, random_complex, sequential_probe
 
 
@@ -259,6 +260,33 @@ class TestMinrank:
         assert (rep.value, rep.certified, rep.method) == (1, True, "dim2_eigen")
         assert membership(S, rep.witness).inside
         assert np.linalg.matrix_rank(rep.witness) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e150, 1e154, 1e160, 1e200, 1e300])
+    def test_scaled_rotation_pencil_keeps_its_certified_minrank(self, scale):
+        # R has no real eigenvalue, so no nonzero real member of span{I, R}
+        # is singular.  Past 1e154 the normal form's two candidates have
+        # squares that underflow: the one chosen must still be the multiple
+        # of R, not the round-off left of I.
+        R = np.array([[0.0, -1.0], [1.0, 0.0]])
+        S = subspace_from_matrices([scale * np.eye(2), scale * R], field="real")
+        rep = minrank(S)
+        assert (rep.value, rep.certified, rep.method) == (2, True, "dim2_eigen")
+        assert abs(np.linalg.norm(rep.witness) - 1.0) < 1e-12
+        assert membership(S, rep.witness).inside
+        for X in normalize_pair(S, S):
+            cosine = abs(np.vdot(R, X / _norm(X))) / np.sqrt(2.0)
+            assert abs(cosine - 1.0) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_sampled_witness_of_a_huge_span_has_unit_norm(self):
+        S = subspace_from_matrices(
+            [1e200 * np.eye(3), 1e200 * np.diag([1.0, 2.0, 3.0]), 1e200 * np.diag([1.0, 0.0, 0.0])],
+            field="real",
+        )
+        rep = minrank(S)
+        assert (rep.value, rep.method) == (1, "sampled_upper_bound")
+        np.testing.assert_array_equal(rep.witness, np.diag([1.0, 0.0, 0.0]))
 
     def test_hurwitz_radon_full_rank_over_reals(self):
         S = catalog("hurwitz_radon_2", 2, field="real")
