@@ -25,7 +25,9 @@ from .core import (
     _as_square_stack,
     _as_vectors,
     _check_int,
+    _coordinates,
     _gaussian_coefficients,
+    _inside,
     _least_squares,
     _members,
     _norm,
@@ -150,7 +152,7 @@ def model_from_bases(
     j, kmj, l = len(b1), len(b2), len(lb)
     P = _vec_columns(_products(b1[:, None], b2[None]))
     coef, resid = _least_squares(_svd(_vec_columns(lb), tols), P)
-    bad = np.flatnonzero(resid > tols.rel_rank_tol * np.maximum(1.0, _norm(P, axis=0)))
+    bad = np.flatnonzero(~_inside(resid, _norm(P, axis=0), tols.rel_rank_tol))
     if bad.size:
         s, t = divmod(int(bad[0]), kmj)
         raise NotMember(
@@ -171,16 +173,13 @@ def extract_bilinear(S1: MatrixSubspace, S2: MatrixSubspace) -> BilinearModel:
     matrix: all of them come from one product ``Q^H P`` of the orthonormal
     linearization basis ``Q`` with the vectorized basis products ``P``, the
     ``raw_basis`` of :func:`linearization` (first-factor index major), as
-    the span kernel vectorized them to span the linearization.  Over every
-    n-by-n matrix ``Q`` is the identity (the matrix units in column-major
-    order), so ``Q^H P`` is ``P + 0.0``, which turns -0.0 into 0.0 as the
-    product does, and no product is formed.
+    the span kernel vectorized them to span the linearization, formed by
+    :func:`~subspace_products.core._coordinates`.
     """
     lin, stack, _ = _subspace_from_stack(_basis_products(S1, S2), S1.field, S1.tols)
     n, j, kmj, l = S1.n, S1.dim, S2.dim, lin.dim
     # With a zero factor the linearization spans one placeholder zero matrix.
-    stack = stack[:, : j * kmj]
-    M = stack + 0.0 if l == n * n else lin.ortho_basis.conj().T @ stack
+    M = _coordinates(lin, stack[:, : j * kmj])
     return BilinearModel(
         n=n, field=S1.field, j=j, kmj=kmj, l=l, M=M.reshape(l, j, kmj),
         basis1=S1.basis_matrices(), basis2=S2.basis_matrices(), lin_basis=lin.basis_matrices(),

@@ -25,6 +25,7 @@ from .core import (
     Tolerances,
     _as_square_stack,
     _check_int,
+    _identity_part,
     _products,
     check_field,
     dtype_for,
@@ -145,7 +146,8 @@ def make_subspace(
     """Construct the named subspace and its metadata flags.
 
     Returns ``(subspace, {"inverse_closed": bool, "contains_identity": bool})``.
-    ``contains_identity`` is computed by an actual membership test;
+    ``contains_identity`` is the membership rule on the projection of I
+    (``core._identity_part``);
     ``inverse_closed`` comes from the algebraic structure of the kind.
     """
     check_field(spec.field)
@@ -166,7 +168,7 @@ def make_subspace(
     S = subspace_from_matrices(basis, field=spec.field, tols=tols)
     flags = {
         "inverse_closed": inverse_closed,
-        "contains_identity": membership(S, np.eye(n)).inside,
+        "contains_identity": _identity_part(S) is not None,
     }
     return S, flags
 

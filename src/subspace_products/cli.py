@@ -26,7 +26,7 @@ from .bilinear import (
     solve_bilinear,
 )
 from .catalog import KINDS, CatalogSpec, make_subspace
-from .core import Tolerances, _check_int, _norm, membership, random_unit_element, require_member
+from .core import Tolerances, _check_int, _member_residual, _norm, random_unit_element
 from .errors import NoFactorization, NotMember, SingularWitness, SubspaceProductsError
 from .geometry import (
     curvature_measure,
@@ -41,13 +41,12 @@ from .pencil import (
     minrank,
 )
 from .serialization import (
-    dumps_canonical,
+    _document,
     load_matrix,
     load_subspace,
     load_vector,
     matrix_to_obj,
     model_to_obj,
-    save_obj,
     subspace_to_obj,
     vector_to_obj,
 )
@@ -103,16 +102,20 @@ def _header(args, tols: Tolerances) -> dict:
 
 
 def _write(args, obj: dict) -> None:
-    """Render ``obj`` as ``--format`` asks and write it to ``--output`` or stdout."""
-    if args.format == "json":
-        text = dumps_canonical(obj)
+    """Render ``obj`` as ``--format`` asks and write it to ``--output`` or
+    stdout."""
+    _emit(_document(obj) if args.format == "json" else ["\n".join(_render_text(obj)) + "\n"], args.output)
+
+
+def _emit(pieces, path) -> None:
+    """Write text ``pieces`` to the file ``path``, or to stdout without one.
+    JSON comes as the pieces of the streaming writer of :func:`save_obj`,
+    never joined into one string."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     else:
-        text = "\n".join(_render_text(obj)) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # Readers of input files: (path, tolerances) -> the loaded object.  They
@@ -210,8 +213,8 @@ def _glft(args, tols, X1, X2):
 def _factor(args, tols, A, S1, S2):
     try:
         V1, V2 = factor_via_inverse_closed(A, S1, S2, seed=args.seed)
-        require_member(S1, V1, "V1")
-        require_member(S2, V2, "V2")
+        # One membership test per factor, each a finite matrix of side n.
+        residuals = {"V1": _member_residual(S1, V1, "V1"), "V2": _member_residual(S2, V2, "V2")}
     except (NoFactorization, NotMember, SingularWitness) as exc:
         return {"factored": False, "reason": str(exc)}, False
     return {
@@ -219,10 +222,7 @@ def _factor(args, tols, A, S1, S2):
         "V1": matrix_to_obj(V1),
         "V2": matrix_to_obj(V2),
         "relative_residual": _norm(A - V1 @ V2) / max(1.0, _norm(A)),
-        "memberships": {
-            "V1": membership(S1, V1).residual,
-            "V2": membership(S2, V2).residual,
-        },
+        "memberships": residuals,
     }, True
 
 
@@ -233,7 +233,7 @@ def _solve(args, tols, S1, S2, b):
     )
     # Written only after the solve, so a rejected input leaves no file.
     if args.model_out:
-        save_obj(model_to_obj(model), args.model_out)
+        _emit(_document(model_to_obj(model)), args.model_out)
     return {
         "residual": rep.residual,
         "iterations": rep.iterations,

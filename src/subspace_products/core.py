@@ -288,10 +288,10 @@ class Membership(NamedTuple):
     residual: float
 
 
-def _inside(residual: float, scale: float, tol: float) -> bool:
-    """The membership rule: a matrix of norm ``scale`` whose residual from a
-    subspace is below ``tol * max(1, scale)`` lies in it."""
-    return residual < tol * max(1.0, scale)
+def _inside(residual, scale, tol: float):
+    """The membership rule, elementwise: a matrix of norm ``scale`` whose
+    residual from a subspace is below ``tol * max(1, scale)`` lies in it."""
+    return residual < tol * np.maximum(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -339,8 +339,7 @@ class MatrixSubspace:
 
     def coefficients(self, A: np.ndarray) -> np.ndarray:
         """Expansion coefficients of the orthogonal projection of A."""
-        c = self.ortho_basis.conj().T @ vec(A)
-        return c.real if self.field == REAL else c
+        return _coordinates(self, vec(A))
 
     def project(self, A: np.ndarray) -> np.ndarray:
         """Orthogonal projection of A onto the subspace."""
@@ -361,13 +360,26 @@ def _members(S: MatrixSubspace, C: np.ndarray) -> np.ndarray:
     return np.matmul(S.ortho_basis, C[..., None]).reshape(len(C), n, n).transpose(0, 2, 1)
 
 
+def _coordinates(S: MatrixSubspace, X: np.ndarray) -> np.ndarray:
+    """``Q^H X``: the coordinates of each column of X (vectorized matrices)
+    against the orthonormal basis Q of S, the one kernel that forms them;
+    over the real field they keep their real part.
+
+    Every span of all n-by-n matrices has the identity as Q (see
+    :func:`_full_space`), so there ``Q^H X`` is ``X + 0.0``, cast to the
+    dtype the product would have: that turns -0.0 into 0.0 as the product
+    does, and no product is formed."""
+    Q = S.ortho_basis
+    C = np.add(X, 0.0, dtype=np.result_type(Q, X)) if S.dim == S.n * S.n else Q.conj().T @ X
+    return C.real if S.field == REAL else C
+
+
 def _projection(S: MatrixSubspace, X: np.ndarray) -> np.ndarray:
     """The orthogonal projection onto S of each column of X (vectorized
-    matrices); over the real field the coefficients keep their real part."""
-    coef = S.ortho_basis.conj().T @ X
-    if S.field == REAL:
-        coef = coef.real
-    return S.ortho_basis @ coef
+    matrices), ``Q`` times :func:`_coordinates`; over all n-by-n matrices,
+    where ``Q`` is the identity, the coordinates themselves."""
+    C = _coordinates(S, X)
+    return C if S.dim == S.n * S.n else S.ortho_basis @ C
 
 
 def _vec_columns(mats: np.ndarray) -> np.ndarray:
@@ -491,17 +503,34 @@ def _membership(S: MatrixSubspace, arr: np.ndarray) -> Membership:
         peak = float(np.abs(v).max())
         got = _membership(S, arr / peak)
         return Membership(inside=got.inside, residual=got.residual * peak)
-    return Membership(inside=_inside(residual, scale, S.tol), residual=residual)
+    return Membership(inside=bool(_inside(residual, scale, S.tol)), residual=residual)
 
 
 def require_member(S: MatrixSubspace, A, name: str = "matrix") -> np.ndarray:
     """Return A validated once as a matrix of S's field and side, raising
     NotMember when it lies outside S."""
     arr = _as_square_stack((A,), S.field, (name,), side=S.n)[0]
+    _member_residual(S, arr, name)
+    return arr
+
+
+def _member_residual(S: MatrixSubspace, arr: np.ndarray, name: str) -> float:
+    """The :func:`membership` residual of a finite matrix ``arr`` of side
+    ``S.n``, which must lie in S: else NotMember, naming it ``name``."""
     got = _membership(S, arr)
     if not got.inside:
         raise NotMember(f"{name} is not in the subspace (residual {got.residual:.3e})")
-    return arr
+    return got.residual
+
+
+def _identity_part(S: MatrixSubspace) -> Optional[np.ndarray]:
+    """P, the projection of the identity onto S, when S contains I; else None.
+
+    The one projection decides too: S contains I when the residual
+    ||I - P||_F passes the rule of :func:`membership`."""
+    I = np.eye(S.n)
+    P = S.project(I)
+    return P if _inside(_norm(I - P), _norm(I), S.tol) else None
 
 
 def numerical_rank(vectors: Sequence, tols: Optional[Tolerances] = None) -> int:
@@ -577,12 +606,12 @@ def subspaces_equal(S1: MatrixSubspace, S2: MatrixSubspace) -> bool:
 
     This is mutual :func:`membership` of the basis matrices, decided by one
     projection per side: every column of ``Q1 - Q2 (Q2^H Q1)`` (and of the
-    reverse) must have norm below the tested subspace's ``tol``, the
-    membership threshold of a unit-norm matrix.
+    reverse) must pass the rule of :func:`_inside` for a unit-norm matrix
+    against the tested subspace's ``tol``.
     """
     if S1.n != S2.n or S1.field != S2.field or S1.dim != S2.dim:
         return False
     return all(
-        bool(np.all(np.linalg.norm(Q - _projection(S, Q), axis=0) < S.tol))
+        bool(np.all(_inside(np.linalg.norm(Q - _projection(S, Q), axis=0), 1.0, S.tol)))
         for S, Q in ((S2, S1.ortho_basis), (S1, S2.ortho_basis))
     )

@@ -21,7 +21,7 @@ from .core import (
     _check_int,
     _full_space,
     _gaussian_coefficients,
-    _inside,
+    _identity_part,
     _norm,
     _products,
     _rng,
@@ -251,19 +251,10 @@ def second_fundamental_form(
     return T.project_out(_products(W1a, W2b)[0] + _products(W1b, W2a)[0])
 
 
-def _identity_part(S: MatrixSubspace) -> Optional[np.ndarray]:
-    """P, the projection of the identity onto S, when S contains I; else None.
-
-    The one projection decides too: S contains I when the residual
-    ||I - P||_F passes the rule of :func:`~subspace_products.core.membership`."""
-    I = np.eye(S.n)
-    P = S.project(I)
-    return P if _inside(_norm(I - P), _norm(I), S.tol) else None
-
-
 def _generic_point(S: MatrixSubspace, seed: int, P: Optional[np.ndarray]) -> np.ndarray:
     """The seeded Gaussian member X of S, shifted to P + X / (2 ||X||_2)
-    when S contains the identity, with P from :func:`_identity_part`.
+    when S contains the identity, with P from
+    :func:`~subspace_products.core._identity_part`.
 
     The shifted point has singular values in [1/2, 3/2], so a generic rank
     survives the relative rank cutoff even where Gaussian members are

@@ -29,6 +29,7 @@ from .core import (
     _rng,
     _svd,
     check_same_space,
+    dtype_for,
     matrix_rank,
     random_unit_element,
     vec,
@@ -106,7 +107,7 @@ class ClosednessCertificate:
 def _candidates(S: MatrixSubspace, samples: int, seed: int):
     """Members to try in turn: the raw basis, the orthonormal basis, then
     ``samples`` seeded unit Gaussian members (seeds ``seed``, ``seed + 1``, ...)."""
-    yield from S.raw_basis.astype(S.ortho_basis.dtype)
+    yield from S.raw_basis.astype(dtype_for(S.field))
     yield from S.basis_matrices()
     for t in range(samples):
         yield random_unit_element(S, seed + t)
@@ -413,7 +414,7 @@ def _probe_block(
     T2 = S2.basis_matrices()
     C1 = np.array([_unit_coefficients(S1, seed + start) for start in starts])
     val = np.full(len(C1), np.inf)
-    V2 = np.empty((len(C1), S2.n, S2.n), dtype=S2.ortho_basis.dtype)
+    V2 = np.empty((len(C1), S2.n, S2.n), dtype=dtype_for(S2.field))
     live = np.arange(len(C1))
     for _ in range(_PROBE_ALTERNATIONS):
         _, c2 = _smallest_singular(np.matmul(_members(S1, C1[live])[:, None], T2))

@@ -16,6 +16,7 @@ from subspace_products import (
     NotMember,
     SingularWitness,
     SizeMismatch,
+    Tolerances,
     UnsupportedDegree,
     extract_bilinear,
     factor_via_inverse_closed,
@@ -209,6 +210,19 @@ class TestModelFromBases:
                 assert np.linalg.norm(recon - T) < 1e-8 * max(1.0, np.linalg.norm(T))
         with pytest.raises(NotMember, match=r"basis1\[0\] and basis2\[2\]"):
             model_from_bases([I], targets, lin_basis, field=field)
+
+    def test_residual_equal_to_the_bound_is_outside(self):
+        # The product E00 + t E01 with t = 2^-30 has residual t from
+        # span{E00}, exactly the bound t max(1, ||P||_F) = t: not below it,
+        # so membership says outside and so must model_from_bases.
+        t = 2.0**-30
+        tols = Tolerances(rel_rank_tol=t)
+        I = np.eye(2)
+        lin_basis, B = [cell(2, 0, 0).real], cell(2, 0, 0).real + t * cell(2, 0, 1).real
+        got = membership(subspace_from_matrices(lin_basis, field="real", tols=tols), B)
+        assert (got.inside, got.residual) == (False, t)
+        with pytest.raises(NotMember, match=r"basis1\[0\] and basis2\[0\] .* \(residual 9\.313e-10\)"):
+            model_from_bases([B], [I], lin_basis, field="real", tols=tols)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_non_orthonormal_bases_reproduce_every_product(self, field):

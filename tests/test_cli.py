@@ -14,12 +14,14 @@ import pytest
 import subspace_products
 from subspace_products import (
     cli,
+    core,
     curvature_measure,
     random_element,
     subspace_from_matrices,
 )
 from subspace_products.cli import main
 from subspace_products.serialization import (
+    _document,
     dumps_canonical,
     matrix_to_obj,
     save_obj,
@@ -35,27 +37,21 @@ def _not_json(constant):
 
 @pytest.fixture(autouse=True)
 def writer_matches_json_dumps(monkeypatch):
-    """Check every report and file the CLI writes, byte for byte, against the
-    standard library's indenting encoder, and that it parses as strict JSON,
-    with no NaN or Infinity."""
+    """Check every JSON report and file the CLI writes, all through the one
+    streaming writer of ``save_obj``, byte for byte against the standard
+    library's indenting encoder, and that it parses as strict JSON, with no
+    NaN or Infinity."""
     writes = SimpleNamespace(calls=0)
 
-    def checked_dumps(obj):
-        text = dumps_canonical(obj)
+    def checked_document(obj):
+        pieces = list(_document(obj))
+        text = "".join(pieces)
         assert text == json_dumps_text(obj)
         json.loads(text, parse_constant=_not_json)
         writes.calls += 1
-        return text
+        return pieces
 
-    def checked_save(obj, path):
-        save_obj(obj, path)
-        text = Path(path).read_text(encoding="utf-8")
-        assert text == json_dumps_text(obj)
-        json.loads(text, parse_constant=_not_json)
-        writes.calls += 1
-
-    monkeypatch.setattr(cli, "dumps_canonical", checked_dumps)
-    monkeypatch.setattr(cli, "save_obj", checked_save)
+    monkeypatch.setattr(cli, "_document", checked_document)
     return writes
 
 
@@ -461,6 +457,20 @@ class TestFactorCommand:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["factored"] and result["relative_residual"] < 1e-10
+
+    def test_one_membership_test_per_factor(self, capsys, tmp_path, lu_pair_files, monkeypatch):
+        A = np.random.default_rng(5).standard_normal((3, 3)) + np.eye(3) * 4
+        fa = tmp_path / "A.json"
+        save_obj(matrix_to_obj(A), str(fa))
+        tested = []
+        test = core._membership
+        monkeypatch.setattr(core, "_membership", lambda S, arr: tested.append(S.dim) or test(S, arr))
+        code, out = run(capsys, ["factor", str(fa), *lu_pair_files])
+        assert code == 0
+        # V1 in the 6-dimensional lower triangle, then V2 in the 4-dimensional
+        # unit upper triangle, each once; the report carries both residuals.
+        assert tested == [6, 4]
+        assert set(json.loads(out)["result"]["memberships"]) == {"V1", "V2"}
 
     def test_residual_where_the_squares_of_a_overflow(self, capsys, tmp_path):
         # ||A||_F squares entries of 1e200; the residual is measured in units

@@ -212,6 +212,64 @@ class TestProjectionKernel:
         np.testing.assert_array_equal(_projection(S, P), Q @ (Q.conj().T @ P))
 
 
+def same_bits(got, want):
+    """Equal dtypes and equal bits, so -0.0 is told from 0.0."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestFullSpaceCoordinates:
+    """Over all n-by-n matrices the orthonormal basis is the identity, and
+    ``_coordinates`` forms no product with it: coefficients, projections and
+    membership read bit for bit what the identity product gave."""
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_equal_to_the_identity_product(self, n, field):
+        W = subspace_from_matrices([cell(n, i, j) for j in range(n) for i in range(n)], field=field)
+        Q = W.ortho_basis
+        assert W.dim == n * n and np.array_equal(Q, np.eye(n * n))
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, n))
+        # -0.0 entries: in a column of negatives and in a mixed one.
+        negative = -np.abs(X)
+        negative[::2, 0] = -0.0
+        mixed = X.copy()
+        mixed[0, :] = -0.0
+        Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Z[1, :] = complex(-0.0, -0.0)
+        # Complex matrices against the real full space too.
+        for A in (X, negative, mixed, Z, Z.real + 1j * -0.0 * Z.imag):
+            v = A.reshape(-1, order="F")
+            coef = Q.conj().T @ v
+            if field == "real":
+                coef = coef.real
+            assert same_bits(W.coefficients(A), coef)
+            assert same_bits(W.project(A), (Q @ coef).reshape((n, n), order="F"))
+            w = v.astype(np.complex128)
+            spelled = Q.conj().T @ w
+            if field == "real":
+                spelled = spelled.real
+            residual = float(linalg.norm(w - Q @ spelled, check_finite=False))
+            got = membership(W, A)
+            assert got.residual == residual
+            assert got.inside is bool(residual < W.tol * max(1.0, np.linalg.norm(v)))
+        # A complex matrix is a member of the real full space only when real.
+        assert not membership(W, Z).inside if field == "real" else membership(W, Z).inside
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_extract_bilinear_takes_the_same_rule(self, field):
+        # LU at n = 3 has the full space as its linearization: the structure
+        # constants are the vectorized basis products, -0.0 read 0.0 (the
+        # complex products hold -0.0 parts).
+        S1, S2 = catalog("lower_triangular", 3, field), catalog("unit_upper_constant_diagonal", 3, field)
+        model = extract_bilinear(S1, S2)
+        assert model.l == 9
+        P = _vec_columns(_products(S1.basis_matrices()[:, None], S2.basis_matrices()[None]))
+        Q = np.eye(9, dtype=P.dtype)
+        assert same_bits(model.M.reshape(9, -1), Q.conj().T @ P)
+
+
 class TestNumericalRank:
     def test_independent(self):
         assert numerical_rank([(1, 0), (0, 1)]) == 2
