@@ -28,12 +28,7 @@ from .bilinear import (
 from .catalog import KINDS, CatalogSpec, make_subspace
 from .core import Tolerances, _check_int, _member_residual, _norm, random_unit_element
 from .errors import NoFactorization, NotMember, SingularWitness, SubspaceProductsError
-from .geometry import (
-    curvature_measure,
-    flatness_test,
-    product_map_rank,
-    sample_pair,
-)
+from .geometry import _normal_part, flatness_test, sample_pair, tangent_space
 from .pencil import (
     closedness_certificate,
     craig_sakamoto_check,
@@ -160,17 +155,18 @@ def _flatness(args, tols, S1, S2):
 
 
 def _curvature(args, tols, S1, S2):
-    _check_int("directions", args.directions, 1)
+    # Every direction shares the base point, so one tangent space serves
+    # them all; the seeded directions are members by construction.
     V1, V2 = sample_pair(S1, S2, args.seed)
+    T = tangent_space(S1, S2, V1, V2)
     norms = []
     for t in range(args.directions):
         s = args.seed + 1000 + 2 * t
         W1, W2 = random_unit_element(S1, s), random_unit_element(S2, s + 1)
-        sample = curvature_measure(S1, S2, V1, V2, W1, W2)
-        norms.append(sample.q_norm)
+        norms.append(_norm(_normal_part(T, W1, W2, W1, W2)))
     return {
         "base_seed": args.seed,
-        "tangent_dim": product_map_rank(S1, S2, V1, V2),
+        "tangent_dim": T.dim,
         "q_norms": norms,
         "max_q_norm": max(norms),
         "min_q_norm": min(norms),
@@ -346,14 +342,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# Count options, each of at least 1, that some commands take.
+_COUNTS = ("directions", "budget", "grid", "restarts", "max_iter")
+
+
+def _check_options(args) -> None:
+    """Check ``--seed`` and ``--trials``, which every report header
+    carries, then each count option the command takes, so that a bad value
+    is rejected before any input is read."""
+    _check_int("seed", args.seed, 0)
+    _check_int("trials", args.trials, 1)
+    for name in _COUNTS:
+        if hasattr(args, name):
+            _check_int(name, getattr(args, name), 1)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     _log.debug("command %s", args.command)
     handler, _, inputs, _ = _COMMANDS[args.command]
     try:
-        # Checked once for every command, since every report header carries both.
-        _check_int("seed", args.seed, 0)
-        _check_int("trials", args.trials, 1)
+        _check_options(args)
         tols = _tolerances(args)
         loaded = [read(getattr(args, name), tols) for name, read, *_ in inputs]
         result, verdict = handler(args, tols, *loaded)

@@ -197,13 +197,26 @@ def _tangent_products(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> np.ndar
     return np.concatenate([_products(V1, S2.basis_matrices()), _products(S1.basis_matrices(), V2)])
 
 
+def _tangent_at(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2):
+    """The point (V1, V2), each validated once as a member of its factor,
+    and the span T of V1 S2 + S1 V2 there, spanned once: (point, T)."""
+    point = _member_point(S1, S2, V1, V2)
+    return point, _subspace_from_stack(_tangent_products(S1, S2, *point), S1.field, S1.tols).subspace
+
+
+def _normal_part(T: MatrixSubspace, W1, W2, W1t, W2t) -> np.ndarray:
+    """(I - P)(W1 W2t + W1t W2), with P the projection onto the tangent
+    space T, for directions W1, W1t in S1 and W2, W2t in S2 given as
+    validated matrices; they are not tested for membership again."""
+    return T.project_out(_products(W1, W2t)[0] + _products(W1t, W2)[0])
+
+
 def tangent_space(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> MatrixSubspace:
     """Span of V1 S2 + S1 V2 at a member point (V1, V2).
 
     Its dimension is the rank of the product map at the point.
     """
-    P = _tangent_products(S1, S2, *_member_point(S1, S2, V1, V2))
-    return _subspace_from_stack(P, S1.field, S1.tols).subspace
+    return _tangent_at(S1, S2, V1, V2)[1]
 
 
 def product_map_rank(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> int:
@@ -221,18 +234,16 @@ def product_map_rank(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> int:
 def curvature_measure(
     S1: MatrixSubspace, S2: MatrixSubspace, V1, V2, W1, W2
 ) -> CurvatureSample:
-    """Twice the component of W1 W2 orthogonal to the tangent space at (V1, V2)."""
-    point = _member_point(S1, S2, V1, V2)
-    T = _subspace_from_stack(_tangent_products(S1, S2, *point), S1.field, S1.tols).subspace
+    """Twice the component of W1 W2 orthogonal to the tangent space at (V1, V2).
+
+    It is :func:`second_fundamental_form` at equal arguments, bit for bit:
+    W1 W2 + W1 W2 doubles exactly in floating point.
+    """
+    point, T = _tangent_at(S1, S2, V1, V2)
     W1a = require_member(S1, W1, name="W1")
     W2a = require_member(S2, W2, name="W2")
-    q = 2.0 * T.project_out(_products(W1a, W2a)[0])
-    return CurvatureSample(
-        base_point=point,
-        tangent_dim=T.dim,
-        q_value=q,
-        q_norm=_norm(q),
-    )
+    q = _normal_part(T, W1a, W2a, W1a, W2a)
+    return CurvatureSample(base_point=point, tangent_dim=T.dim, q_value=q, q_norm=_norm(q))
 
 
 def second_fundamental_form(
@@ -248,7 +259,7 @@ def second_fundamental_form(
     W2a = require_member(S2, W2, name="W2")
     W1b = require_member(S1, W1t, name="W1t")
     W2b = require_member(S2, W2t, name="W2t")
-    return T.project_out(_products(W1a, W2b)[0] + _products(W1b, W2a)[0])
+    return _normal_part(T, W1a, W2a, W1b, W2b)
 
 
 def _generic_point(S: MatrixSubspace, seed: int, P: Optional[np.ndarray]) -> np.ndarray:
@@ -277,8 +288,11 @@ def sample_pair(S1: MatrixSubspace, S2: MatrixSubspace, seed: int):
     Each factor is its seeded Gaussian member (:func:`random_element`),
     shifted toward the identity when the factor contains I (see
     :func:`_generic_point`); for isotropic directions use
-    :func:`random_element` directly.
+    :func:`random_element` directly.  The seed is checked first, then the
+    pair, as :func:`flatness_test` checks them.
     """
+    _check_int("seed", seed, 0)
+    check_same_space(S1, S2)
     return (
         _generic_point(S1, seed, _identity_part(S1)),
         _generic_point(S2, seed + 1, _identity_part(S2)),

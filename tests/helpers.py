@@ -9,11 +9,13 @@ from subspace_products import (
     CatalogSpec,
     NoFactorization,
     SingularWitness,
+    curvature_measure,
     factor_via_inverse_closed,
     linearization,
     make_subspace,
     membership,
     random_element,
+    random_unit_element,
     subspace_from_matrices,
     vec,
 )
@@ -416,3 +418,24 @@ def reference_flatness(S1, S2, trials=5, seed=0):
     else:
         lin = _sketched_linearization(S1, S2, np.random.default_rng(seed))
     return _sampled_verdict(S1, S2, lin, trials, seed, point)
+
+
+def reference_curvature(args, tols, S1, S2):
+    """Reference handler of CLI ``curvature``: one public
+    ``curvature_measure`` per direction, each spanning the tangent space and
+    testing its directions for membership, and ``tangent_dim`` from
+    ``product_map_rank``; the same base point and seeded directions."""
+    V1, V2 = sample_pair(S1, S2, args.seed)
+    norms = []
+    for t in range(args.directions):
+        s = args.seed + 1000 + 2 * t
+        W1, W2 = random_unit_element(S1, s), random_unit_element(S2, s + 1)
+        norms.append(curvature_measure(S1, S2, V1, V2, W1, W2).q_norm)
+    return {
+        "base_seed": args.seed,
+        "tangent_dim": product_map_rank(S1, S2, V1, V2),
+        "q_norms": norms,
+        "max_q_norm": max(norms),
+        "min_q_norm": min(norms),
+        "directions": args.directions,
+    }, True

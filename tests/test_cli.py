@@ -15,8 +15,9 @@ import subspace_products
 from subspace_products import (
     cli,
     core,
-    curvature_measure,
+    geometry,
     random_element,
+    random_unit_element,
     subspace_from_matrices,
 )
 from subspace_products.cli import main
@@ -28,7 +29,7 @@ from subspace_products.serialization import (
     subspace_to_obj,
     vector_to_obj,
 )
-from helpers import catalog, cell, json_dumps_text, random_complex
+from helpers import catalog, cell, json_dumps_text, random_complex, reference_curvature
 
 
 def _not_json(constant):
@@ -618,15 +619,17 @@ class TestCurvatureCommand:
     def test_directions_are_gaussian_draws(self, capsys, segre_pair_files, monkeypatch):
         # Base points sit near the identity (both factors contain it), but
         # the directions stay the seeded Gaussian members, unit-normalized.
-        seen = []
+        draws = []
 
-        def spy(S1, S2, V1, V2, W1, W2):
-            seen.append((S1, S2, W1, W2))
-            return curvature_measure(S1, S2, V1, V2, W1, W2)
+        def spy(S, seed):
+            draws.append((S, seed, random_unit_element(S, seed)))
+            return draws[-1][2]
 
-        monkeypatch.setattr(cli, "curvature_measure", spy)
+        monkeypatch.setattr(cli, "random_unit_element", spy)
         code, _ = run(capsys, ["curvature", *segre_pair_files, "--directions", "3", "--seed", "4"])
+        seen = [(S1, S2, W1, W2) for (S1, _, W1), (S2, _, W2) in zip(draws[::2], draws[1::2])]
         assert code == 0 and len(seen) == 3
+        assert [seed for _, seed, _ in draws] == [1004, 1005, 1006, 1007, 1008, 1009]
         for t, (S1, S2, W1, W2) in enumerate(seen):
             s = 4 + 1000 + 2 * t
             X1, X2 = random_element(S1, s), random_element(S2, s + 1)
@@ -636,6 +639,45 @@ class TestCurvatureCommand:
             np.testing.assert_allclose(
                 S1.coefficients(W1) * np.linalg.norm(X1), c[: S1.dim] + 1j * c[S1.dim:]
             )
+
+    @pytest.mark.parametrize("flags", [(), ("--directions", "3", "--seed", "5")])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind1, kind2, params", [
+        ("lower_triangular", "unit_upper_constant_diagonal", {}),
+        ("circulant", "diagonal", {}),
+        ("rank_cols", "rank_rows", {"k": 2}),
+        ("symmetric", "persymmetric_constant_antidiagonal", {}),
+    ])
+    def test_report_matches_a_span_per_direction(
+        self, capsys, monkeypatch, tmp_path, kind1, kind2, params, n, field, flags
+    ):
+        files = [str(tmp_path / "s1.json"), str(tmp_path / "s2.json")]
+        for kind, path in zip((kind1, kind2), files):
+            save_obj(subspace_to_obj(catalog(kind, n, field, **params)), path)
+        argv = ["curvature", *files, *flags]
+        got = run(capsys, argv)
+        _, *row = cli._COMMANDS["curvature"]
+        monkeypatch.setitem(cli._COMMANDS, "curvature", (reference_curvature, *row))
+        assert got == run(capsys, argv)
+
+    @pytest.mark.parametrize("directions", ["1", "20"])
+    def test_one_tangent_span_for_every_direction(
+        self, capsys, monkeypatch, lu_pair_files, directions
+    ):
+        spans = []
+
+        def spy(P, field, tols, span=core._subspace_from_stack):
+            spans.append(len(P))
+            return span(P, field, tols)
+
+        monkeypatch.setattr(core, "_subspace_from_stack", spy)
+        monkeypatch.setattr(geometry, "_subspace_from_stack", spy)
+        code, out = run(capsys, ["curvature", *lu_pair_files, "--directions", directions])
+        # The two file loads, then the tangent stack of S1.dim + S2.dim = 10
+        # products at the base point.
+        assert code == 0 and spans == [6, 4, 10]
+        assert json.loads(out)["result"]["tangent_dim"] == 9
 
 
 class TestInputErrors:
@@ -759,6 +801,24 @@ class TestCountsBelowOne:
     def test_curvature_directions_zero(self, capsys, tmp_path, segre_pair_files):
         self.rejects(capsys, tmp_path, ["curvature", *segre_pair_files, "--directions", "0"],
                      "directions must be at least 1, got 0")
+
+    @pytest.mark.parametrize("command, inputs, option, name", [
+        ("curvature", 2, "--directions", "directions"),
+        ("analyze", 2, "--budget", "budget"),
+        ("closedness", 2, "--budget", "budget"),
+        ("cs", 2, "--grid", "grid"),
+        ("solve", 3, "--restarts", "restarts"),
+        ("solve", 3, "--max-iter", "max_iter"),
+    ])
+    def test_checked_before_the_inputs_are_read(
+        self, capsys, tmp_path, command, inputs, option, name
+    ):
+        # No input file exists, so a check after reading would report that.
+        missing = [str(tmp_path / f"missing{i}.json") for i in range(inputs)]
+        assert main([command, *missing, option, "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be at least 1, got 0\n"
 
 
 class TestToleranceFlags:

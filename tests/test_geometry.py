@@ -542,14 +542,22 @@ class TestCurvature:
 
 
 class TestSecondFundamentalForm:
-    def test_diagonal_equals_curvature(self):
-        cols = catalog("rank_cols", 2, k=1)
-        rows = catalog("rank_rows", 2, k=1)
-        V1, V2 = sample_pair(cols, rows, 3)
-        W1, W2 = sample_pair(cols, rows, 17)
-        sample = curvature_measure(cols, rows, V1, V2, W1, W2)
-        form = second_fundamental_form(cols, rows, V1, V2, W1, W2, W1, W2)
-        np.testing.assert_allclose(form, sample.q_value, atol=1e-12)
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kinds, n, params", [
+        (("rank_cols", "rank_rows"), 2, {"k": 1}),
+        (("circulant", "diagonal"), 4, {}),
+        (("symmetric", "persymmetric_constant_antidiagonal"), 4, {}),
+        (("upper_triangular", "upper_triangular"), 4, {}),
+    ])
+    def test_diagonal_equals_curvature(self, kinds, n, params, field):
+        # W1 W2 + W1 W2 doubles exactly, so the two agree in every bit.
+        S1, S2 = (catalog(kind, n, field, **params) for kind in kinds)
+        V1, V2 = sample_pair(S1, S2, 3)
+        W1, W2 = sample_pair(S1, S2, 17)
+        sample = curvature_measure(S1, S2, V1, V2, W1, W2)
+        form = second_fundamental_form(S1, S2, V1, V2, W1, W2, W1, W2)
+        assert sample.tangent_dim == tangent_space(S1, S2, V1, V2).dim
+        np.testing.assert_array_equal(form, sample.q_value)
 
     def test_flat_case_vanishes(self):
         L = catalog("lower_triangular", 3)

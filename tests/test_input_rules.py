@@ -23,7 +23,6 @@ from subspace_products import (
     NotMember,
     RealFieldViolation,
     SizeMismatch,
-    Tolerances,
     ZeroSubspace,
     chain_factor,
     closedness_certificate,
@@ -51,10 +50,11 @@ from subspace_products import (
     second_fundamental_form,
     solve_bilinear,
     subspace_from_matrices,
+    subspace_sum,
     tangent_space,
     zero_product_probe,
 )
-from subspace_products.cli import _curvature
+from subspace_products.cli import _check_options
 from subspace_products.core import as_square_matrix
 from subspace_products.serialization import model_from_obj, model_to_obj
 from helpers import catalog
@@ -204,7 +204,12 @@ SEEDED = {
 
 
 # Every public function of two subspaces that checks the pair: a call on
-# (S1, S2) with every other input valid for S1.
+# (S1, S2) with every other input valid for S1.  D3 contains I, so I of
+# side S1.n is a valid point and direction.
+def _at_identity(f, count):
+    return lambda S1, S2: f(S1, S2, *[np.eye(S1.n)] * count)
+
+
 PAIR_CALLERS = {
     "flatness_test": flatness_test,
     "factorizability_check": lambda S1, S2: factorizability_check(S1, S1, S2),
@@ -214,7 +219,15 @@ PAIR_CALLERS = {
     "closedness_certificate": closedness_certificate,
     "factor_via_inverse_closed": lambda S1, S2: factor_via_inverse_closed(np.eye(S1.n), S1, S2),
     "normalize_pair": normalize_pair,
+    "sample_pair": lambda S1, S2: sample_pair(S1, S2, 0),
+    "tangent_space": _at_identity(tangent_space, 2),
+    "product_map_rank": _at_identity(product_map_rank, 2),
+    "curvature_measure": _at_identity(curvature_measure, 4),
+    "second_fundamental_form": _at_identity(second_fundamental_form, 6),
+    "subspace_sum": subspace_sum,
 }
+# Two subspaces of other sides or fields are unequal by contract.
+PAIR_EXCEPTIONS = {"subspaces_equal"}
 
 
 @pytest.mark.parametrize("caller", list(PAIR_CALLERS))
@@ -224,6 +237,20 @@ def test_pair_of_other_sides_or_fields_is_rejected(caller):
         call(D3, catalog("diagonal", 4, "real"))
     with pytest.raises(FieldMismatch, match=r"^subspace fields differ: real vs complex$"):
         call(D3, catalog("diagonal", 3, "complex"))
+
+
+def test_every_public_function_of_two_subspaces_is_covered():
+    public = {
+        name for name, f in vars(subspace_products).items()
+        if not name.startswith("_") and inspect.isfunction(f)
+        and {"S1", "S2"} <= inspect.signature(f).parameters.keys()
+    }
+    assert public == set(PAIR_CALLERS) | PAIR_EXCEPTIONS
+
+
+def test_sample_pair_checks_the_seed_before_the_pair():
+    with pytest.raises(BadParameters, match=r"^seed must be a nonnegative integer, got -1$"):
+        sample_pair(D3, catalog("diagonal", 4, "real"), -1)
 
 
 def test_flatness_rejects_a_zero_factor_before_the_pair():
@@ -259,8 +286,7 @@ COUNTS = {
     "budget": lambda v: zero_product_probe(D3, D3, budget=v),
     "closedness budget": lambda v: closedness_certificate(D3, D3, budget=v),
     "grid": lambda v: craig_sakamoto_check(I2, I2, grid=v),
-    "directions": lambda v: _curvature(
-        argparse.Namespace(directions=v, seed=0), Tolerances(), D3, D3),
+    "directions": lambda v: _check_options(argparse.Namespace(seed=0, trials=5, directions=v)),
 }
 
 
