@@ -245,6 +245,14 @@ def matrix_rank(M, tols: Optional[Tolerances] = None) -> int:
     return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), tols)
 
 
+def _ranks(stack: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """Numerical rank of each matrix of a (K, m, N) stack: one batched SVD
+    without singular vectors, each row of singular values judged by
+    :func:`rank_from_singular_values`, as :func:`matrix_rank` judges one."""
+    singular_values = np.linalg.svd(stack, compute_uv=False)
+    return np.array([rank_from_singular_values(s, tols) for s in singular_values])
+
+
 _Svd = namedtuple("_Svd", "rank range s vh null")
 
 
@@ -438,6 +446,36 @@ def _full_space(
         raw_basis = identity.reshape(n * n, n, n).transpose(0, 2, 1)
     return MatrixSubspace(
         n=n, field=field, raw_basis=raw_basis, dim=n * n, ortho_basis=identity, tols=tols
+    )
+
+
+def _real_form(S: MatrixSubspace) -> Optional[MatrixSubspace]:
+    """The real form of a complex S spanned by real matrices: S over the
+    real field, when both ``raw_basis`` and ``ortho_basis`` of S have
+    exactly zero imaginary parts; else (and for a real S) None.
+
+    Its bases are copies of their real parts, so no SVD is needed: real
+    orthonormal columns are orthonormal over either field, and the real
+    span whose complexification is S is the real span of any real basis of
+    S."""
+    if S.field != COMPLEX or S.raw_basis.imag.any() or S.ortho_basis.imag.any():
+        return None
+    return MatrixSubspace(
+        n=S.n, field=REAL, raw_basis=np.array(S.raw_basis.real), dim=S.dim,
+        ortho_basis=np.array(S.ortho_basis.real), tols=S.tols,
+    )
+
+
+def _complexified(S: MatrixSubspace) -> MatrixSubspace:
+    """The complex span of a real S, with its bases cast to complex128; a
+    span of all n-by-n matrices is :func:`_full_space` over the cast
+    ``raw_basis``, as every such span is."""
+    raw = S.raw_basis.astype(np.complex128)
+    if S.dim == S.n * S.n:
+        return _full_space(S.n, COMPLEX, S.tols, raw)
+    return MatrixSubspace(
+        n=S.n, field=COMPLEX, raw_basis=raw, dim=S.dim,
+        ortho_basis=S.ortho_basis.astype(np.complex128), tols=S.tols,
     )
 
 

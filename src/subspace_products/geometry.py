@@ -10,7 +10,7 @@ set is flat, i.e. equals its linearization.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -19,11 +19,13 @@ from .core import (
     MatrixSubspace,
     _as_square_stack,
     _check_int,
+    _complexified,
     _full_space,
     _gaussian_coefficients,
     _identity_part,
     _norm,
     _products,
+    _real_form,
     _rng,
     _subspace_from_stack,
     _vec_columns,
@@ -55,7 +57,9 @@ class ProductAnalysis:
     linearization dimension; a curved verdict is a sampled claim backed by
     at least three trials agreeing on the maximal observed rank.  The
     points are those of :func:`sample_pair`, near I in each factor that
-    contains I.  ``sampled_ranks`` lists every trial as (seed, rank); it
+    contains I; for a complex pair whose factors both have real bases,
+    those of its real forms (see :func:`flatness_test`).
+    ``sampled_ranks`` lists every trial as (seed, rank); it
     ends at the first of rank ``lin_dim``, so on a flat pair ``trials`` can
     fall below the number requested.
 
@@ -66,7 +70,8 @@ class ProductAnalysis:
     ``_SKETCH_OVERSAMPLING`` (8) below their number; its ``raw_basis``
     holds those products, not the basis products ``B_s C_t`` of
     :func:`linearization`, except when there are no more basis products
-    than a block would draw and every one of them is used.
+    than a block would draw and every one of them is used.  For a complex
+    pair with real bases it is that of the real forms, complexified.
     """
 
     lin_dim: int
@@ -283,7 +288,10 @@ def _generic_point(S: MatrixSubspace, seed: int, P: Optional[np.ndarray]) -> np.
 
 def sample_pair(S1: MatrixSubspace, S2: MatrixSubspace, seed: int):
     """Deterministic generic point of the pair, the one a flatness trial
-    samples: seeds (seed, seed + 1).
+    samples: seeds (seed, seed + 1).  A flatness trial on a complex pair
+    whose factors both have real bases samples the point of its real forms
+    instead (see :func:`flatness_test`); this function always samples in
+    the pair's own field.
 
     Each factor is its seeded Gaussian member (:func:`random_element`),
     shifted toward the identity when the factor contains I (see
@@ -308,7 +316,8 @@ def flatness_test(
     dimension ``lin_dim``, which proves flatness.  Otherwise the verdict is
     curved, and sampling continues past ``trials`` (at most 25 more)
     until three points agree on the maximal observed rank.  Trial t
-    samples the point of :func:`sample_pair` at seed ``seed + 2 t``, so
+    samples the point of :func:`sample_pair` at seed ``seed + 2 t`` (of the
+    real forms for a complex pair with real bases; see below), so
     reports are reproducible: near I in a factor that contains I, at
     P + X / (2 ||X||_2), and at its Gaussian member X in any other factor.
     The pair is checked on entry; the trial points are members by
@@ -320,12 +329,35 @@ def flatness_test(
     Otherwise sampled products drawn from a generator of its own, seeded
     with ``seed``, span it, so the trial ranks do not depend on it (see
     :class:`ProductAnalysis`).
+
+    A complex pair whose factors both have real bases (see
+    :func:`~subspace_products.core._real_form`) is the complexification of
+    its real forms, and is decided in them at the cost of the real field:
+    each minor of the tangent stack is a polynomial with real coefficients,
+    which vanishes on all real points only if it is zero, so the generic
+    rank and the linearization dimension are those of the real forms.  Its
+    trial points and sketch are those of the real forms, drawn with the
+    same seeds: their coefficients are the real parts of the complex draws.
+    ``lin_basis_ref`` is the real forms' linearization, complexified.
     """
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
     if S1.dim == 0 or S2.dim == 0:
         raise ZeroSubspace("flatness analysis requires nonzero subspaces")
     check_same_space(S1, S2)
+    R1 = _real_form(S1)
+    R2 = _real_form(S2) if R1 is not None else None
+    if R2 is None:
+        return _sampled_flatness(S1, S2, trials, seed)
+    _log.debug("S1 and S2 have real bases: the verdict is decided in their real forms")
+    report = _sampled_flatness(R1, R2, trials, seed)
+    return replace(report, lin_basis_ref=_complexified(report.lin_basis_ref))
+
+
+def _sampled_flatness(
+    S1: MatrixSubspace, S2: MatrixSubspace, trials: int, seed: int
+) -> ProductAnalysis:
+    """The trial loop and sketch of :func:`flatness_test`, for a checked pair."""
     # Each factor's identity test and P(I), once for every trial point.
     P1, P2 = _identity_part(S1), _identity_part(S2)
     for k, P in enumerate((P1, P2), 1):

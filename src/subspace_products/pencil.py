@@ -26,6 +26,7 @@ from .core import (
     _members,
     _norm,
     _products,
+    _ranks,
     _rng,
     _svd,
     check_same_space,
@@ -259,7 +260,8 @@ def craig_sakamoto_check(
 
 
 def _cluster_eigenvalues(ev: np.ndarray, scale: float) -> list:
-    """Merge eigenvalues with gaps small relative to ``scale``; returns cluster means."""
+    """Merge eigenvalues with gaps small relative to ``scale``; returns cluster
+    means, and a one-member cluster's own eigenvalue."""
     thresh = _EIG_CLUSTER_RTOL * scale
     order = np.lexsort((ev.imag, ev.real))
     clusters = []
@@ -270,7 +272,7 @@ def _cluster_eigenvalues(ev: np.ndarray, scale: float) -> list:
                 break
         else:
             clusters.append([lam])
-    return [np.mean(cl) for cl in clusters]
+    return [cl[0] if len(cl) == 1 else np.mean(cl) for cl in clusters]
 
 
 def _minrank_dim2_eigen(S: MatrixSubspace, seed: int) -> MinrankReport:
@@ -280,18 +282,21 @@ def _minrank_dim2_eigen(S: MatrixSubspace, seed: int) -> MinrankReport:
     # W1 has the scale of 1 / Y: eigenvalue gaps and the ranks of W1 - lam I
     # are judged relative to ||W1||, so that no absolute floor decides them.
     unit = _norm(W1)
+    clusters = _cluster_eigenvalues(ev, unit)
+    if S.field == REAL:
+        # complex eigenvalues are unreachable with real coefficients
+        clusters = [lam.real for lam in clusters if abs(lam.imag) <= _EIG_CLUSTER_RTOL * unit]
+    I = np.eye(n, dtype=W1.dtype)
     best_gm = 0
-    best_lam = None
-    for lam in _cluster_eigenvalues(ev, unit):
-        if S.field == REAL and abs(lam.imag) > _EIG_CLUSTER_RTOL * unit:
-            continue  # complex eigenvalues are unreachable with real coefficients
-        lam_eff = lam.real if S.field == REAL else lam
-        gm = n - matrix_rank((W1 - lam_eff * np.eye(n, dtype=W1.dtype)) / unit, S.tols)
-        if gm > best_gm:
-            best_gm, best_lam = gm, lam_eff
+    if clusters:
+        # Every shift ranked by one batched SVD; the first of maximal
+        # multiplicity is kept.
+        gms = n - _ranks((W1 - np.array(clusters)[:, None, None] * I) / unit, S.tols)
+        k = int(np.argmax(gms))
+        best_gm, best_lam = int(gms[k]), clusters[k]
     if best_gm == 0:
         return MinrankReport(value=n, certified=True, witness=Y / _norm(Y), method="dim2_eigen")
-    witness = (W1 - best_lam * np.eye(n, dtype=W1.dtype)) @ Y
+    witness = (W1 - best_lam * I) @ Y
     witness = witness / _norm(witness)
     return MinrankReport(
         value=n - best_gm, certified=True, witness=witness, method="dim2_eigen"

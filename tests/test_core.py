@@ -38,6 +38,7 @@ from subspace_products.core import (
     _norm,
     _products,
     _projection,
+    _ranks,
     _reduced_stack,
     _subspace_from_stack,
     _svd,
@@ -304,6 +305,22 @@ class TestMatrixRank:
 
     def test_below_absolute_floor_is_zero(self):
         assert matrix_rank(1e-13 * np.eye(2)) == 0
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_batched_ranks_are_those_of_matrix_rank(self, field):
+        # Square members of full and lower rank, one below the absolute
+        # floor, one with singular values either side of the relative cutoff,
+        # and zero.
+        stack = np.array([stack_with_singular_values(sigma, 5, field, seed=i)
+                          for i, sigma in enumerate([
+                              [1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 0.5, 1e-3, 0.0, 0.0],
+                              [3.0, 0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, 0.0, 0.0, 0.0],
+                              [1.0, 1.0, 2e-8, 0.5e-8, 0.0], [0.0] * 5,
+                          ])])
+        tols = Tolerances()
+        want = [matrix_rank(M, tols) for M in stack]
+        assert want == [5, 3, 1, 0, 3, 0]
+        assert _ranks(stack, tols).tolist() == want
 
 
 def stack_with_singular_values(sigma, N, field, seed=0):

@@ -31,6 +31,7 @@ from subspace_products import (
 )
 from subspace_products import core, geometry
 from subspace_products.cli import main
+from subspace_products.core import _complexified, _real_form
 from subspace_products.geometry import _identity_part, _sketched_linearization
 from subspace_products.serialization import save_obj, subspace_to_obj
 from helpers import (
@@ -258,6 +259,15 @@ def transported_lu(n):
     U = catalog("unit_upper_constant_diagonal", n, "real")
     Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((n, n)))
     return equivalence_transform(L, np.eye(n), Q), equivalence_transform(U, Q, np.eye(n))
+
+
+def moved_by_complex(S1, S2):
+    """The pair moved to (X S1, S2 X^{-1}) by the complex X = I + i G / ||G||,
+    with G Gaussian from ``default_rng(2)``: its product set is X (S1 S2)
+    X^{-1}, of the same dimensions, and neither factor has a real basis."""
+    G = np.random.default_rng(2).standard_normal((S1.n, S1.n))
+    X = np.eye(S1.n) + 1j * G / np.linalg.norm(G)
+    return equivalence_transform(S1, X, np.eye(S1.n)), equivalence_transform(S2, np.eye(S1.n), X)
 
 
 def spy_on_sketch(monkeypatch):
@@ -770,15 +780,25 @@ class TestFlatnessWithoutMembershipTests:
     """``flatness_test`` checks the pair on entry and ranks its trial
     points, which are members by construction, without testing them again."""
 
-    @pytest.mark.parametrize("field,n", [("real", 6), ("complex", 5)])
+    @pytest.mark.parametrize("case,n", [
+        ("real", 6), ("complex", 4), ("complex", 5), ("complex moved", 5),
+    ])
     @pytest.mark.parametrize("kind1,kind2,params", REFERENCE_PAIRS)
-    def test_report_equals_the_tested_reference(self, kind1, kind2, params, field, n):
+    def test_report_equals_the_tested_reference(self, kind1, kind2, params, case, n):
+        field = case.split()[0]
         S1, S2 = catalog(kind1, n, field, **params), catalog(kind2, n, field, **params)
+        if case == "complex moved":
+            S1, S2 = moved_by_complex(S1, S2)
         for seed in (0, 3):
             got, want = flatness_test(S1, S2, seed=seed), reference_flatness(S1, S2, seed=seed)
             assert got.to_dict() == want.to_dict()
-            for a, b in ((got.lin_basis_ref.raw_basis, want.lin_basis_ref.raw_basis),
-                         (got.lin_basis_ref.ortho_basis, want.lin_basis_ref.ortho_basis),
+            lin = want.lin_basis_ref
+            if case == "complex":
+                # Real bases: the sketch is that of the real forms, complexified.
+                R1, R2 = _real_form(S1), _real_form(S2)
+                lin = _complexified(reference_flatness(R1, R2, seed=seed).lin_basis_ref)
+            for a, b in ((got.lin_basis_ref.raw_basis, lin.raw_basis),
+                         (got.lin_basis_ref.ortho_basis, lin.ortho_basis),
                          *zip(sample_pair(S1, S2, seed), (reference_point(S1, seed),
                                                           reference_point(S2, seed + 1)))):
                 assert a.dtype == b.dtype
@@ -834,6 +854,98 @@ class TestFlatnessWithoutMembershipTests:
             assert (_identity_part(S) is not None) == inside
             found.append(inside)
         assert found[-2:] == [False, True] and any(found[:-2]) and not all(found[:-2])
+
+
+class TestRealFormsOfComplexPairs:
+    """A complex pair whose factors both have real bases is decided in its
+    real forms; every other complex pair keeps the complex trial loop."""
+
+    EVENT = "S1 and S2 have real bases: the verdict is decided in their real forms"
+
+    @staticmethod
+    def loop_fields(monkeypatch):
+        fields = []
+        loop = geometry._sampled_flatness
+
+        def spy(S1, S2, *args):
+            fields.append((S1.field, S2.field))
+            return loop(S1, S2, *args)
+
+        monkeypatch.setattr(geometry, "_sampled_flatness", spy)
+        return fields
+
+    def test_real_form_and_back(self):
+        S = catalog("upper_triangular", 4, "complex")
+        R = _real_form(S)
+        assert (R.field, R.dim, R.tols) == ("real", S.dim, S.tols)
+        assert R.raw_basis.dtype == R.ortho_basis.dtype == np.float64
+        assert subspaces_equal(R, catalog("upper_triangular", 4, "real"))
+        back = _complexified(R)
+        for a, b in ((back.raw_basis, S.raw_basis), (back.ortho_basis, S.ortho_basis)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert _real_form(catalog("upper_triangular", 4, "real")) is None
+        assert _real_form(subspace_from_matrices([np.eye(2), 1j * cell(2, 0, 1)])) is None
+
+    def test_complexified_full_space_has_the_identity_basis(self):
+        full = _complexified(core._full_space(3, "real", core.Tolerances()))
+        want = core._full_space(3, "complex", core.Tolerances())
+        assert (full.field, full.dim) == ("complex", 9)
+        for a, b in ((full.raw_basis, want.raw_basis), (full.ortho_basis, want.ortho_basis)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_real_forms_exactly_when_both_bases_are_real(self, monkeypatch, caplog):
+        S1, S2 = catalog("circulant", 5, "complex"), catalog("diagonal", 5, "complex")
+        M1, M2 = moved_by_complex(S1, S2)
+        R1, R2 = catalog("circulant", 5, "real"), catalog("diagonal", 5, "real")
+        fields = self.loop_fields(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="subspace_products"):
+            for pair in ((S1, S2), (R1, R2), (M1, S2), (S1, M2), (M1, M2)):
+                flatness_test(*pair)
+        assert fields == [("real", "real")] * 2 + [("complex", "complex")] * 3
+        assert [r.getMessage() for r in caplog.records].count(self.EVENT) == 1
+
+    def test_events_are_those_of_the_real_forms(self, caplog):
+        events = []
+        for field in ("complex", "real"):
+            L, U = catalog("lower_triangular", 4, field), catalog("unit_upper_constant_diagonal", 4, field)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="subspace_products"):
+                flatness_test(L, U)
+            events.append([r.getMessage() for r in caplog.records])
+        assert events[0] == [self.EVENT] + events[1]
+
+    def test_the_public_test_runs_once_per_call(self, monkeypatch):
+        calls = []
+        public = geometry.flatness_test
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return public(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "flatness_test", counted)
+        S1 = catalog("lower_triangular", 4, "complex")
+        S2 = catalog("unit_upper_constant_diagonal", 4, "complex")
+        W = subspace_from_matrices([cell(4, i, j) for i in range(4) for j in range(4)])
+        report = geometry.flatness_test(S1, S2)
+        assert len(calls) == 1 and report.trials == 1
+        verdict, _ = geometry.factorizability_check(W, S1, S2)
+        assert len(calls) == 2 and verdict
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("kind1,kind2,params", REFERENCE_PAIRS)
+    def test_factorizability_verdicts_are_unchanged(self, kind1, kind2, params, n):
+        # Verdicts as the complex trial loop reaches them, against the
+        # enumerated linearization and against all n-by-n matrices.
+        S1, S2 = catalog(kind1, n, "complex", **params), catalog(kind2, n, "complex", **params)
+        full = subspace_from_matrices([cell(n, i, j) for i in range(n) for j in range(n)])
+        want = reference_flatness(S1, S2)
+        for W in (linearization(S1, S2), full):
+            dims_ok = 1 < min(S1.dim, S2.dim) and max(S1.dim, S2.dim) < W.dim
+            verdict, report = factorizability_check(W, S1, S2)
+            assert report.to_dict() == want.to_dict()
+            assert verdict == (dims_ok and want.flat and subspaces_equal(want.lin_basis_ref, W))
 
 
 class TestStopAtLinDim:

@@ -24,7 +24,7 @@ from subspace_products import (
     vec,
     zero_product_probe,
 )
-from subspace_products.core import _norm
+from subspace_products.core import _norm, matrix_rank
 from helpers import catalog, cell, random_complex, sequential_probe
 
 
@@ -306,6 +306,35 @@ class TestMinrank:
         rep = minrank(S)
         assert rep.value == 1 and rep.certified
         assert membership(S, rep.witness).residual < 1e-6
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("diag", [
+        [2.0, 2.0, 5.0, 5.0], [5.0, 5.0, 2.0, 2.0], [1.0, 3.0, 3.0, 3.0], [1.0, 2.0, 3.0, 4.0],
+    ])
+    def test_batched_shifts_keep_the_first_maximal_multiplicity(self, diag, field):
+        # The reference ranks one shift at a time and keeps a shift only when
+        # it beats every earlier one: the first of maximal multiplicity.
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+        S = spanIX(X @ np.diag(diag) @ np.linalg.inv(X), field)
+        W1, Y = normalize_pencil(S, seed=0)
+        unit = _norm(W1)
+        best_gm, best_lam = 0, None
+        for lam in pencil._cluster_eigenvalues(np.linalg.eigvals(W1), unit):
+            lam = lam.real if field == "real" else lam
+            gm = 4 - matrix_rank((W1 - lam * np.eye(4, dtype=W1.dtype)) / unit, S.tols)
+            if gm > best_gm:
+                best_gm, best_lam = gm, lam
+        witness = (W1 - best_lam * np.eye(4, dtype=W1.dtype)) @ Y
+        rep = minrank(S)
+        assert (rep.value, rep.certified, rep.method) == (4 - best_gm, True, "dim2_eigen")
+        np.testing.assert_array_equal(rep.witness, witness / _norm(witness))
+
+    def test_clusters_in_sorted_order_one_member_ones_unaveraged(self):
+        # Sorted by real part, then merged where gaps are below 1e-8 * scale.
+        ev = np.array([0.7 - 0.25j, 2.0 + 0j, 2.0 + 1e-14j, 1.0 / 3.0 + 0.1j])
+        got = pencil._cluster_eigenvalues(ev, 1.0)
+        assert got == [ev[3], ev[0], np.mean(ev[1:3])]
 
     def test_sampled_upper_bound_three_dims(self):
         S = subspace_from_matrices([cell(2, 0, 0), cell(2, 0, 1), cell(2, 1, 1)])
