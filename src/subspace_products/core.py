@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import linalg
 
 from .errors import (
     BadParameters,
@@ -41,6 +40,9 @@ FIELDS = (REAL, COMPLEX)
 # Matrices per block of the transposing copy in :func:`_vec_columns`, and
 # columns per block of the residuals in :func:`_least_squares`.
 _VEC_BLOCK = 128
+# Sums of squares that :func:`_norm` takes as they are: inside it, no square
+# overflowed, and squares that underflowed cannot move the sum.
+_SQUARES_RANGE = (1e-280, 1e280)
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,10 @@ def _certified_full_rank(stack: np.ndarray, tols: Tolerances) -> bool:
     shows lambda_min(A A^H) > (2 rel_rank_tol)^2 s: the 4 (N + m + 2) eps
     term covers the rounding of the Gram product (gamma_N), of the trace
     and the shift, and of the factorization (gamma_{m+1}; S. M. Rump,
-    Acta Numerica 19, 2010), with room for complex arithmetic.
+    Acta Numerica 19, 2010), with room for complex arithmetic.  The bound
+    holds for any Gram product and Cholesky in standard rounding: here
+    numpy's ``A @ A.conj().T`` and ``np.linalg.cholesky``, which factors
+    the Hermitian matrix of the computed lower triangle.
     Then sigma_m > 2 rel_rank_tol ||A||_F >= 2 rel_rank_tol sigma_1, and
     sigma_m > sqrt(8 (m + 1) eps) sigma_1 > 5e-8 sigma_1 whatever the
     tolerance, far above the rounding of an SVD, so the computed singular
@@ -213,18 +218,17 @@ def _certified_full_rank(stack: np.ndarray, tols: Tolerances) -> bool:
     if not 0.0 < scale < np.inf:
         return False
     A = stack / scale
-    # One rank-N update writes the upper triangle of conj(A A^H), which has
-    # the eigenvalues of A A^H, as a Fortran-ordered array that potrf reads
-    # and factors in place.
-    rank_update = linalg.get_blas_funcs("herk" if np.iscomplexobj(A) else "syrk", (A,))
-    G = rank_update(1.0, A.T, trans=2)
+    # A.conj() of a real A is A itself, so numpy forms A A^T by one rank-N
+    # update (syrk); A A^H of a complex A is a general product (gemm).
+    G = A @ A.conj().T
     s = float(np.trace(G).real)
     if math.sqrt(s) * scale < 2.0 * math.sqrt(m) * tols.abs_floor:
         return False
     t = (2.0 * tols.rel_rank_tol) ** 2 + 4.0 * (N + m + 2) * np.finfo(np.float64).eps
     G[np.diag_indices(m)] -= t * s
-    potrf = linalg.get_lapack_funcs("potrf", (G,))
-    if potrf(G, overwrite_a=True, clean=False)[1] != 0:
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
         return False
     _log.debug("full rank %d certified by Cholesky of the shifted Gram matrix", m)
     return True
@@ -268,13 +272,38 @@ def _svd(M: np.ndarray, tols: Tolerances) -> _Svd:
 
 def _norm(X: np.ndarray, axis: Optional[int] = None):
     """The Frobenius norm of X, or with ``axis=0`` that of each column of a 2-d
-    X: the one norm of data a caller scales.  BLAS nrm2 scales as it sums, so
-    only a norm past the largest float overflows, not squares past 1e154."""
-    nrm2 = linalg.get_blas_funcs("nrm2", (X,))
+    X: the one norm of data a caller scales.
+
+    A norm is the square root of a sum of squares (one BLAS dot for a whole
+    array) when that sum lies in ``_SQUARES_RANGE``: then no square
+    overflowed, and those that underflowed are below the sum's rounding.
+    Otherwise it is the same sum over X divided by its largest absolute
+    entry, times that entry.  So only a norm past the largest float
+    overflows, not squares past 1e154, and entries whose squares underflow
+    keep their norm.  NaN gives NaN, and Inf gives Inf."""
+    # Neither np.vdot nor np.einsum warns when a square overflows; np.dot
+    # and matmul do.
     if axis is None:
-        return float(nrm2(X.ravel()))
-    (m, K), flat = X.shape, np.ascontiguousarray(X).ravel()
-    return np.array([nrm2(flat, m, k, K) for k in range(K)])
+        sum_sq = np.vdot(X, X).real
+        if _SQUARES_RANGE[0] < sum_sq < _SQUARES_RANGE[1]:
+            return math.sqrt(sum_sq)
+        peak = float(np.max(np.abs(X), initial=0.0))
+        if not 0.0 < peak < math.inf:  # zero, Inf or NaN
+            return peak
+        X = X / peak
+        return peak * math.sqrt(np.vdot(X, X).real)
+    # The columns of X with a complex entry as its two parts side by side.
+    parts = np.ascontiguousarray(X).view(np.float64)
+    sum_sq = np.einsum("ij,ij->j", parts, parts)
+    if np.iscomplexobj(X):
+        sum_sq = sum_sq[0::2] + sum_sq[1::2]
+    norms = np.sqrt(sum_sq)
+    out_of_range = ~((_SQUARES_RANGE[0] < sum_sq) & (sum_sq < _SQUARES_RANGE[1]))
+    if out_of_range.any():
+        # A zero column is out of range too, and its norm is already 0.
+        for k in np.flatnonzero(out_of_range & X.any(axis=0)):
+            norms[k] = _norm(X[:, k])
+    return norms
 
 
 def _least_squares(d: _Svd, B: np.ndarray) -> Tuple[np.ndarray, ...]:

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     MatrixSubspace,
     _as_square_stack,
+    _certified_full_rank,
     _check_int,
     _complexified,
     _full_space,
@@ -161,10 +162,13 @@ def _sketched_linearization(
     below their number has stalled at the full dimension.  The first block
     draws S1.dim + S2.dim + ``_SKETCH_OVERSAMPLING`` products.  If it has
     not stalled, a second block tops it up to n^2 + ``_SKETCH_OVERSAMPLING``,
-    past the largest possible rank.  When there are no more basis products
-    than a block would draw, every basis product is used instead.  The one
-    span kernel, :func:`~subspace_products.core._subspace_from_stack`,
-    spans each block, so the span's ``raw_basis`` holds the products.
+    past the largest possible rank; the first block is spanned only when
+    :func:`~subspace_products.core._certified_full_rank` does not prove it
+    of full rank, which a block that has stalled never is.  When there are
+    no more basis products than a block would draw, every basis product is
+    used instead.  The one span kernel,
+    :func:`~subspace_products.core._subspace_from_stack`, spans each block,
+    so the span's ``raw_basis`` holds the products.
     """
     check_same_space(S1, S2)
     n, d1, d2 = S1.n, S1.dim, S2.dim
@@ -174,9 +178,12 @@ def _sketched_linearization(
         P = _basis_products(S1, S2)
     else:
         P = _sampled_products(S1, S2, rng, first)
-        lin = _subspace_from_stack(P, S1.field, S1.tols).subspace
-        _log.debug("sketch block: %d products, rank %d", len(P), lin.dim)
-        if lin.dim <= first - _SKETCH_OVERSAMPLING:
+        # Each row of P.reshape is a product, vectorized by rows: a block
+        # proven of full rank that way has not stalled and needs no span.
+        proven = first < n * n and _certified_full_rank(P.reshape(first, n * n), S1.tols)
+        lin = None if proven else _subspace_from_stack(P, S1.field, S1.tols).subspace
+        _log.debug("sketch block: %d products, rank %d", first, first if proven else lin.dim)
+        if not proven and lin.dim <= first - _SKETCH_OVERSAMPLING:
             return lin
         if d1 * d2 <= top_up:
             P = _basis_products(S1, S2)

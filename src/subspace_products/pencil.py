@@ -134,8 +134,8 @@ def _normal_form(S: MatrixSubspace, left: bool, seed: int) -> Tuple[np.ndarray, 
     """(W, Y) with Y an invertible element of S and Y^{-1} S (``left``) or
     S Y^{-1} equal to span{I, W}: of the two basis members so moved and
     deflated of I, the larger by :func:`_norm`, the other being round-off.
-    W has the scale of 1 / Y; nrm2 tells the two apart where their squares
-    underflow, so at any finite scale of S."""
+    W has the scale of 1 / Y; :func:`_norm` tells the two apart where their
+    squares underflow, so at any finite scale of S."""
     Y = _find_invertible_element(S, seed=seed)
     Yi = np.linalg.inv(Y)
     cands = [_deflate_identity(Yi @ B if left else B @ Yi) for B in S.basis_matrices()]

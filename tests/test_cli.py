@@ -378,7 +378,25 @@ sys.exit(code)
 """
 
 
+# Run in a fresh interpreter: the package's source directory.  It prints the
+# scipy modules loaded after importing the package and its CLI.
+_SCIPY_MODULES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import subspace_products, subspace_products.cli
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
 class TestImportPath:
+    def test_no_scipy_module_loads_with_the_package(self):
+        src = str(Path(subspace_products.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_MODULES, src],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.split() == []
+
     def test_scipy_optimize_loads_at_the_first_sampled_minrank(self, capsys, tmp_path):
         f = tmp_path / "circulant.json"
         save_obj(subspace_to_obj(catalog("circulant", 4, "real")), str(f))

@@ -1,8 +1,8 @@
+import math
 import re
 
 import numpy as np
 import pytest
-from scipy import linalg
 
 from subspace_products import (
     BadParameters,
@@ -55,6 +55,22 @@ from helpers import (
     exact_rank_fraction,
     membership_subspaces_equal,
 )
+
+
+def spelled_out_norm(Y):
+    """``_norm`` of an array whose sum of squares is in range, spelled out:
+    the square root of one dot of its entries in C order."""
+    return math.sqrt(np.vdot(Y, Y).real)
+
+
+def spelled_out_column_norms(Y):
+    """``_norm(Y, axis=0)`` of a 2-d Y whose column sums of squares are in
+    range, spelled out: one vectorized sum per column of the parts."""
+    r = np.ascontiguousarray(Y).view(np.float64)
+    squares = np.einsum("ij,ij->j", r, r)
+    if np.iscomplexobj(Y):
+        squares = squares[0::2] + squares[1::2]
+    return np.sqrt(squares)
 
 
 class TestSubspaceFromMatrices:
@@ -200,7 +216,7 @@ class TestProjectionKernel:
         # membership on a complex matrix too, which a real subspace admits.
         for M in (A, A + 1j * rng.standard_normal((4, 4))):
             v = M.reshape(-1, order="F").astype(np.complex128)
-            residual = float(linalg.norm(v - self.spelled_out(S, v), check_finite=False))
+            residual = spelled_out_norm(v - self.spelled_out(S, v))
             assert membership(S, M).residual == residual
         # subspaces_equal projects one orthonormal basis onto the other span.
         np.testing.assert_array_equal(
@@ -251,7 +267,7 @@ class TestFullSpaceCoordinates:
             spelled = Q.conj().T @ w
             if field == "real":
                 spelled = spelled.real
-            residual = float(linalg.norm(w - Q @ spelled, check_finite=False))
+            residual = spelled_out_norm(w - Q @ spelled)
             got = membership(W, A)
             assert got.residual == residual
             assert got.inside is bool(residual < W.tol * max(1.0, np.linalg.norm(v)))
@@ -542,29 +558,42 @@ class TestSubspaceFromStack:
 
 class TestNormKernel:
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_equals_blas_nrm2(self, field):
-        # Whole arrays of any layout, and columns: scipy's nrm2 of each, bit
-        # for bit.
+    def test_equals_the_spelled_out_sums(self, field):
+        # Whole arrays of any layout, and columns: the square roots of their
+        # sums of squares, bit for bit, and np.linalg.norm's to rounding.
         rng = np.random.default_rng(21)
         X = rng.standard_normal((9, 5))
         if field == "complex":
             X = X + 1j * rng.standard_normal((9, 5))
         for Y in (X, X.T, np.asfortranarray(X), X[::2, 1:]):
-            assert _norm(Y) == linalg.norm(Y.ravel(), check_finite=False)
+            assert _norm(Y) == spelled_out_norm(Y)
             assert _norm(Y) == pytest.approx(np.linalg.norm(Y), rel=1e-15)
             columns = _norm(Y, axis=0)
             assert columns.shape == (Y.shape[1],)
-            np.testing.assert_array_equal(
-                columns, [linalg.norm(np.array(c), check_finite=False) for c in Y.T])
+            np.testing.assert_array_equal(columns, spelled_out_column_norms(Y))
+            np.testing.assert_allclose(columns, np.linalg.norm(Y, axis=0), rtol=1e-15)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_scales_as_it_sums(self, field):
-        # Squaring entries of 1e200 overflows; a norm below the largest float
-        # does not, and one above it is Inf.
+        # Squaring entries of 1e200 overflows, and squaring entries of
+        # 1e-200 underflows to 0; a norm below the largest float does
+        # neither, and one above it is Inf.  NaN gives NaN, Inf gives Inf.
         X = np.ones((2, 2), dtype=core.dtype_for(field))
+        column = np.ones((4, 2), dtype=core.dtype_for(field))
         assert _norm(1e200 * X) == 2e200
         np.testing.assert_array_equal(_norm(1e200 * X, axis=0), [np.sqrt(2) * 1e200] * 2)
+        assert _norm(1e-200 * X) == 2e-200
+        np.testing.assert_array_equal(_norm(1e-200 * column, axis=0), [2e-200] * 2)
         assert _norm(1.5e308 * X) == np.inf
+        for bad, want in ((np.nan, np.nan), (np.inf, np.inf)):
+            Y = X.copy()
+            Y[1, 0] = bad
+            assert _norm(Y) == pytest.approx(want, nan_ok=True)
+            np.testing.assert_array_equal(_norm(Y, axis=0), [want, np.sqrt(2)])
+        # Columns in range and out of it, a zero one too, in one array.
+        mixed = np.stack([np.ones(4), np.full(4, 1e-200), np.full(4, 1e200), np.zeros(4)], axis=1)
+        np.testing.assert_array_equal(
+            _norm(mixed.astype(X.dtype), axis=0), [2.0, 2e-200, 2e200, 0.0])
 
 
 class TestSubspacesEqual:

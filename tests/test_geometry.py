@@ -382,6 +382,9 @@ class TestTrialsBeforeSketch:
             "S2 contains I: its trial points are P(I) + X / (2 ||X||_2)",
             "full rank 16 certified by Cholesky of the shifted Gram matrix",
             "sampling stops: trial seed 0 reaches rank lin_dim = 16",
+            # The first block of 40 products is proven of full rank, so it
+            # is not spanned; the top-up of 72 is, past n^2 = 64.
+            "full rank 40 certified by Cholesky of the shifted Gram matrix",
             "sketch block: 40 products, rank 40",
             "full rank 64 certified by Cholesky of the shifted Gram matrix",
             "sketch span past n^2: 72 products, rank 64, full",
@@ -1043,7 +1046,8 @@ class TestFactorizability:
 
 class TestFullRankCertificate:
     """A rank that ``core._certified_full_rank`` proves is the rank the SVD
-    gives, so every report is byte-identical with the certificate off."""
+    gives, so every report is byte-identical with the certificate off, in
+    core's spans and in the sketch's first block alike."""
 
     @staticmethod
     def reports(subs, pairs, tmp_path, capsys):
@@ -1081,11 +1085,34 @@ class TestFullRankCertificate:
             return proved[-1]
 
         certify = core._certified_full_rank
-        monkeypatch.setattr(core, "_certified_full_rank", spy)
+        for module in (core, geometry):
+            monkeypatch.setattr(module, "_certified_full_rank", spy)
         with_certificate = self.reports(subs, pairs, tmp_path, capsys)
-        monkeypatch.setattr(core, "_certified_full_rank", lambda stack, tols: False)
+        for module in (core, geometry):
+            monkeypatch.setattr(module, "_certified_full_rank", lambda stack, tols: False)
         assert self.reports(subs, pairs, tmp_path, capsys) == with_certificate
         return proved
+
+    def test_the_sketch_skips_the_span_of_a_proven_first_block(self, monkeypatch):
+        # rank_cols x rank_rows at n = 8: the 40 products of the first
+        # block are proven independent, so only the top-up of 72 is spanned.
+        spans = []
+
+        def spy(P, field, tols):
+            spans.append(len(P))
+            return span(P, field, tols)
+
+        span = geometry._subspace_from_stack
+        monkeypatch.setattr(geometry, "_subspace_from_stack", spy)
+        S1 = catalog("rank_cols", 8, "real", k=2)
+        S2 = catalog("rank_rows", 8, "real", k=2)
+        lin = _sketched_linearization(S1, S2, np.random.default_rng(0))
+        assert spans == [72] and lin.dim == 64
+        # Reversed, the block stalls at rank 4: the proof fails, and it is
+        # spanned and returned.
+        spans.clear()
+        assert _sketched_linearization(S2, S1, np.random.default_rng(0)).dim == 4
+        assert spans == [40]
 
     def test_catalog_pairs(self, tmp_path, capsys, monkeypatch):
         subs = {kind: catalog(kind, 6, "real", **params) for kind, params in SKETCH_KINDS.items()}
