@@ -10,6 +10,7 @@ special case (0, 0, 1, 0).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -22,6 +23,7 @@ from .core import (
     Tolerances,
     _as_square_stack,
     _check_int,
+    _coordinates,
     _gaussian_coefficients,
     _members,
     _norm,
@@ -29,6 +31,7 @@ from .core import (
     _ranks,
     _rng,
     _svd,
+    _vec_columns,
     check_same_space,
     dtype_for,
     matrix_rank,
@@ -45,14 +48,20 @@ from .errors import (
     ZeroSubspace,
 )
 
+_log = logging.getLogger("subspace_products")
+
 # Relative gap below which eigenvalues are merged before multiplicity counting.
 _EIG_CLUSTER_RTOL = 1e-6
-# Search budgets: seeded members tried for an invertible one, sampled members
-# and Nelder-Mead restarts of the minrank bound, alternations per probe start,
-# and the probe minimum above which no zero-divisor pair is reported.
+# Search budgets: seeded members tried for an invertible one; sampled members
+# of the minrank bound, then its alternating-projection starts, rounds per
+# target rank, and the rounds over which a start must halve its distance from
+# that rank to go on; alternations per probe start, and the probe minimum
+# above which no zero-divisor pair is reported.
 _INVERTIBLE_TRIES = 50
 _MINRANK_SAMPLES = 120
-_MINRANK_RESTARTS = 6
+_MINRANK_STARTS = 20
+_MINRANK_ALTERNATIONS = 500
+_MINRANK_STALL = 50
 _PROBE_ALTERNATIONS = 60
 _PROBE_THRESHOLD = 1e-6
 # Entries of the product stack one block of probe starts may hold.
@@ -82,8 +91,11 @@ class MinrankReport:
     """Minimum rank over nonzero members, or an upper bound on it.
 
     ``certified`` is true only for the one-dimensional exact case and the
-    two-dimensional eigenvalue-multiplicity method; the sampled method
-    reports an upper bound.
+    two-dimensional eigenvalue-multiplicity method.  The sampled method
+    reports an upper bound: the lowest rank among the basis members and
+    seeded samples, or else the lowest one that alternating projections
+    reach from seeded starts.  Its debug events name the member or start
+    that gave the bound.
     """
 
     value: int
@@ -106,16 +118,19 @@ class ClosednessCertificate:
 
 
 def _candidates(S: MatrixSubspace, samples: int, seed: int):
-    """Members to try in turn: the raw basis, the orthonormal basis, then
-    ``samples`` seeded unit Gaussian members (seeds ``seed``, ``seed + 1``, ...)."""
-    yield from S.raw_basis.astype(dtype_for(S.field))
-    yield from S.basis_matrices()
+    """Members to try in turn, each with its name: the raw basis, the
+    orthonormal basis, then ``samples`` seeded unit Gaussian members (seeds
+    ``seed``, ``seed + 1``, ...)."""
+    for k, B in enumerate(S.raw_basis.astype(dtype_for(S.field))):
+        yield f"raw basis member {k}", B
+    for k, B in enumerate(S.basis_matrices()):
+        yield f"orthonormal basis member {k}", B
     for t in range(samples):
-        yield random_unit_element(S, seed + t)
+        yield f"sample seed {seed + t}", random_unit_element(S, seed + t)
 
 
 def _find_invertible_element(S: MatrixSubspace, seed: int = 0) -> np.ndarray:
-    for cand in _candidates(S, _INVERTIBLE_TRIES, seed):
+    for _, cand in _candidates(S, _INVERTIBLE_TRIES, seed):
         if matrix_rank(cand, S.tols) == S.n:
             return cand
     raise NoInvertibleElementFound(
@@ -304,68 +319,82 @@ def _minrank_dim2_eigen(S: MatrixSubspace, seed: int) -> MinrankReport:
 
 
 def _minrank_sampled(S: MatrixSubspace, seed: int) -> MinrankReport:
-    """Uncertified upper bound by sampling plus local descent on sigma_{r+1}.
+    """Uncertified upper bound by sampling, then alternating projections.
 
-    The basis members are tried before the samples, so a rank-one basis
-    member bounds the result by one.  The first candidate of rank one ends
-    the search, since no nonzero member has lower rank.  The witness has
-    unit norm.
+    The raw basis members are tried first, then the orthonormal ones, then
+    ``_MINRANK_SAMPLES`` seeded samples (see :func:`_candidates`).  The first
+    candidate of rank one ends the search, since no nonzero member has lower
+    rank.  Otherwise, for r = 1, 2, ... below the best rank found so far,
+    :func:`_project_to_rank` runs the hard phase of Nakatsukasa, Soma and
+    Uschmajew ("Finding a low-rank basis in a matrix subspace", Math.
+    Program., 2017) from seeded starts; the member that meets the first
+    such r gives the bound.  Every rank is decided by :func:`matrix_rank`
+    under ``S.tols``, and the witness is divided by :func:`_norm`.
     """
     best_rank = S.n + 1
     best_witness = None
-    for V in _candidates(S, _MINRANK_SAMPLES, seed):
+    for name, V in _candidates(S, _MINRANK_SAMPLES, seed):
         r = matrix_rank(V, S.tols)
         if 0 < r < best_rank:
-            best_rank, best_witness = r, V / _norm(V)
+            best_rank, best_witness, best_name = r, V / _norm(V), name
             if r == 1:
                 break
-    d = S.dim
-    real = S.field == REAL
-    npar = d if real else 2 * d
-
-    def unit_member(theta: np.ndarray) -> np.ndarray:
-        """The unit-norm member for real parameters theta (real and
-        imaginary coefficient parts over the complex field), or None near 0."""
-        c = theta if real else theta[:d] + 1j * theta[d:]
-        nc = np.linalg.norm(c)
-        if nc < 1e-12:
-            return None
-        return S.element(c / nc)
-
-    while best_rank > 1:
-        # The package's one use of scipy.optimize: importing it here keeps its
-        # import time and memory off every process that never descends.
-        from scipy import optimize
-
-        target = best_rank - 1
-
-        def objective(theta: np.ndarray) -> float:
-            V = unit_member(theta)
-            if V is None:
-                return 1e6
-            return float(np.linalg.svd(V, compute_uv=False)[target])
-
-        improved = False
-        for rs in range(_MINRANK_RESTARTS):
-            rng = _rng(seed + 10_000 + rs)
-            theta0 = rng.standard_normal(npar)
-            res = optimize.minimize(
-                objective, theta0, method="Nelder-Mead",
-                options={"maxiter": 400, "fatol": 1e-14, "xatol": 1e-10},
-            )
-            V = unit_member(res.x)
-            if V is None:
-                continue
+    _log.debug("minrank samples: best rank %d, first at %s", best_rank, best_name)
+    for target in range(1, best_rank):
+        V = _project_to_rank(S, target, seed)
+        if V is not None:
             r = matrix_rank(V, S.tols)
             if 0 < r < best_rank:
-                best_rank, best_witness = r, V
-                improved = True
+                best_rank, best_witness = r, V / _norm(V)
                 break
-        if not improved:
-            break
     return MinrankReport(
         value=best_rank, certified=False, witness=best_witness, method="sampled_upper_bound"
     )
+
+
+def _project_to_rank(S: MatrixSubspace, r: int, seed: int) -> Optional[np.ndarray]:
+    """A unit member of S with sigma_{r+1} <= rel_rank_tol sigma_1, or None.
+
+    Alternates X <- P_S(T_r(X)) / ||.||, with T_r the rank-r truncated SVD,
+    from ``_MINRANK_STARTS`` seeded unit members (start k draws with seed
+    ``seed + 10_000 + k``), all together, for at most
+    ``_MINRANK_ALTERNATIONS`` rounds.  A start whose sigma_{r+1} / sigma_1
+    has not halved over ``_MINRANK_STALL`` rounds is dropped: it has
+    stalled short of rank r.  The first round in which some start meets
+    the test returns the lowest such start's member.
+    """
+    C = np.array([_unit_coefficients(S, seed + 10_000 + k) for k in range(_MINRANK_STARTS)])
+    live = np.arange(len(C))
+    mark = np.full(len(C), np.inf)
+    for t in range(_MINRANK_ALTERNATIONS):
+        X = _members(S, C[live])
+        U, s, Vh = np.linalg.svd(X)
+        ratio = s[:, r] / s[:, 0]
+        done = np.flatnonzero(ratio <= S.tols.rel_rank_tol)
+        if done.size:
+            _log.debug(
+                "minrank projections to rank %d: start %d meets it at alternation %d",
+                r, live[done[0]], t,
+            )
+            return X[done[0]]
+        truncated = np.matmul(U[:, :, :r] * s[:, None, :r], Vh[:, :r])
+        C[live] = _coordinates(S, _vec_columns(truncated)).T
+        C[live] /= np.linalg.norm(C[live], axis=1, keepdims=True)
+        if t % _MINRANK_STALL == 0:
+            falling = ratio < 0.5 * mark[live]
+            mark[live] = ratio
+            live = live[falling]
+            if live.size == 0:
+                _log.debug(
+                    "minrank projections to rank %d: no start meets it; "
+                    "all stall by alternation %d", r, t,
+                )
+                return None
+    _log.debug(
+        "minrank projections to rank %d: no start meets it in %d alternations",
+        r, _MINRANK_ALTERNATIONS,
+    )
+    return None
 
 
 def minrank(S: MatrixSubspace, seed: int = 0) -> MinrankReport:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,41 @@ from helpers import catalog, cell, random_complex, sequential_probe
 
 def spanIX(X, field="complex"):
     return subspace_from_matrices([np.eye(X.shape[0]), X], field=field)
+
+
+def sweep_span(n, d, field, case):
+    """d Gaussian n x n members drawn from default_rng(1000 n + 10 d + case);
+    in the odd cases member 0 is set so that the members sum to a rank-one
+    u v^T, so the minrank is 1."""
+    rng = np.random.default_rng(1000 * n + 10 * d + case)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x if field == "real" else x + 1j * rng.standard_normal(shape)
+
+    members = draw(d, n, n)
+    if case % 2:
+        members[0] = np.outer(draw(n), draw(n)) - members[1:].sum(axis=0)
+    return subspace_from_matrices(list(members), field=field)
+
+
+# Sampled minrank of sweep_span(n, d, field, case) for cases 0-3, real then
+# complex, as the Nelder-Mead descent on sigma_{r+1} returned it before the
+# alternating projections replaced it: no value may rise above these.
+DESCENT_VALUES = {
+    (3, 3): ((2, 1, 2, 1), (2, 1, 2, 1)),
+    (3, 4): ((2, 2, 2, 1), (2, 2, 2, 2)),
+    (3, 6): ((1, 1, 1, 1), (2, 2, 2, 2)),
+    (4, 3): ((3, 1, 3, 1), (3, 1, 3, 1)),
+    (4, 4): ((3, 1, 3, 1), (3, 3, 3, 3)),
+    (4, 6): ((2, 2, 2, 2), (3, 3, 3, 3)),
+    (5, 3): ((4, 1, 4, 1), (4, 1, 4, 1)),
+    (5, 4): ((4, 4, 4, 1), (4, 4, 4, 4)),
+    (5, 6): ((3, 3, 3, 3), (4, 4, 4, 4)),
+    (6, 3): ((5, 1, 5, 1), (5, 1, 5, 1)),
+    (6, 4): ((5, 1, 5, 1), (5, 5, 5, 5)),
+    (6, 6): ((4, 4, 4, 4), (5, 5, 5, 5)),
+}
 
 
 class TestNormalizePencil:
@@ -355,6 +392,60 @@ class TestMinrank:
         S = subspace_from_matrices([cell(2, 0, 0), cell(2, 0, 1)])
         rep = minrank(S)
         assert rep.method == "sampled_upper_bound" and rep.value == 1
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [4, 6, 12, 16, 32])
+    def test_circulant_reaches_a_rank_one_member(self, n, field):
+        # The all-ones matrix is a real rank-one circulant, and each DFT
+        # projector f f^H a complex one; no basis member or sample has rank
+        # one, so the alternating projections find it.
+        S = catalog("circulant", n, field)
+        rep = minrank(S)
+        assert (rep.value, rep.certified, rep.method) == (1, False, "sampled_upper_bound")
+        assert membership(S, rep.witness).inside
+        assert matrix_rank(rep.witness, S.tols) == 1
+        assert abs(_norm(rep.witness) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("S", [
+        catalog("circulant", 6, "real"), sweep_span(4, 3, "complex", 0),
+    ], ids=["circulant", "sweep"])
+    def test_same_seed_same_witness(self, S):
+        first, second = minrank(S, seed=3), minrank(S, seed=3)
+        assert first.value == second.value
+        np.testing.assert_array_equal(first.witness, second.witness)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n, d", list(DESCENT_VALUES))
+    def test_random_spans_never_exceed_the_descent(self, n, d, field):
+        bounds = DESCENT_VALUES[n, d][field == "complex"]
+        for case, bound in enumerate(bounds):
+            S = sweep_span(n, d, field, case)
+            rep = minrank(S)
+            assert rep.method == "sampled_upper_bound"
+            assert rep.value <= bound, case
+            # The odd cases hold a planted rank-one member.
+            assert case % 2 == 0 or rep.value == 1, case
+            assert matrix_rank(rep.witness, S.tols) == rep.value
+            assert membership(S, rep.witness).inside
+
+    def test_debug_log_names_the_deciding_path(self, caplog):
+        circulant = catalog("circulant", 6, "real")
+        span = sweep_span(4, 3, "real", 0)
+        with caplog.at_level(logging.DEBUG, logger="subspace_products"):
+            minrank(circulant)
+            minrank(span)
+        assert [r.getMessage() for r in caplog.records] == [
+            "minrank samples: best rank 6, first at raw basis member 0",
+            "minrank projections to rank 1: start 0 meets it at alternation 1",
+            # A generic span of three 4 x 4 matrices: no start reaches rank 1
+            # or 2, and each stops halving its sigma_{r+1} / sigma_1 within
+            # 100 of its 500 alternations.
+            "minrank samples: best rank 4, first at raw basis member 0",
+            "minrank projections to rank 1: no start meets it; all stall by alternation 100",
+            "minrank projections to rank 2: no start meets it; all stall by alternation 100",
+            "minrank projections to rank 3: start 11 meets it at alternation 65",
+        ]
+        assert all(r.name == "subspace_products" for r in caplog.records)
 
 
 class TestZeroProductProbe:
