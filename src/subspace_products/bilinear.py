@@ -24,6 +24,7 @@ from .core import (
     Tolerances,
     _as_square_stack,
     _as_vectors,
+    _basis_products,
     _check_int,
     _coordinates,
     _gaussian_coefficients,
@@ -37,13 +38,13 @@ from .core import (
     _subspace_from_stack,
     _svd,
     _vec_columns,
+    _with_basis,
     check_field,
     check_same_space,
     rank_from_singular_values,
     vec,
 )
 from .errors import NoFactorization, NonFiniteInput, NotMember, SingularWitness, UnsupportedDegree
-from .geometry import _basis_products
 
 _log = logging.getLogger("subspace_products")
 
@@ -354,8 +355,7 @@ def _factor(A, S1: MatrixSubspace, S2: MatrixSubspace, seed: int, first: bool):
     # The columns of L are the vectorized A C (C A for the first factor) over
     # the basis C of the closed side, less their projections onto the other.
     closed, other = (S1, S2) if first else (S2, S1)
-    C = closed.basis_matrices()
-    P = _vec_columns(_products(C, Aa) if first else _products(Aa, C))
+    P = _vec_columns(_with_basis(closed, Aa, left=not first))
     L = P - _projection(other, P)
     # L is n² by dim with dim <= n², so its null space is complete.
     N = _svd(L, S1.tols).null  # (dim, null_dim)

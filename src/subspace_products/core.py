@@ -2,6 +2,11 @@
 
 A matrix subspace of n-by-n matrices over the reals or the complex numbers is
 stored as the raw spanning set plus an orthonormal basis of its vectorization.
+Only this module reads the stored bases: every other module forms members
+(:func:`_members`), coordinates (:func:`_coordinates`) and products with the
+basis matrices (:func:`_with_basis`) through its kernels, except where a
+stored basis is itself the data (a written file, a model's own bases, the
+candidates and the dim-1 witness of minrank).
 Vectorization is column-major (Fortran order) throughout the package, so
 structure constants and serialized bases are reproducible.
 
@@ -367,31 +372,42 @@ class MatrixSubspace:
 
     def basis_matrices(self) -> np.ndarray:
         """Orthonormal basis as a (dim, n, n) array of matrices (columns of
-        ``ortho_basis`` unstacked)."""
-        return np.moveaxis(self.ortho_basis.reshape(self.n, self.n, self.dim, order="F"), -1, 0)
+        ``ortho_basis`` unstacked), as a view: each column, read row by row,
+        is the transpose of its matrix.  One reshape and one transpose cost a
+        sixth of ``np.moveaxis``, and give the same strides."""
+        return self.ortho_basis.T.reshape(self.dim, self.n, self.n).transpose(0, 2, 1)
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
-        """The member with the given coefficients against the orthonormal basis."""
-        return unvec(self.ortho_basis @ coeffs, self.n)
+        """The member with the given coefficients against the orthonormal
+        basis: ``dim`` finite coefficients of the field, checked by
+        :func:`_as_vectors`."""
+        return _members(self, _as_vectors((coeffs,), self.field, ("coeffs",), self.dim))[0]
 
     def coefficients(self, A: np.ndarray) -> np.ndarray:
-        """Expansion coefficients of the orthogonal projection of A."""
-        return _coordinates(self, vec(A))
+        """Expansion coefficients of the orthogonal projection of A.
+
+        This, :meth:`project` and :meth:`project_out` check A as
+        :func:`membership` does: a finite square matrix of side ``n``, kept
+        complex if it is complex, whatever the field."""
+        return _coordinates(self, vec(_as_square_stack((A,), name=("A",), side=self.n)[0]))
 
     def project(self, A: np.ndarray) -> np.ndarray:
         """Orthogonal projection of A onto the subspace."""
-        return unvec(_projection(self, vec(A)), self.n)
+        arr = _as_square_stack((A,), name=("A",), side=self.n)[0]
+        return unvec(_projection(self, vec(arr)), self.n)
 
     def project_out(self, A: np.ndarray) -> np.ndarray:
-        """Component of A orthogonal to the subspace."""
-        return np.asarray(A, dtype=self.ortho_basis.dtype) - self.project(A)
+        """Component of A orthogonal to the subspace: A - P(A), complex when
+        A or the subspace is, as the residual of :func:`membership` is."""
+        arr = _as_square_stack((A,), name=("A",), side=self.n)[0]
+        return arr - unvec(_projection(self, vec(arr)), self.n)
 
 
 def _members(S: MatrixSubspace, C: np.ndarray) -> np.ndarray:
     """The members with the coefficient rows of C, as a (b, n, n) array.
 
-    One matrix-vector product per row, laid out as ``S.element`` lays out
-    its result, so each member is bit-identical to ``S.element`` of its row.
+    One matrix-vector product per row: the one kernel behind
+    ``S.element`` and :func:`random_element`.
     """
     n = S.n
     return np.matmul(S.ortho_basis, C[..., None]).reshape(len(C), n, n).transpose(0, 2, 1)
@@ -443,6 +459,42 @@ def _products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if not np.isfinite(P).all():
         raise NonFiniteInput("a matrix product overflowed to Inf or NaN")
     return P.reshape((-1,) + P.shape[-2:])
+
+
+def _with_basis(S: MatrixSubspace, V: np.ndarray, left: bool) -> np.ndarray:
+    """The products V C_t (``left``) or C_t V of a validated matrix V with
+    every orthonormal basis matrix C_t of S, as a (dim, n, n) array; of a
+    (b, n, n) stack V, as a (b, dim, n, n) array.  An overflow raises
+    NonFiniteInput, as in :func:`_products`."""
+    B = S.basis_matrices()
+    W = V if V.ndim == 2 else V[:, None]
+    P = _products(W, B) if left else _products(B, W)
+    return P if V.ndim == 2 else P.reshape(len(V), *B.shape)
+
+
+def _basis_products(S1: MatrixSubspace, S2: MatrixSubspace) -> np.ndarray:
+    """The S1.dim * S2.dim products B_s C_t of the orthonormal basis matrices,
+    as a (count, n, n) array, first-factor index major, the order of
+    :func:`~subspace_products.geometry.linearization`'s ``raw_basis``; one
+    zero matrix when either factor is zero."""
+    check_same_space(S1, S2)
+    P = _with_basis(S2, S1.basis_matrices(), left=True).reshape(-1, S1.n, S1.n)
+    return P if len(P) else np.zeros((1, S1.n, S1.n), dtype=dtype_for(S1.field))
+
+
+def _sampled_products(
+    S1: MatrixSubspace, S2: MatrixSubspace, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """``count`` products X_i Y_i of Gaussian members of S1 and S2.
+
+    The members are formed by one ``tensordot`` per factor, not by
+    :func:`_members`, whose one matrix-vector product per row streams the
+    basis once per member: six times slower on a sketch block."""
+    d1 = S1.dim
+    C = _gaussian_coefficients(rng, (count, d1 + S2.dim), S1.field)
+    X = np.tensordot(C[:, :d1], S1.basis_matrices(), axes=1)
+    Y = np.tensordot(C[:, d1:], S2.basis_matrices(), axes=1)
+    return _products(X, Y)
 
 
 def _reduced_stack(stack: np.ndarray) -> np.ndarray:
@@ -644,7 +696,7 @@ def random_element(S: MatrixSubspace, seed: int) -> np.ndarray:
     rng = _rng(seed)
     if S.dim == 0:
         raise ZeroSubspace("cannot sample from the zero subspace")
-    return S.element(_gaussian_coefficients(rng, S.dim, S.field))
+    return _members(S, _gaussian_coefficients(rng, (1, S.dim), S.field))[0]
 
 
 def random_unit_element(S: MatrixSubspace, seed: int) -> np.ndarray:

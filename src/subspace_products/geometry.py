@@ -18,20 +18,21 @@ import numpy as np
 from .core import (
     MatrixSubspace,
     _as_square_stack,
+    _basis_products,
     _certified_full_rank,
     _check_int,
     _complexified,
     _full_space,
-    _gaussian_coefficients,
     _identity_part,
     _norm,
     _products,
     _real_form,
     _rng,
+    _sampled_products,
     _subspace_from_stack,
     _vec_columns,
+    _with_basis,
     check_same_space,
-    dtype_for,
     matrix_rank,
     random_element,
     require_member,
@@ -116,17 +117,6 @@ def product_map(V1, V2) -> np.ndarray:
     return _products(*_as_square_stack((V1, V2), name=("V1", "V2")))[0]
 
 
-def _basis_products(S1: MatrixSubspace, S2: MatrixSubspace) -> np.ndarray:
-    """The S1.dim * S2.dim products B_s C_t of the orthonormal basis matrices,
-    as a (count, n, n) array in the order of :func:`linearization`'s
-    ``raw_basis``; one zero matrix when either factor is zero."""
-    check_same_space(S1, S2)
-    P = _products(S1.basis_matrices()[:, None], S2.basis_matrices()[None])
-    if not len(P):
-        P = np.zeros((1, S1.n, S1.n), dtype=dtype_for(S1.field))
-    return P
-
-
 def linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
     """Smallest subspace containing every product V1 V2.
 
@@ -137,17 +127,6 @@ def linearization(S1: MatrixSubspace, S2: MatrixSubspace) -> MatrixSubspace:
     order.
     """
     return _subspace_from_stack(_basis_products(S1, S2), S1.field, S1.tols).subspace
-
-
-def _sampled_products(
-    S1: MatrixSubspace, S2: MatrixSubspace, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """``count`` products X_i Y_i of Gaussian members of S1 and S2."""
-    d1 = S1.dim
-    C = _gaussian_coefficients(rng, (count, d1 + S2.dim), S1.field)
-    X = np.tensordot(C[:, :d1], S1.basis_matrices(), axes=1)
-    Y = np.tensordot(C[:, d1:], S2.basis_matrices(), axes=1)
-    return _products(X, Y)
 
 
 def _sketched_linearization(
@@ -206,7 +185,7 @@ def _member_point(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> Tuple[np.nd
 def _tangent_products(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2) -> np.ndarray:
     """The products V1 C_t, then B_s V2, over the orthonormal basis matrices
     C_t of S2 and B_s of S1, at a member point (V1, V2)."""
-    return np.concatenate([_products(V1, S2.basis_matrices()), _products(S1.basis_matrices(), V2)])
+    return np.concatenate([_with_basis(S2, V1, left=True), _with_basis(S1, V2, left=False)])
 
 
 def _tangent_at(S1: MatrixSubspace, S2: MatrixSubspace, V1, V2):

@@ -32,6 +32,7 @@ from .core import (
     _rng,
     _svd,
     _vec_columns,
+    _with_basis,
     check_same_space,
     dtype_for,
     matrix_rank,
@@ -139,22 +140,17 @@ def _find_invertible_element(S: MatrixSubspace, seed: int = 0) -> np.ndarray:
     )
 
 
-def _deflate_identity(C: np.ndarray) -> np.ndarray:
-    """Component of C orthogonal to the identity in the trace inner product."""
-    n = C.shape[0]
-    return C - (np.trace(C) / n) * np.eye(n, dtype=C.dtype)
-
-
 def _normal_form(S: MatrixSubspace, left: bool, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """(W, Y) with Y an invertible element of S and Y^{-1} S (``left``) or
     S Y^{-1} equal to span{I, W}: of the two basis members so moved and
-    deflated of I, the larger by :func:`_norm`, the other being round-off.
-    W has the scale of 1 / Y; :func:`_norm` tells the two apart where their
-    squares underflow, so at any finite scale of S."""
+    deflated of I (made orthogonal to it in the trace inner product), the
+    larger by :func:`_norm`, the other being round-off.  W has the scale of
+    1 / Y; :func:`_norm` tells the two apart where their squares underflow,
+    so at any finite scale of S."""
     Y = _find_invertible_element(S, seed=seed)
-    Yi = np.linalg.inv(Y)
-    cands = [_deflate_identity(Yi @ B if left else B @ Yi) for B in S.basis_matrices()]
-    return max(cands, key=_norm), Y
+    P = _with_basis(S, np.linalg.inv(Y), left)
+    P -= (np.trace(P, axis1=1, axis2=2) / S.n)[:, None, None] * np.eye(S.n, dtype=P.dtype)
+    return max(P, key=_norm), Y
 
 
 def normalize_pencil(S: MatrixSubspace, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
@@ -444,16 +440,14 @@ def _probe_block(
 
     Returns each start's final value and its pair of members.
     """
-    T1 = S1.basis_matrices()
-    T2 = S2.basis_matrices()
     C1 = np.array([_unit_coefficients(S1, seed + start) for start in starts])
     val = np.full(len(C1), np.inf)
     V2 = np.empty((len(C1), S2.n, S2.n), dtype=dtype_for(S2.field))
     live = np.arange(len(C1))
     for _ in range(_PROBE_ALTERNATIONS):
-        _, c2 = _smallest_singular(np.matmul(_members(S1, C1[live])[:, None], T2))
+        _, c2 = _smallest_singular(_with_basis(S2, _members(S1, C1[live]), left=True))
         V2[live] = _members(S2, c2)
-        v, C1[live] = _smallest_singular(np.matmul(T1, V2[live][:, None]))
+        v, C1[live] = _smallest_singular(_with_basis(S1, V2[live], left=False))
         falling = val[live] - v >= 1e-15
         val[live] = v
         live = live[falling]

@@ -43,6 +43,7 @@ from subspace_products.core import (
     _subspace_from_stack,
     _svd,
     _vec_columns,
+    _with_basis,
     matrix_rank,
     rank_from_singular_values,
     require_member,
@@ -180,6 +181,19 @@ class TestMembership:
             require_member(S, 1.5e308 * np.ones((2, 2)))
         inside = membership(S, 1.5e308 * np.tril(np.ones((2, 2))))
         assert inside.inside and inside.residual < 1e-12 * 1.5e308
+
+    def test_project_out_of_a_complex_matrix_keeps_its_imaginary_part(self):
+        # Over the real field the projection of A is that of Re A, so with
+        # Re A in S the orthogonal part is i Im A, complex as A is: the
+        # residual of membership.
+        rng = np.random.default_rng(5)
+        S = catalog("lower_triangular", 4, "real")
+        im = rng.standard_normal((4, 4))
+        A = np.tril(rng.standard_normal((4, 4))) + 1j * im
+        R = S.project_out(A)
+        assert R.dtype == np.complex128
+        np.testing.assert_allclose(R, 1j * im, atol=1e-12)
+        assert _norm(R) == pytest.approx(membership(S, A).residual, rel=1e-12)
 
     def test_projection_idempotent(self):
         rng = np.random.default_rng(4)
@@ -734,6 +748,41 @@ class TestElement:
         if field == "complex":
             c = c + 1j * rng.standard_normal(S.dim)
         np.testing.assert_array_equal(random_element(S, 11), S.element(c))
+
+
+class TestWithBasis:
+    """``_with_basis`` forms V C_t or C_t V for every orthonormal basis matrix
+    C_t, bit for bit the products of each member on its own."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("left", [True, False])
+    def test_equals_the_per_member_products(self, left, full, field):
+        rng = np.random.default_rng(17)
+        if full:
+            S = subspace_from_matrices(np.eye(16).reshape(16, 4, 4), field)
+            assert S.dim == 16
+        else:
+            S = catalog("symmetric", 4, field)
+        V = _gaussian_coefficients(rng, (3, 4, 4), field)
+        B = S.basis_matrices()
+        times = (lambda M, C: M @ C) if left else (lambda M, C: C @ M)
+        got = _with_basis(S, V[0], left)
+        assert got.shape == (S.dim, 4, 4)
+        np.testing.assert_array_equal(got, [times(V[0], C) for C in B])
+        got = _with_basis(S, V, left)
+        assert got.shape == (3, S.dim, 4, 4)
+        np.testing.assert_array_equal(got, [[times(M, C) for C in B] for M in V])
+
+    @pytest.mark.parametrize("left", [True, False])
+    def test_overflow_raises_non_finite(self, left):
+        # The basis matrix has a column (a row) of 1/2s, so each entry of
+        # V C (of C V) in it sums four halves of 1e308.
+        M = np.zeros((4, 4))
+        M[(slice(None), 0) if left else (0, slice(None))] = 1.0
+        S = subspace_from_matrices([M], field="real")
+        with pytest.raises(NonFiniteInput, match="^a matrix product overflowed to Inf or NaN$"):
+            _with_basis(S, 1e308 * np.ones((4, 4)), left)
 
 
 class TestSubspaceSum:

@@ -122,14 +122,18 @@ LADDER_PAIRS = [
 class TestBatchedProducts:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_linearization_raw_basis_order(self, field):
-        S1 = catalog("symmetric", 4, field)
-        S2 = catalog("persymmetric_constant_antidiagonal", 4, field)
-        lin = linearization(S1, S2)
-        B, C = S1.basis_matrices(), S2.basis_matrices()
-        assert len(lin.raw_basis) == S1.dim * S2.dim
-        for s in range(S1.dim):
-            for t in range(S2.dim):
-                np.testing.assert_array_equal(lin.raw_basis[s * S2.dim + t], B[s] @ C[t])
+        S = catalog("symmetric", 4, field)
+        T = catalog("persymmetric_constant_antidiagonal", 4, field)
+        # With a zero factor the basis products are one zero matrix.
+        Z = subspace_from_matrices([np.zeros((4, 4))], field=field)
+        for S1, S2 in ((S, T), (Z, T), (S, Z)):
+            lin = linearization(S1, S2)
+            B, C = S1.basis_matrices(), S2.basis_matrices()
+            want = [B[s] @ C[t] for s in range(S1.dim) for t in range(S2.dim)] or [np.zeros((4, 4))]
+            assert len(lin.raw_basis) == len(want)
+            assert lin.raw_basis.dtype == S1.ortho_basis.dtype
+            for got, product in zip(lin.raw_basis, want):
+                np.testing.assert_array_equal(got, product)
 
     def test_tangent_raw_basis_order(self):
         C = catalog("circulant", 3)

@@ -78,6 +78,9 @@ CALLERS = {
     "equivalence_transform": (lambda m: equivalence_transform(D, *m), ("X", "Y"), True),
     "factor_via_inverse_closed": (lambda m: factor_via_inverse_closed(*m, D, D), ("A",), True),
     "membership": (lambda m: membership(D, *m), ("A",), False),
+    "coefficients": (lambda m: D.coefficients(*m), ("A",), False),
+    "project": (lambda m: D.project(*m), ("A",), False),
+    "project_out": (lambda m: D.project_out(*m), ("A",), False),
     "tangent_space": (lambda m: tangent_space(D, D, *m), ("V1", "V2"), True),
     "product_map_rank": (lambda m: product_map_rank(D, D, *m), ("V1", "V2"), True),
     "curvature_measure": (
@@ -330,6 +333,7 @@ VECTORS = {
     "w": (lambda v: MODEL.apply(ONES, v), True),
     "coords": (lambda v: MODEL.product_from_coordinates(v), True),
     "vectors": (lambda v: numerical_rank(v), False),
+    "coeffs": (lambda v: D3.element(v), True),
 }
 
 
