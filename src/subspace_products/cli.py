@@ -42,6 +42,7 @@ from .serialization import (
     load_vector,
     matrix_to_obj,
     model_to_obj,
+    save_obj,
     subspace_to_obj,
     vector_to_obj,
 )
@@ -98,16 +99,11 @@ def _header(args, tols: Tolerances) -> dict:
 
 def _write(args, obj: dict) -> None:
     """Render ``obj`` as ``--format`` asks and write it to ``--output`` or
-    stdout."""
-    _emit(_document(obj) if args.format == "json" else ["\n".join(_render_text(obj)) + "\n"], args.output)
-
-
-def _emit(pieces, path) -> None:
-    """Write text ``pieces`` to the file ``path``, or to stdout without one.
-    JSON comes as the pieces of the streaming writer of :func:`save_obj`,
-    never joined into one string."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+    stdout.  JSON comes as the pieces of the streaming writer of
+    :func:`save_obj`, never joined into one string."""
+    pieces = _document(obj) if args.format == "json" else ["\n".join(_render_text(obj)) + "\n"]
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
@@ -229,7 +225,7 @@ def _solve(args, tols, S1, S2, b):
     )
     # Written only after the solve, so a rejected input leaves no file.
     if args.model_out:
-        _emit(_document(model_to_obj(model)), args.model_out)
+        save_obj(model_to_obj(model), args.model_out)
     return {
         "residual": rep.residual,
         "iterations": rep.iterations,

@@ -1,6 +1,8 @@
 """Shared construction helpers and independent oracles for the test suite."""
 
+import importlib.util
 import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +175,16 @@ def exact_rank_fraction(A):
         rank += 1
         col += 1
     return rank
+
+
+def bench_oracles():
+    """The benchmark's package-independent oracles, ``bench/oracles.py``,
+    loaded from their file as they stand."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def brute_span_rank(mats, tol=1e-8):

@@ -877,19 +877,21 @@ class TestFactorViaInverseClosed:
         # member is a unit multiple of it, so it is the only candidate.
         n = 6
         L, U = catalog(LU[0], n, field), catalog(LU[1], n, field)
-        A = np.random.default_rng(4).standard_normal((n, n)) + n * np.eye(n)
-        with caplog.at_level(logging.DEBUG, logger="subspace_products"):
-            V1, V2 = factor_via_inverse_closed(A, L, U, seed=1)
-        (message,) = [r.getMessage() for r in caplog.records]
-        got = re.fullmatch(
-            r"factoring: null dimension 1, candidates judged 1, chosen sigma_min/sigma_max (\S+)",
-            message,
-        )
-        assert got
-        # V2 is the inverse of the chosen candidate: the same condition number.
-        assert float(got.group(1)) == pytest.approx(1.0 / np.linalg.cond(V2), rel=1e-3)
-        assert np.linalg.norm(A - V1 @ V2) < 1e-12 * np.linalg.norm(A)
-        assert membership(L, V1).inside and membership(U, V2).inside
+        for target, seed in ((4, 1), (0, 0)):
+            A = np.random.default_rng(target).standard_normal((n, n)) + n * np.eye(n)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="subspace_products"):
+                V1, V2 = factor_via_inverse_closed(A, L, U, seed=seed)
+            (message,) = [r.getMessage() for r in caplog.records]
+            got = re.fullmatch(
+                r"factoring: null dimension 1, candidates judged 1, chosen sigma_min/sigma_max (\S+)",
+                message,
+            )
+            assert got
+            # V2 is the inverse of the chosen candidate: the same condition number.
+            assert float(got.group(1)) == pytest.approx(1.0 / np.linalg.cond(V2), rel=1e-3)
+            assert np.linalg.norm(A - V1 @ V2) < 1e-12 * np.linalg.norm(A)
+            assert membership(L, V1).inside and membership(U, V2).inside
 
     def test_nilpotent_boundary_case(self):
         L = catalog("lower_triangular", 2)

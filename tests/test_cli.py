@@ -18,6 +18,7 @@ from subspace_products import (
     geometry,
     random_element,
     random_unit_element,
+    serialization,
     subspace_from_matrices,
 )
 from subspace_products.cli import main
@@ -53,6 +54,7 @@ def writer_matches_json_dumps(monkeypatch):
         return pieces
 
     monkeypatch.setattr(cli, "_document", checked_document)
+    monkeypatch.setattr(serialization, "_document", checked_document)
     return writes
 
 
@@ -108,6 +110,46 @@ class TestFlatness:
         code, out = run(capsys, ["flatness", *lu_pair_files, "--format", "text"])
         assert code == 0
         assert "flat: True" in out
+
+    @pytest.mark.parametrize("kind1, kind2, options, code, want", [
+        # lin_dim 4 < n^2: trial 0 reaches it, so one trial of the five runs.
+        ("rank_rows", "rank_cols", ["--k", "2"], 0, {"flat": True, "lin_dim": 4, "trials": 1}),
+        ("lower_triangular", "unit_upper_constant_diagonal", [], 0, {"flat": True, "lin_dim": 36}),
+        ("circulant", "diagonal", [], 2, {"flat": False, "lin_dim": 36, "generic_rank": 11}),
+    ], ids=["rows_cols", "lu", "circ_diag"])
+    def test_catalog_files_at_n6_give_the_real_verdict_in_either_field(
+        self, capsys, tmp_path, kind1, kind2, options, code, want
+    ):
+        # Catalog subspaces have real bases in either field, so a complex
+        # pair of them is decided in its real forms.
+        results = []
+        for field in ("real", "complex"):
+            files = [str(tmp_path / f"{kind}-{field}.json") for kind in (kind1, kind2)]
+            for kind, path in zip((kind1, kind2), files):
+                argv = ["catalog", "--kind", kind, "--n", "6", "--field", field, *options]
+                assert main([*argv, "--output", path]) == 0
+            got, out = run(capsys, ["flatness", *files])
+            assert got == code
+            results.append(json.loads(out)["result"])
+        assert results[0] == results[1]
+        assert {key: results[0][key] for key in want} == want
+
+
+class TestTextFormat:
+    @pytest.mark.parametrize("command", ["minrank", "glft", "factor"])
+    def test_text_of_reports_that_hold_arrays(self, capsys, tmp_path, lu_pair_files, command):
+        # minrank's witness, glft's 0-d witness scalars and factor's V1 and
+        # V2 are arrays; the text shows the [re, im] pairs the JSON holds.
+        pencil, x1, x2, A = (str(tmp_path / f"{name}.json") for name in ("pencil", "x1", "x2", "A"))
+        save_obj(subspace_to_obj(subspace_from_matrices([np.eye(2), cell(2, 0, 1)])), pencil)
+        save_obj(matrix_to_obj(cell(2, 0, 1)), x1)
+        save_obj(matrix_to_obj(np.diag([1.0, 2.0])), x2)
+        save_obj(matrix_to_obj(np.eye(3) + np.tril(np.ones((3, 3)))), A)
+        inputs = {"minrank": [pencil], "glft": [x1, x2], "factor": [A, *lu_pair_files]}[command]
+        code, out = run(capsys, [command, *inputs])
+        assert code == 0
+        assert run(capsys, [command, *inputs, "--format", "text"]) == (
+            0, "\n".join(cli._render_text(json.loads(out))) + "\n")
 
 
 class TestSharedParser:
@@ -309,13 +351,18 @@ class TestCatalogCommand:
 
 class TestMinrankCommand:
     def test_certified_pencil(self, capsys, tmp_path):
+        # R has no real eigenvalue, so span{s I, s R} has minrank 2.  At
+        # s = 1e200 the squares of the normal form's candidates underflow
+        # and those of the witness overflow.
+        R = np.array([[0.0, -1.0], [1.0, 0.0]])
         f = tmp_path / "s.json"
-        S = subspace_from_matrices([np.eye(2), cell(2, 0, 1)])
-        save_obj(subspace_to_obj(S), str(f))
-        code, out = run(capsys, ["minrank", str(f)])
-        assert code == 0
-        result = json.loads(out)["result"]
-        assert result["value"] == 1 and result["certified"]
+        for S, value in ((subspace_from_matrices([np.eye(2), cell(2, 0, 1)]), 1),
+                         (subspace_from_matrices([1e200 * np.eye(2), 1e200 * R], field="real"), 2)):
+            save_obj(subspace_to_obj(S), str(f))
+            code, out = run(capsys, ["minrank", str(f)])
+            assert code == 0
+            result = json.loads(out)["result"]
+            assert result["value"] == value and result["certified"]
 
 
 class TestSeedRule:
@@ -636,6 +683,19 @@ class TestCurvatureCommand:
         assert result["tangent_dim"] == 5
         assert len(result["q_norms"]) == 5
         assert result["max_q_norm"] > 0
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_lu_curvature_is_exactly_zero(self, capsys, tmp_path, field):
+        # The LU tangent space at n = 4 is M_4, spanned by the identity
+        # basis, so every projection is exact: 0.0, not round-off.
+        files = [str(tmp_path / "lower.json"), str(tmp_path / "upper.json")]
+        for kind, path in zip(("lower_triangular", "unit_upper_constant_diagonal"), files):
+            save_obj(subspace_to_obj(catalog(kind, 4, field)), path)
+        code, out = run(capsys, ["curvature", *files])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["tangent_dim"], result["max_q_norm"]) == (16, 0.0)
+        assert result["q_norms"] == [0.0] * 20
 
     def test_directions_are_gaussian_draws(self, capsys, segre_pair_files, monkeypatch):
         # Base points sit near the identity (both factors contain it), but

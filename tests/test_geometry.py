@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 
@@ -36,6 +37,7 @@ from subspace_products.geometry import _identity_part, _sketched_linearization
 from subspace_products.serialization import save_obj, subspace_to_obj
 from helpers import (
     SKETCH_KINDS,
+    bench_oracles,
     brute_span_rank,
     brute_tangent_rank,
     catalog,
@@ -973,7 +975,7 @@ class TestStopAtLinDim:
         S1 = catalog(kind1, n, field, **params)
         S2 = catalog(kind2, n, field, **params)
         report = flatness_test(S1, S2, trials=5, seed=0)
-        assert report.flat and report.trials == 1
+        assert report.flat and report.trials == 1 and report.lin_dim == lin_dim
         assert report.sampled_ranks == ((0, lin_dim),)
 
     def test_reported_ranks_are_the_ranks_at_the_sampled_points(self):
@@ -996,6 +998,29 @@ class TestStopAtLinDim:
         report = flatness_test(S1, S2, seed=0)
         assert report.sampled_ranks == tuple((s, rank) for s in range(0, 10, 2))
         assert (report.lin_dim, report.generic_rank, report.flat) == (64, rank, False)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_catalog_verdicts_match_exact_arithmetic(field):
+    # Every ordered pair of the catalog kinds at n = 8, judged in integers
+    # mod p = 2^31 - 1 by the benchmark's oracles: the tangent rank at one
+    # random integer point (below the generic rank with probability about
+    # n^2 / p) and the rank of the basis products.  Catalog bases are real,
+    # so one integer oracle judges both fields.
+    orc = bench_oracles()
+    n = 8
+    subs = {kind: catalog(kind, n, field, **params) for kind, params in SKETCH_KINDS.items()}
+    bases = {kind: orc.integer_basis(S.raw_basis) for kind, S in subs.items()}
+    rng = np.random.default_rng(0)
+    wrong = []
+    for (kind1, S1), (kind2, S2) in itertools.product(subs.items(), repeat=2):
+        B, C = bases[kind1], bases[kind2]
+        rank = orc.tangent_rank_mod_p(B, C, rng)
+        lin = orc.rank_mod_p(np.matmul(B[:, None], C[None]).reshape(-1, n * n))
+        report = flatness_test(S1, S2)
+        if (report.generic_rank, report.lin_dim, report.flat) != (rank, lin, rank == lin):
+            wrong.append((kind1, kind2, report.generic_rank, rank, report.lin_dim, lin))
+    assert wrong == []
 
 
 class TestFactorizability:

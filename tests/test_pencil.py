@@ -447,6 +447,20 @@ class TestMinrank:
         ]
         assert all(r.name == "subspace_products" for r in caplog.records)
 
+    def test_projections_out_of_alternations_keep_the_sample_bound(self, caplog, monkeypatch):
+        # No basis member or sample of real circulant at n = 4 has rank
+        # below 4, and one alternation brings no start to rank 1, 2 or 3.
+        monkeypatch.setattr(pencil, "_MINRANK_ALTERNATIONS", 1)
+        S = catalog("circulant", 4, "real")
+        with caplog.at_level(logging.DEBUG, logger="subspace_products"):
+            rep = minrank(S)
+        assert [r.getMessage() for r in caplog.records] == [
+            "minrank samples: best rank 4, first at raw basis member 0",
+            *(f"minrank projections to rank {r}: no start meets it in 1 alternations" for r in (1, 2, 3)),
+        ]
+        assert (rep.value, rep.certified, rep.method) == (4, False, "sampled_upper_bound")
+        np.testing.assert_array_equal(rep.witness, S.raw_basis[0] / _norm(S.raw_basis[0]))
+
 
 class TestZeroProductProbe:
     def test_rank_pair_finds_zero_divisor(self):
